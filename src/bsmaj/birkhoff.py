@@ -12,7 +12,6 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .vectors import TOL, ProbVector
 
@@ -147,24 +146,19 @@ def birkhoff_decompose(
 
     while float(res.max()) > tol:
         support = res > tol
-        # Cost 0 on support, 1 off support, and a strong pull on the
-        # smallest positive entry so the matching is forced through it.
-        # A full-support matching through the pivot scores -(d+1); any
-        # matching that touches a non-support entry scores at least -d.
-        cost = 1.0 - support.astype(float)
         masked = np.where(support, res, np.inf)
         pivot = np.unravel_index(int(np.argmin(masked)), res.shape)
-        cost[pivot] = -(d + 1.0)
-        rows, cols = linear_sum_assignment(cost)
-        if float(cost[rows, cols].sum()) > -(d + 0.5):
+        perm = _perfect_matching(support, pivot)
+        if perm is None:
             raise ValueError(
                 "no perfect matching on the positive support; "
                 "the matrix violates the doubly stochastic invariant"
             )
-        weight = float(res[rows, cols].min())
-        perms.append(tuple(int(c) for c in cols))
+        cols = np.array(perm)
+        weight = float(res[rows_idx, cols].min())
+        perms.append(perm)
         weights.append(weight)
-        res[rows, cols] -= weight
+        res[rows_idx, cols] -= weight
         res[res < 0] = 0.0
         if len(perms) > max_terms:
             raise ValueError(
@@ -176,6 +170,56 @@ def birkhoff_decompose(
         perms.append(tuple(range(d)))
         weights.append(1.0)
     return BirkhoffDecomposition(tuple(perms), tuple(weights))
+
+
+def _perfect_matching(support: np.ndarray, pivot) -> tuple[int, ...] | None:
+    """Row-to-column perfect matching on a boolean support through ``pivot``.
+
+    Augmenting-path (Kuhn) matching, one row at a time. The pivot row may
+    only take the pivot column, which forces the edge into every matching
+    found. Each row tries its free columns first, so a banded support is
+    matched without long detours. The path search keeps its own stack, so
+    the depth is not bounded by the interpreter's recursion limit. Returns
+    ``perm`` with ``perm[row] = column``, or None when no perfect matching
+    exists.
+    """
+    d = support.shape[0]
+    adj: list[list[int]] = [[] for _ in range(d)]
+    nz_rows, nz_cols = np.nonzero(support)
+    for row, col in zip(nz_rows.tolist(), nz_cols.tolist()):
+        adj[row].append(col)
+    adj[pivot[0]] = [int(pivot[1])]
+    owner = [-1] * d  # row currently matched to each column
+
+    def free_first(row):
+        return iter(sorted(adj[row], key=lambda c: owner[c] >= 0))
+
+    for root in range(d):
+        seen = [False] * d
+        rows, edges = [root], [free_first(root)]
+        cols: list[int] = []  # cols[i]: column tentatively taken by rows[i]
+        while rows:
+            col = next((c for c in edges[-1] if not seen[c]), None)
+            if col is None:  # dead end: back up one row
+                rows.pop()
+                edges.pop()
+                if cols:
+                    cols.pop()
+                continue
+            seen[col] = True
+            cols.append(col)
+            if owner[col] < 0:  # free column: shift the path along it
+                for r, c in zip(rows, cols):
+                    owner[c] = r
+                break
+            rows.append(owner[col])
+            edges.append(free_first(owner[col]))
+        else:
+            return None
+    perm = [0] * d
+    for col, row in enumerate(owner):
+        perm[row] = col
+    return tuple(perm)
 
 
 def _check_photon_number(k) -> int:

@@ -31,6 +31,10 @@ MARGINAL_FACTOR = 10.0
 #: Tail tolerance shrink factor used by the confirmation pass.
 CONFIRM_SHRINK = 1e-6
 
+#: Most grid candidates one search may scan; finer grids are rejected
+#: before any candidate is checked.
+MAX_CANDIDATES = 10**6
+
 #: Default entropy orders for the additivity-based necessary condition.
 ALPHA_GRID = (0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 100.0, math.inf)
 
@@ -69,8 +73,13 @@ class CatalystSpec:
     @classmethod
     def tmsv(cls, r: float, truncation_dim: int | None = None) -> "CatalystSpec":
         r = float(r)
-        if r <= 0.0:
+        if not r > 0.0:
             raise ValueError(f"squeezing parameter must be positive, got {r!r}")
+        if math.tanh(r) ** 2 >= 1.0:
+            raise ValueError(
+                f"squeezing parameter {r!r} is too large: tanh^2 r rounds to 1, "
+                "so the geometric spectrum has no normalizable truncation"
+            )
         if truncation_dim is not None and truncation_dim < 1:
             raise ValueError("truncation_dim must be positive")
         return cls(family=CatalystFamily.TMSV, r=r, truncation_dim=truncation_dim)
@@ -96,9 +105,12 @@ def tmsv_dimension(r: float, tail_tol: float = TAIL_TOL) -> int:
     """Smallest truncation keeping the discarded geometric mass below tail_tol.
 
     The untruncated spectrum is (1 - q) q^n with q = tanh^2 r, so the mass
-    beyond the first N terms is exactly q^N.
+    beyond the first N terms is exactly q^N. When q underflows to zero
+    the spectrum is the vacuum alone and one term holds all of it.
     """
     q = math.tanh(r) ** 2
+    if q == 0.0:
+        return 1
     return max(1, math.ceil(math.log(tail_tol) / math.log(q)))
 
 
@@ -267,8 +279,14 @@ def _candidate_specs(p, q, family, grid, r_max, tol):
     family = CatalystFamily(family)
     if family is CatalystFamily.EXPLICIT:
         raise ValueError("search requires a parametric family")
-    if grid <= 0:
+    if not grid > 0:
         raise ValueError("grid step must be positive")
+    limit = math.pi / 4 if family is CatalystFamily.SINGLE_PHOTON else r_max
+    if limit / grid > MAX_CANDIDATES:
+        raise ValueError(
+            f"grid step {grid!r} would scan about {limit / grid:.3g} candidates, "
+            f"more than the limit of {MAX_CANDIDATES}; use a coarser grid"
+        )
 
     base = compare(p, q, tol=tol)
     if base.relation in (Relation.MAJORIZED_BY, Relation.EQUAL):
@@ -278,7 +296,6 @@ def _candidate_specs(p, q, family, grid, r_max, tol):
         yield None
         return
 
-    limit = math.pi / 4 if family is CatalystFamily.SINGLE_PHOTON else r_max
     i = 1
     while i * grid <= limit + 1e-15:
         value = i * grid

@@ -19,7 +19,6 @@ import numpy as np
 from . import __version__
 from .beamsplitter import photon_chain_check, spectrum
 from .birkhoff import (
-    BirkhoffDecomposition,
     DoublyStochasticMatrix,
     birkhoff_decompose,
     bs_witness_matrix,
@@ -56,22 +55,28 @@ def parse_angle(text) -> float:
     if not s:
         raise ValueError("empty angle")
     if "pi" not in s:
-        return float(s)
-    head, _, tail = s.partition("pi")
-    coeff = 1.0
-    if head:
-        if head.endswith("*"):
-            head = head[:-1]
-        if head == "-":
-            coeff = -1.0
-        elif head not in ("", "+"):
-            coeff = float(head)
-    div = 1.0
-    if tail:
-        if not tail.startswith("/"):
-            raise ValueError(f"cannot parse angle {text!r}")
-        div = float(tail[1:])
-    return coeff * math.pi / div
+        value = float(s)
+    else:
+        head, _, tail = s.partition("pi")
+        coeff = 1.0
+        if head:
+            if head.endswith("*"):
+                head = head[:-1]
+            if head == "-":
+                coeff = -1.0
+            elif head not in ("", "+"):
+                coeff = float(head)
+        div = 1.0
+        if tail:
+            if not tail.startswith("/"):
+                raise ValueError(f"cannot parse angle {text!r}")
+            div = float(tail[1:])
+            if div == 0.0:
+                raise ValueError(f"angle {text!r} divides by zero")
+        value = coeff * math.pi / div
+    if not math.isfinite(value):
+        raise ValueError(f"angle {text!r} is not finite")
+    return value
 
 
 def _fmt(x: float) -> str:
@@ -223,7 +228,7 @@ def _require_json(obj, command: str) -> None:
 @click.version_option(version=__version__, prog_name="bsmaj")
 @click.option("--out", type=click.Choice(["json", "csv"]), default="json",
               show_default=True, help="Output format.")
-@click.option("--tol", type=float, default=TOL, show_default=True,
+@click.option("--tol", type=click.FloatRange(min=0), default=TOL, show_default=True,
               help="Comparison tolerance for ordering decisions.")
 @click.option("--seed", type=int, default=0, show_default=True,
               help="Seed for any randomized operation.")
@@ -406,7 +411,8 @@ def catalysis_group():
 @click.option("--q", type=VECTOR, required=True, help="Conversion target spectrum.")
 @click.option("--catalyst", type=CATALYST, required=True,
               help="single-photon:THETA, tmsv:R[,N], file:PATH, or inline JSON.")
-@click.option("--tail-tol", type=float, default=TAIL_TOL, show_default=True,
+@click.option("--tail-tol", type=click.FloatRange(0, 1, min_open=True, max_open=True),
+              default=TAIL_TOL, show_default=True,
               help="Spectral mass allowed beyond a tmsv truncation.")
 @click.pass_obj
 @_domain_guard
@@ -478,11 +484,6 @@ def birkhoff_cmd(obj, witness, path):
         "reconstruction_error": error,
     }
     _emit_json(obj, "birkhoff", params, results)
-
-
-def parse_decomposition(data: dict) -> BirkhoffDecomposition:
-    """Re-parse an emitted decomposition payload into the domain type."""
-    return BirkhoffDecomposition.from_dict(data)
 
 
 if __name__ == "__main__":

@@ -242,19 +242,10 @@ def infinitesimal_verdict(
     angle sits on a crossover (or at pi/4), where the two sides of the
     crossing must be examined separately.
     """
-    k = as_photon_number(k)
-    theta = _check_region_angle(theta)
-    if k == 0:
-        return InfinitesimalVerdict(
-            status=InfinitesimalStatus.HOLDS,
-            derivatives=AccumulationDerivatives(theta=theta, values=()),
-        )
-    if QUARTER_PI - theta <= tol:
+    try:
+        acc = accumulation_derivatives(k, theta, tol=tol)
+    except AmbiguousOrderingError:
         return InfinitesimalVerdict(status=InfinitesimalStatus.BOUNDARY)
-    for cross in find_crossovers(k).crossovers:
-        if abs(theta - cross) <= tol:
-            return InfinitesimalVerdict(status=InfinitesimalStatus.BOUNDARY)
-    acc = accumulation_derivatives(k, theta, tol=tol)
     for j, value in enumerate(acc.values):
         if value > tol:
             return InfinitesimalVerdict(

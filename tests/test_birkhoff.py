@@ -1,4 +1,6 @@
+import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from bsmaj import (
     pad_to,
     spectrum,
 )
+from bsmaj.birkhoff import _perfect_matching
 from bsmaj.birkhoff import apply as ds_apply
 
 from conftest import random_mixture_matrix
@@ -169,3 +172,43 @@ def test_matrix_rows_round_trip():
     D = bs_witness_matrix(1, 0.4)
     again = DoublyStochasticMatrix.from_rows(D.to_rows())
     assert np.allclose(again.entries, D.entries, atol=0.0)
+
+
+def _brute_force_matching(support, pivot):
+    d = len(support)
+    for perm in itertools.permutations(range(d)):
+        if perm[pivot[0]] == pivot[1] and all(support[i, perm[i]] for i in range(d)):
+            return perm
+    return None
+
+
+def test_matching_agrees_with_brute_force():
+    rng = np.random.default_rng(23)
+    found = 0
+    for _ in range(600):
+        d = int(rng.integers(1, 7))
+        support = rng.random((d, d)) < rng.uniform(0.2, 0.9)
+        edges = np.argwhere(support)
+        if not len(edges):
+            continue
+        pivot = tuple(int(i) for i in edges[rng.integers(len(edges))])
+        got = _perfect_matching(support, pivot)
+        assert (got is None) == (_brute_force_matching(support, pivot) is None)
+        if got is not None:
+            found += 1
+            assert sorted(got) == list(range(d))
+            assert got[pivot[0]] == pivot[1]
+            assert all(support[i, got[i]] for i in range(d))
+    assert found > 100
+
+
+def test_matching_depth_is_not_bounded_by_recursion_limit():
+    # Row i < d-1 may take column i or i+1 and the last row only column 0;
+    # rows take columns greedily, so the last row's augmenting path runs
+    # through every other row.
+    d = 3 * sys.getrecursionlimit()
+    support = np.zeros((d, d), dtype=bool)
+    i = np.arange(d - 1)
+    support[i, i] = support[i, i + 1] = True
+    support[d - 1, 0] = True
+    assert _perfect_matching(support, (d - 1, 0)) == (*range(1, d), 0)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from bsmaj import catalysis
 from bsmaj import (
     CatalystFamily,
     CatalystSpec,
@@ -61,6 +62,16 @@ def test_catalyst_spec_validation():
         CatalystSpec.single_photon(2.0)
     with pytest.raises(ValueError):
         CatalystSpec.tmsv(1.0, truncation_dim=0)
+    # tanh^2 r rounds to 1 in double precision: no truncation normalizes
+    with pytest.raises(ValueError, match="tanh"):
+        CatalystSpec.tmsv(25.0)
+
+
+def test_tmsv_vanishing_squeezing_is_the_vacuum():
+    # tanh^2 r underflows to 0: one term carries all of the mass
+    assert tmsv_dimension(1e-200) == 1
+    vec = catalyst_spectrum(CatalystSpec.tmsv(1e-200))
+    assert vec.components.tolist() == [1.0]
 
 
 def test_reference_pair_is_incomparable_and_single_photon_catalyzes():
@@ -148,6 +159,17 @@ def test_search_rejects_bad_arguments():
         search_catalyst(P_072, Q_062, "explicit", 0.1)
     with pytest.raises(ValueError):
         search_catalyst(P_072, Q_062, "tmsv", 0.0)
+
+
+def test_search_rejects_unbounded_grid(monkeypatch):
+    def no_checks(*args, **kwargs):
+        raise AssertionError("a candidate was checked")
+
+    monkeypatch.setattr(catalysis, "check_catalysis", no_checks)
+    monkeypatch.setattr(catalysis, "compare", no_checks)
+    for family, grid in (("single-photon", 1e-12), ("tmsv", 1e-9)):
+        with pytest.raises(ValueError, match="candidates"):
+            search_catalyst_all(P_072, Q_062, family, grid)
 
 
 def test_tmsv_truncation_stability():

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,6 +44,9 @@ def test_parse_angle_forms():
         parse_angle("four")
     with pytest.raises(ValueError):
         parse_angle("pi*3")
+    for bad in ("pi/0", "2*pi/0.0", "inf", "-inf", "nan", "1e400", "1e308*pi"):
+        with pytest.raises(ValueError):
+            parse_angle(bad)
 
 
 def test_parse_vector_arg_forms(tmp_path):
@@ -276,3 +283,49 @@ def test_battery_deterministic(cli_runner):
     second = [cli_runner.invoke(main, args, catch_exceptions=False).output
               for args in CLI_BATTERY]
     assert first == second
+
+
+#: Invocations that once ended in a traceback or ran without bound, with the
+#: exit code each must give now.
+CONTRACT_CASES = [
+    (["spectrum", "--k", "3", "--theta", "pi/0"], 2),
+    (["birkhoff", "--witness", "2,pi/0"], 2),
+    (["catalysis", "check", "--p", "bs:3,0.72", "--q", "bs:3,0.62",
+      "--catalyst", "tmsv:25"], 2),
+    (["catalysis", "check", "--p", "bs:3,0.72", "--q", "bs:3,0.62",
+      "--catalyst", "tmsv:1e-200"], 0),
+    (["--tol", "-1", "majorize", "--p", "bs:3,0.62", "--q", "bs:3,0.62"], 2),
+    (["catalysis", "check", "--p", "bs:3,0.72", "--q", "bs:3,0.62",
+      "--catalyst", "tmsv:1.38", "--tail-tol", "0"], 2),
+    (["catalysis", "check", "--p", "bs:3,0.72", "--q", "bs:3,0.62",
+      "--catalyst", "tmsv:1.38", "--tail-tol", "1"], 2),
+    (["catalysis", "search", "--p", "bs:3,0.72", "--q", "bs:3,0.62",
+      "--family", "single-photon", "--grid", "1e-12"], 2),
+]
+
+
+@pytest.mark.parametrize("args,code", CONTRACT_CASES,
+                         ids=[" ".join(args) for args, _ in CONTRACT_CASES])
+def test_exit_code_contract(cli_runner, args, code):
+    result = invoke(cli_runner, args)
+    assert result.exit_code == code, result.output
+    assert "Traceback" not in result.output
+
+
+def test_vacuum_catalyst_has_one_component(cli_runner):
+    result = invoke(cli_runner, ["catalysis", "check", "--p", "bs:3,0.72",
+                                 "--q", "bs:3,0.62", "--catalyst", "tmsv:1e-200"])
+    assert payload(result)["results"]["catalyst_dim"] == 1
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    import bsmaj
+
+    src = str(Path(bsmaj.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, bsmaj.cli; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

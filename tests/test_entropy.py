@@ -16,7 +16,7 @@ from bsmaj import (
     spectrum,
     tensor,
 )
-from bsmaj.entropy import parse_order
+from bsmaj.entropy import _logsumexp, parse_order
 from bsmaj.regions import QUARTER_PI
 
 from conftest import prob_vectors
@@ -165,3 +165,41 @@ def test_tensor_entropy_never_decreases_entropy_sum():
     q = spectrum(3, 0.9)
     joint = tensor(p, q)
     assert shannon(joint) == pytest.approx(shannon(p) + shannon(q), abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# log-sum-exp kernel behind the Renyi orders
+
+
+def _logsumexp_inputs():
+    """Power-sum exponents as renyi builds them: order times log of a spectrum,
+    plus ties at the maximum and single-element input."""
+    rng = np.random.default_rng(5)
+    cases = [np.array([0.0]), np.array([-3.25]), np.array([-1.0, -1.0, -2.0]),
+             np.full(7, 3.0 * math.log(1 / 7)), np.array([-700.0, -0.5, -0.5])]
+    for k, theta in ((3, 0.62), (20, 0.3), (60, QUARTER_PI), (1000, 0.2)):
+        pos = spectrum(k, theta).components
+        pos = pos[pos > 0]
+        for alpha in (0.3, 0.5, 2.0, 10.0, 50.0, 200.0):
+            cases.append(alpha * np.log(pos))
+    for _ in range(40):
+        p = rng.dirichlet(np.full(int(rng.integers(1, 30)), 0.4))
+        cases.append(float(rng.choice([0.5, 3.0, 200.0])) * np.log(p[p > 0]))
+    return cases
+
+
+def test_logsumexp_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    eps = np.finfo(float).eps
+    for a in _logsumexp_inputs():
+        with mpmath.workdps(40):
+            ref = mpmath.log(mpmath.fsum(mpmath.exp(mpmath.mpf(float(x))) for x in a))
+        got = float(_logsumexp(a))
+        scale = max(1.0, float(np.abs(a).max()))
+        assert abs(got - float(ref)) <= 4 * eps * scale, (a, got, ref)
+
+
+def test_logsumexp_bit_identical_to_scipy():
+    special = pytest.importorskip("scipy.special")
+    for a in _logsumexp_inputs():
+        assert float(_logsumexp(a)) == float(special.logsumexp(a))

@@ -17,6 +17,7 @@ from bsmaj import (
     sort_desc,
     spectrum,
 )
+from bsmaj import regions
 from bsmaj.regions import QUARTER_PI
 
 from conftest import central_difference
@@ -307,6 +308,21 @@ def test_verdict_boundary_at_crossover_and_quarter_pi():
     assert (
         infinitesimal_verdict(2, QUARTER_PI).status is InfinitesimalStatus.BOUNDARY
     )
+
+
+def test_verdict_scans_crossovers_once(monkeypatch):
+    calls = []
+    scan = regions.find_crossovers
+
+    def counted(k):
+        calls.append(k)
+        return scan(k)
+
+    monkeypatch.setattr(regions, "find_crossovers", counted)
+    for theta, status in ((0.1, "Holds"), (0.7, "Violated"), (THETA1_K3, "Boundary")):
+        calls.clear()
+        assert infinitesimal_verdict(3, theta).status.value == status
+        assert calls == [3]
 
 
 def test_verdict_k0_trivially_holds():
