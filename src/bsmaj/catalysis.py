@@ -11,6 +11,7 @@ tanh^2 r), and explicit user-supplied vectors.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from .entropy import renyi
 from .majorization import MajorizationVerdict, Relation, compare
-from .vectors import TOL, ProbVector, tensor
+from .vectors import NORM_TOL, TOL, ProbVector, tensor
 
 #: Allowed spectral mass beyond the truncation point of a squeezed-vacuum
 #: catalyst, before renormalization.
@@ -34,6 +35,14 @@ CONFIRM_SHRINK = 1e-6
 #: Most grid candidates one search may scan; finer grids are rejected
 #: before any candidate is checked.
 MAX_CANDIDATES = 10**6
+
+#: Most components a squeezed-vacuum catalyst may have, whether the
+#: truncation is chosen automatically, for the deep pass, or given explicitly.
+MAX_CATALYST_DIM = 10**6
+
+#: Most tensored entries (candidates times dimension) a search compares in
+#: one numpy pass.
+BATCH_ENTRIES = 2**18
 
 #: Default entropy orders for the additivity-based necessary condition.
 ALPHA_GRID = (0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 100.0, math.inf)
@@ -82,6 +91,11 @@ class CatalystSpec:
             )
         if truncation_dim is not None and truncation_dim < 1:
             raise ValueError("truncation_dim must be positive")
+        if truncation_dim is not None and truncation_dim > MAX_CATALYST_DIM:
+            raise ValueError(
+                f"truncation_dim {truncation_dim} exceeds the limit of "
+                f"{MAX_CATALYST_DIM} components"
+            )
         return cls(family=CatalystFamily.TMSV, r=r, truncation_dim=truncation_dim)
 
     @classmethod
@@ -114,6 +128,18 @@ def tmsv_dimension(r: float, tail_tol: float = TAIL_TOL) -> int:
     return max(1, math.ceil(math.log(tail_tol) / math.log(q)))
 
 
+def _capped_tmsv_dimension(r: float, tail_tol: float) -> int:
+    """``tmsv_dimension``, refused above ``MAX_CATALYST_DIM`` before any
+    component is allocated."""
+    needed = tmsv_dimension(r, tail_tol)
+    if needed > MAX_CATALYST_DIM:
+        raise ValueError(
+            f"squeezing parameter {r!r} needs {needed} components for tail mass "
+            f"{tail_tol:.3g}, more than the limit of {MAX_CATALYST_DIM}"
+        )
+    return needed
+
+
 def catalyst_spectrum(spec: CatalystSpec, *, tail_tol: float = TAIL_TOL) -> ProbVector:
     """Materialize the probability vector of a catalyst candidate."""
     if spec.family is CatalystFamily.SINGLE_PHOTON:
@@ -123,8 +149,10 @@ def catalyst_spectrum(spec: CatalystSpec, *, tail_tol: float = TAIL_TOL) -> Prob
         return spec.vector
     # Truncated squeezed vacuum: geometric with ratio tanh^2 r.
     q = math.tanh(spec.r) ** 2
-    needed = tmsv_dimension(spec.r, tail_tol)
-    n_terms = spec.truncation_dim if spec.truncation_dim is not None else needed
+    if spec.truncation_dim is None:
+        needed = n_terms = _capped_tmsv_dimension(spec.r, tail_tol)
+    else:
+        needed, n_terms = tmsv_dimension(spec.r, tail_tol), spec.truncation_dim
     tail = q**n_terms
     if tail >= tail_tol:
         raise TruncationError(
@@ -176,7 +204,14 @@ def check_catalysis(
     tol: float = TOL,
     tail_tol: float = TAIL_TOL,
 ) -> CatalysisReport:
-    """Compare p against q bare and with the catalyst tensored onto both."""
+    """Compare p against q bare and with the catalyst tensored onto both.
+
+    For a squeezed-vacuum catalyst whose catalyzed pair has an interior
+    prefix-sum gap within ``MARGINAL_FACTOR * tail_tol`` of zero, which is
+    nearly always, a deep pass recomputes that verdict with the catalyst
+    truncated at ``tail_tol * CONFIRM_SHRINK``, whatever the verdict is.
+    The searches call this only for candidates already MajorizedBy.
+    """
     cvec = catalyst_spectrum(c, tail_tol=tail_tol)
     verdict_without = compare(p, q, tol=tol)
     verdict_with = compare(tensor(p, cvec), tensor(q, cvec), tol=tol)
@@ -237,17 +272,11 @@ def search_catalyst(
     If p is already majorized by q there is nothing to catalyze and the
     trivial one-dimensional catalyst is returned immediately; if the
     entropy screen fails, no catalyst can exist and None is returned
-    without scanning.
+    without scanning. Grid candidates are screened in batches, and only
+    those whose tensored pair is MajorizedBy reach :func:`check_catalysis`,
+    so the deep-truncation pass runs for no other squeezed-vacuum candidate.
     """
-    for candidate in _candidate_specs(p, q, family, grid, r_max, tol):
-        if candidate is None:
-            return None
-        if candidate.family is CatalystFamily.EXPLICIT:
-            return candidate  # trivial catalyst short-circuit
-        report = check_catalysis(p, q, candidate, tol=tol, tail_tol=tail_tol)
-        if report.catalysis_achieved:
-            return candidate
-    return None
+    return next(_search(p, q, family, grid, r_max, tol, tail_tol), None)
 
 
 def search_catalyst_all(
@@ -260,20 +289,84 @@ def search_catalyst_all(
     tol: float = TOL,
     tail_tol: float = TAIL_TOL,
 ) -> list[CatalystSpec]:
-    """All grid candidates in the family that achieve catalysis."""
-    hits = []
-    for candidate in _candidate_specs(p, q, family, grid, r_max, tol):
-        if candidate is None:
-            return []
-        if candidate.family is CatalystFamily.EXPLICIT:
-            return [candidate]
-        report = check_catalysis(p, q, candidate, tol=tol, tail_tol=tail_tol)
-        if report.catalysis_achieved:
-            hits.append(candidate)
-    return hits
+    """All grid candidates in the family that achieve catalysis.
+
+    Screens and checks candidates as :func:`search_catalyst` does.
+    """
+    return list(_search(p, q, family, grid, r_max, tol, tail_tol))
 
 
-def _candidate_specs(p, q, family, grid, r_max, tol):
+def _search(p, q, family, grid, r_max, tol, tail_tol):
+    """Yield, in scan order, every candidate that achieves catalysis.
+
+    Consecutive grid candidates of one catalyst dimension form a batch of
+    at most ``BATCH_ENTRIES`` tensored entries. A batch is compared in one
+    numpy pass; a candidate whose tensored pair is not MajorizedBy cannot
+    achieve catalysis and is dropped without a report.
+    """
+    specs = _candidate_specs(p, q, family, grid, r_max, tol, tail_tol)
+    first = next(specs, None)
+    if first is None:
+        return
+    if first.family is CatalystFamily.EXPLICIT:
+        yield first  # trivial catalyst short-circuit
+        return
+    batch, rows = [], []
+    for spec in itertools.chain([first], specs):
+        c = catalyst_spectrum(spec, tail_tol=tail_tol).components
+        if batch and (
+            c.size != rows[0].size
+            or (len(rows) + 1) * c.size * max(p.dim, q.dim) > BATCH_ENTRIES
+        ):
+            yield from _checked(p, q, batch, rows, tol, tail_tol)
+            batch, rows = [], []
+        batch.append(spec)
+        rows.append(c)
+    if batch:
+        yield from _checked(p, q, batch, rows, tol, tail_tol)
+
+
+def _checked(p, q, batch, rows, tol, tail_tol):
+    """The batch's candidates that achieve catalysis, in order."""
+    cats = np.stack(rows)
+    for i in np.flatnonzero(_majorized_by_rows(p, q, cats, tol)):
+        spec = batch[i]
+        if check_catalysis(p, q, spec, tol=tol, tail_tol=tail_tol).catalysis_achieved:
+            yield spec
+
+
+def _majorized_by_rows(p, q, cats, tol) -> np.ndarray:
+    """Row i: is ``tensor(p, c_i)`` MajorizedBy ``tensor(q, c_i)``?
+
+    Each step repeats what :func:`tensor` and :func:`compare` do for one
+    catalyst, row by row, so every decision is bit-identical to theirs.
+    """
+    d = max(p.dim, q.dim) * cats.shape[1]
+    ps = _sorted_products(p, cats, d)
+    qs = _sorted_products(q, cats, d)
+    equal = np.abs(ps - qs).max(axis=1) <= tol
+    gaps = np.cumsum(qs, axis=1)
+    gaps -= np.cumsum(ps, axis=1)
+    return (gaps.min(axis=1) >= -tol) & ~equal
+
+
+def _sorted_products(p, cats, d) -> np.ndarray:
+    """Rows ``tensor(p, c_i)``, normalized as ProbVector does, zero-padded
+    to ``d`` entries and sorted in non-increasing order."""
+    m, n = cats.shape[0], p.dim * cats.shape[1]
+    rows = (p.components[None, :, None] * cats[:, None, :]).reshape(m, n)
+    np.clip(rows, 0.0, None, out=rows)
+    totals = rows.sum(axis=1)
+    if np.any(np.abs(totals - 1.0) > NORM_TOL):
+        raise ValueError(f"tensored components sum to {totals.min()!r}, not 1")
+    rows /= totals[:, None]
+    if n < d:
+        rows = np.concatenate([rows, np.zeros((m, d - n))], axis=1)
+    rows.sort(axis=1)
+    return rows[:, ::-1]
+
+
+def _candidate_specs(p, q, family, grid, r_max, tol, tail_tol):
     """Yield candidates; a leading explicit spec short-circuits the scan,
     and a bare None means the search is hopeless."""
     family = CatalystFamily(family)
@@ -287,6 +380,10 @@ def _candidate_specs(p, q, family, grid, r_max, tol):
             f"grid step {grid!r} would scan about {limit / grid:.3g} candidates, "
             f"more than the limit of {MAX_CANDIDATES}; use a coarser grid"
         )
+    if family is CatalystFamily.TMSV and limit >= grid:
+        # The largest candidate's deep-truncation pass fixes the largest
+        # catalyst the scan can build.
+        _capped_tmsv_dimension(CatalystSpec.tmsv(limit).r, tail_tol * CONFIRM_SHRINK)
 
     base = compare(p, q, tol=tol)
     if base.relation in (Relation.MAJORIZED_BY, Relation.EQUAL):

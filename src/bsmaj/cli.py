@@ -178,6 +178,13 @@ VECTOR = VectorType()
 CATALYST = CatalystType()
 
 
+def _finite(ctx, param, value):
+    """Reject NaN, which passes every range check, and infinities."""
+    if not math.isfinite(value):
+        raise click.BadParameter(f"{value!r} is not a finite number", ctx, param)
+    return value
+
+
 def _domain_guard(fn):
     """Map library errors onto exit codes: domain failures exit 1 and
     malformed or out-of-range parameters exit 2."""
@@ -229,6 +236,7 @@ def _require_json(obj, command: str) -> None:
 @click.option("--out", type=click.Choice(["json", "csv"]), default="json",
               show_default=True, help="Output format.")
 @click.option("--tol", type=click.FloatRange(min=0), default=TOL, show_default=True,
+              callback=_finite,
               help="Comparison tolerance for ordering decisions.")
 @click.option("--seed", type=int, default=0, show_default=True,
               help="Seed for any randomized operation.")
@@ -412,7 +420,7 @@ def catalysis_group():
 @click.option("--catalyst", type=CATALYST, required=True,
               help="single-photon:THETA, tmsv:R[,N], file:PATH, or inline JSON.")
 @click.option("--tail-tol", type=click.FloatRange(0, 1, min_open=True, max_open=True),
-              default=TAIL_TOL, show_default=True,
+              default=TAIL_TOL, show_default=True, callback=_finite,
               help="Spectral mass allowed beyond a tmsv truncation.")
 @click.pass_obj
 @_domain_guard
@@ -433,8 +441,9 @@ def catalysis_check_cmd(obj, p, q, catalyst, tail_tol):
 @click.option("--p", type=VECTOR, required=True)
 @click.option("--q", type=VECTOR, required=True)
 @click.option("--family", type=click.Choice(["single-photon", "tmsv"]), required=True)
-@click.option("--grid", type=float, required=True, help="Parameter grid step.")
-@click.option("--r-max", type=float, default=3.0, show_default=True,
+@click.option("--grid", type=float, required=True, callback=_finite,
+              help="Parameter grid step.")
+@click.option("--r-max", type=float, default=3.0, show_default=True, callback=_finite,
               help="Upper end of the squeezing-parameter scan.")
 @click.option("--all", "all_", is_flag=True, help="Report the whole success set.")
 @click.pass_obj

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .vectors import TOL, ProbVector, pad_to, sort_desc
+from .vectors import TOL, ProbVector, pad_to
 
 
 class Relation(str, enum.Enum):
@@ -57,8 +57,8 @@ def compare(p: ProbVector, q: ProbVector, *, tol: float = TOL) -> MajorizationVe
     one-sided verdicts.
     """
     d = max(p.dim, q.dim)
-    ps = sort_desc(pad_to(p, d)).sorted.components
-    qs = sort_desc(pad_to(q, d)).sorted.components
+    ps = np.sort(pad_to(p, d).components)[::-1]
+    qs = np.sort(pad_to(q, d).components)[::-1]
     gaps = np.cumsum(qs) - np.cumsum(ps)
 
     p_prec_q = bool(gaps.min() >= -tol)
@@ -80,7 +80,7 @@ def compare(p: ProbVector, q: ProbVector, *, tol: float = TOL) -> MajorizationVe
 
     return MajorizationVerdict(
         relation=relation,
-        partial_sum_gaps=tuple(float(g) for g in gaps),
+        partial_sum_gaps=tuple(gaps.tolist()),
         first_violation=first_violation,
     )
 

@@ -135,7 +135,7 @@ def sort_desc(p: ProbVector) -> OscVector:
     """
     order = np.argsort(-p.components, kind="stable")
     arranged = p.components[order].copy()
-    return OscVector(ProbVector._from_trusted(arranged), tuple(int(i) for i in order))
+    return OscVector(ProbVector._from_trusted(arranged), tuple(order.tolist()))
 
 
 def pad_to(p: ProbVector, d: int) -> ProbVector:

@@ -2,13 +2,21 @@
 
 from __future__ import annotations
 
+import math
 from itertools import accumulate
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from bsmaj import ProbVector
+from bsmaj import (
+    CatalystSpec,
+    ProbVector,
+    Relation,
+    check_catalysis,
+    compare,
+    necessary_conditions,
+)
 
 TOL = 1e-12
 
@@ -56,6 +64,29 @@ def prob_vectors(draw, min_dim=1, max_dim=8):
         raw = [x + 1.0 for x in raw]
         total = sum(raw)
     return ProbVector([x / total for x in raw])
+
+
+def reference_search(p, q, family, grid, r_max=3.0, tol=TOL):
+    """Catalyst search oracle: ``check_catalysis`` on every grid candidate.
+
+    Yields the trivial catalyst when p is already majorized by q, nothing
+    when the bare verdict or the entropy screen rules catalysis out, and
+    otherwise every grid candidate that achieves catalysis, in scan order.
+    """
+    base = compare(p, q, tol=tol).relation
+    if base in (Relation.MAJORIZED_BY, Relation.EQUAL):
+        yield CatalystSpec.explicit(ProbVector([1.0]))
+        return
+    if base is Relation.MAJORIZES or not necessary_conditions(p, q, tol=tol):
+        return
+    single = family == "single-photon"
+    limit = math.pi / 4 if single else r_max
+    i = 1
+    while i * grid <= limit + 1e-15:
+        spec = CatalystSpec.single_photon(i * grid) if single else CatalystSpec.tmsv(i * grid)
+        if check_catalysis(p, q, spec, tol=tol).catalysis_achieved:
+            yield spec
+        i += 1
 
 
 def random_mixture_matrix(rng: np.random.Generator, d: int, m: int) -> np.ndarray:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bsmaj import catalysis
 from bsmaj import (
@@ -14,12 +16,15 @@ from bsmaj import (
     check_catalysis,
     compare,
     necessary_conditions,
+    pad_to,
     search_catalyst,
     search_catalyst_all,
     spectrum,
     tensor,
     tmsv_dimension,
 )
+
+from conftest import prob_vectors, reference_search
 
 P_072 = spectrum(3, 0.72)
 Q_062 = spectrum(3, 0.62)
@@ -211,3 +216,132 @@ def test_report_serialization():
 def test_tensor_of_catalyzed_pair_has_expected_dimension():
     c = catalyst_spectrum(CatalystSpec.single_photon(0.7))
     assert tensor(P_072, c).dim == 8
+
+
+def test_squeezed_vacuum_dimension_is_capped():
+    cap = catalysis.MAX_CATALYST_DIM
+    with pytest.raises(ValueError, match="limit"):
+        CatalystSpec.tmsv(1.38, truncation_dim=cap + 1)
+    assert CatalystSpec.tmsv(1.38, truncation_dim=cap).truncation_dim == cap
+    # r = 10 would need about 3.4e9 components; refused, not a TruncationError
+    with pytest.raises(ValueError, match="limit") as err:
+        catalyst_spectrum(CatalystSpec.tmsv(10.0))
+    assert not isinstance(err.value, TruncationError)
+    # the deep pass asks for about 1.5 times as many components
+    r = 5.9
+    assert tmsv_dimension(r) <= cap < tmsv_dimension(r, catalysis.TAIL_TOL * catalysis.CONFIRM_SHRINK)
+    with pytest.raises(ValueError, match="limit"):
+        catalyst_spectrum(CatalystSpec.tmsv(r), tail_tol=catalysis.TAIL_TOL * catalysis.CONFIRM_SHRINK)
+
+
+def test_search_rejects_oversized_squeezing_before_any_check(monkeypatch):
+    def no_checks(*args, **kwargs):
+        raise AssertionError("a candidate was checked")
+
+    monkeypatch.setattr(catalysis, "check_catalysis", no_checks)
+    monkeypatch.setattr(catalysis, "compare", no_checks)
+    # 5.9 is refused for its deep pass alone; 25 has tanh^2 r = 1
+    for r_max in (5.9, 10.0, 25.0):
+        with pytest.raises(ValueError):
+            search_catalyst_all(P_072, Q_062, "tmsv", 0.5, r_max=r_max)
+
+
+def _catalyst_rows(specs):
+    return np.stack([catalyst_spectrum(s).components for s in specs])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=prob_vectors(max_dim=6),
+    q=prob_vectors(max_dim=6),
+    thetas=st.lists(st.floats(0.0, math.pi / 2), min_size=1, max_size=8),
+    rs=st.lists(st.sampled_from([0.2, 0.7, 1.38, 2.0]), min_size=1, max_size=4),
+)
+@example(p=P_072, q=Q_062, thetas=[0.7, 0.1], rs=[1.38, 0.2])
+@example(p=P_072, q=P_072, thetas=[0.7], rs=[1.38])
+def test_survivor_mask_matches_compare(p, q, thetas, rs):
+    # tmsv rows share one truncation, deep enough for the largest r
+    dim = tmsv_dimension(max(rs))
+    for specs in (
+        [CatalystSpec.single_photon(t) for t in thetas],
+        [CatalystSpec.tmsv(r, truncation_dim=dim) for r in rs],
+    ):
+        rows = _catalyst_rows(specs)
+        mask = catalysis._majorized_by_rows(p, q, rows, 1e-12)
+        d = max(p.dim, q.dim) * rows.shape[1]
+        sorted_p = catalysis._sorted_products(p, rows, d)
+        want = []
+        for spec, row in zip(specs, sorted_p):
+            c = catalyst_spectrum(spec)
+            want.append(compare(tensor(p, c), tensor(q, c)).relation is Relation.MAJORIZED_BY)
+            # the batched rows are bit for bit the sorted, padded tensor
+            assert np.array_equal(row, np.sort(pad_to(tensor(p, c), d).components)[::-1])
+        assert mask.tolist() == want
+
+
+def _search_pairs():
+    pairs = [(P_072, Q_062)]
+    for seed in (1, 4, 6):
+        rng = np.random.default_rng(seed)
+        while True:
+            k_p, k_q = (int(k) for k in rng.integers(3, 6, size=2))
+            p, q = spectrum(k_p, rng.uniform(0.2, 1.3)), spectrum(k_q, rng.uniform(0.2, 1.3))
+            if compare(p, q).relation is Relation.INCOMPARABLE and necessary_conditions(p, q):
+                pairs.append((p, q))
+                break
+    # unequal dimensions: the shorter tensored vector is zero-padded
+    rng = np.random.default_rng(229)
+    pairs.append((ProbVector(rng.dirichlet(np.ones(4))), ProbVector(rng.dirichlet(np.ones(3)))))
+    return pairs
+
+
+SEARCH_PAIRS = _search_pairs()
+
+
+@pytest.mark.parametrize("family,grid", [("single-photon", 5e-3), ("tmsv", 0.1)])
+@pytest.mark.parametrize("pair", range(len(SEARCH_PAIRS)))
+def test_search_matches_per_candidate_reference(pair, family, grid):
+    p, q = SEARCH_PAIRS[pair]
+    want = list(reference_search(p, q, family, grid))
+    assert want  # the pairs are chosen to have catalysts in both families
+    assert search_catalyst_all(p, q, family, grid) == want
+    assert search_catalyst(p, q, family, grid) == want[0]
+
+
+def test_batch_boundaries_do_not_change_the_result(monkeypatch):
+    # batches of a few candidates each, split across many boundaries
+    monkeypatch.setattr(catalysis, "BATCH_ENTRIES", 100)
+    for family, grid in (("single-photon", 5e-3), ("tmsv", 0.05)):
+        want = list(reference_search(P_072, Q_062, family, grid))
+        assert search_catalyst_all(P_072, Q_062, family, grid) == want
+
+
+def test_deep_pass_runs_only_for_majorized_candidates(monkeypatch):
+    grid = 0.1
+    deep_tol = catalysis.TAIL_TOL * catalysis.CONFIRM_SHRINK
+    majorized = []
+    for i in range(1, 31):
+        c = catalyst_spectrum(CatalystSpec.tmsv(i * grid))
+        if compare(tensor(P_072, c), tensor(Q_062, c)).relation is Relation.MAJORIZED_BY:
+            majorized.append(i * grid)
+
+    reports, deep_calls = [], []
+    real_check, real_spectrum = catalysis.check_catalysis, catalysis.catalyst_spectrum
+
+    def counting_check(*args, **kwargs):
+        reports.append(real_check(*args, **kwargs))
+        return reports[-1]
+
+    def counting_spectrum(spec, *, tail_tol=catalysis.TAIL_TOL):
+        if tail_tol == deep_tol:
+            deep_calls.append(spec.r)
+        return real_spectrum(spec, tail_tol=tail_tol)
+
+    monkeypatch.setattr(catalysis, "check_catalysis", counting_check)
+    monkeypatch.setattr(catalysis, "catalyst_spectrum", counting_spectrum)
+    search_catalyst_all(P_072, Q_062, "tmsv", grid)
+
+    assert 0 < len(majorized) < 30
+    assert [rep.catalyst.r for rep in reports] == majorized
+    assert all(rep.verdict_with.relation is Relation.MAJORIZED_BY for rep in reports)
+    assert deep_calls and set(deep_calls) <= set(majorized)

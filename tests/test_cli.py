@@ -285,8 +285,8 @@ def test_battery_deterministic(cli_runner):
     assert first == second
 
 
-#: Invocations that once ended in a traceback or ran without bound, with the
-#: exit code each must give now.
+#: Invocations that once ended in a traceback, ran without bound or printed
+#: NaN or Infinity into the JSON output, with the exit code each must give now.
 CONTRACT_CASES = [
     (["spectrum", "--k", "3", "--theta", "pi/0"], 2),
     (["birkhoff", "--witness", "2,pi/0"], 2),
@@ -301,6 +301,20 @@ CONTRACT_CASES = [
       "--catalyst", "tmsv:1.38", "--tail-tol", "1"], 2),
     (["catalysis", "search", "--p", "bs:3,0.72", "--q", "bs:3,0.62",
       "--family", "single-photon", "--grid", "1e-12"], 2),
+    (["--tol", "nan", "majorize", "--p", "bs:3,0.62", "--q", "bs:3,0.72"], 2),
+    (["--tol", "inf", "majorize", "--p", "bs:3,0.62", "--q", "bs:3,0.72"], 2),
+    (["catalysis", "check", "--p", "bs:3,0.72", "--q", "bs:3,0.62",
+      "--catalyst", "tmsv:10"], 2),
+    (["catalysis", "check", "--p", "bs:3,0.72", "--q", "bs:3,0.62",
+      "--catalyst", "tmsv:1.38,2000000"], 2),
+    (["catalysis", "search", "--p", "bs:3,0.72", "--q", "bs:3,0.62",
+      "--family", "tmsv", "--grid", "0.1", "--r-max", "10"], 2),
+    (["catalysis", "check", "--p", "bs:3,0.72", "--q", "bs:3,0.62",
+      "--catalyst", "single-photon:0.7", "--tail-tol", "nan"], 2),
+    (["catalysis", "search", "--p", "bs:3,0.72", "--q", "bs:3,0.62",
+      "--family", "tmsv", "--grid", "0.1", "--r-max", "nan"], 2),
+    (["catalysis", "search", "--p", "bs:3,0.72", "--q", "bs:3,0.62",
+      "--family", "tmsv", "--grid", "inf"], 2),
 ]
 
 
