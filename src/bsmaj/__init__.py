@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 from .beamsplitter import (
     photon_chain_check,
     spectrum,
-    spectrum_recurrence,
     transmittance,
 )
 from .birkhoff import (
@@ -80,7 +79,6 @@ __all__ = [
     "apply",
     "birkhoff_decompose",
     "spectrum",
-    "spectrum_recurrence",
     "photon_chain_check",
     "transmittance",
     "RegionPartition",

@@ -21,7 +21,7 @@ from .vectors import TOL, ProbVector
 
 #: Largest k for which binomial coefficients are accumulated directly in
 #: doubles; above this the components are evaluated in log space.
-_DIRECT_K_LIMIT = 60
+DIRECT_K_LIMIT = 60
 
 
 def as_photon_number(k) -> int:
@@ -58,7 +58,7 @@ def spectrum(k: int, theta: float) -> ProbVector:
         return ProbVector([1.0])
 
     out = np.empty(k + 1)
-    if k <= _DIRECT_K_LIMIT:
+    if k <= DIRECT_K_LIMIT:
         binom = 1.0
         for n in range(k + 1):
             out[n] = binom * c2**n * s2 ** (k - n)
@@ -81,29 +81,6 @@ def spectrum(k: int, theta: float) -> ProbVector:
                 )
                 out[n] = math.exp(logp)
     return ProbVector(out)
-
-
-def spectrum_recurrence(k: int, theta: float) -> ProbVector:
-    """Same distribution built iteratively from the single-step update.
-
-    Transmitting n photons out of k+1 means either n-1 of the first k went
-    through and the extra photon was transmitted, or n went through and the
-    extra photon was reflected:
-
-        P[k+1][n] = P[k][n-1] * cos^2(theta) + P[k][n] * sin^2(theta).
-    """
-    k = as_photon_number(k)
-    theta = check_angle(theta)
-    c2 = math.cos(theta) ** 2
-    s2 = math.sin(theta) ** 2
-    cur = np.array([1.0])
-    for _ in range(k):
-        nxt = np.empty(cur.size + 1)
-        nxt[0] = s2 * cur[0]
-        nxt[1:-1] = c2 * cur[:-1] + s2 * cur[1:]
-        nxt[-1] = c2 * cur[-1]
-        cur = nxt
-    return ProbVector(cur)
 
 
 def photon_chain_check(

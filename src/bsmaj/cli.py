@@ -45,6 +45,10 @@ from .regions import (
 from .vectors import TOL, ProbVector, sort_desc
 
 
+#: Most angles an entropy sweep may sample.
+MAX_STEPS = 10**6
+
+
 # --------------------------------------------------------------------------
 # parsing and formatting helpers
 
@@ -222,6 +226,14 @@ def _emit_table_csv(header: list[str], rows, annotations: list[str] = ()) -> Non
     click.echo("\n".join(lines))
 
 
+def _check_steps(steps: int) -> None:
+    """Reject angle-grid sizes outside [2, MAX_STEPS] before any allocation."""
+    if steps < 2:
+        raise click.UsageError("steps must be at least 2")
+    if steps > MAX_STEPS:
+        raise click.UsageError(f"steps must be at most {MAX_STEPS}, got {steps}")
+
+
 def _require_json(obj, command: str) -> None:
     if obj["out"] != "json":
         raise click.UsageError(f"{command} only supports --out json")
@@ -347,8 +359,7 @@ def entropy_curve_cmd(obj, k, alphas, theta_min, theta_max, steps, bits):
     if not tokens:
         raise click.UsageError("at least one entropy order is required")
     orders = [parse_order(t) for t in tokens]
-    if steps < 2:
-        raise click.UsageError("steps must be at least 2")
+    _check_steps(steps)
     if not 0.0 <= theta_min < theta_max:
         raise click.UsageError("need 0 <= theta-min < theta-max")
     grid = np.linspace(theta_min, theta_max, steps)
@@ -372,8 +383,7 @@ def entropy_curve_cmd(obj, k, alphas, theta_min, theta_max, steps, bits):
 @_domain_guard
 def figure_data_cmd(obj, figure, steps):
     """Entropy sweep data behind the 2- and 3-photon figures."""
-    if steps < 2:
-        raise click.UsageError("steps must be at least 2")
+    _check_steps(steps)
     k = {"fig4": 2, "fig5": 3}[figure]
     grid = np.linspace(0.0, QUARTER_PI, steps)
     values = entropy_curve(k, [1.0, 10.0, math.inf], grid)

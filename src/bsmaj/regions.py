@@ -12,18 +12,25 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .beamsplitter import as_photon_number, spectrum
+from .beamsplitter import DIRECT_K_LIMIT, as_photon_number, spectrum
 from .vectors import TOL, sort_desc
 
 QUARTER_PI = math.pi / 4
 
-_DIRECT_K_LIMIT = 60
+#: Most ordering entries (regions times k+1) one partition may hold, bounded
+#: a priori by (k+1) * (k(k+1)/2 + 1); larger photon numbers are rejected
+#: before any crossover is computed.
+MAX_REGION_ENTRIES = 2 * 10**7
+
+#: Most spectrum entries (region midpoints times k+1) the ordering kernel
+#: evaluates in one numpy pass.
+ORDERING_ENTRIES = 2**12
 
 
 class AmbiguousOrderingError(ValueError):
@@ -96,24 +103,55 @@ def find_crossovers(k: int) -> RegionPartition:
 
     Components n and m (n > m) coincide where
 
-        tan(theta)^(2(n-m)) = (m! (k-m)!) / (n! (k-n)!),
+        tan(theta)^(2(n-m)) = (m! (k-m)!) / (n! (k-n)!) = C(k,n) / C(k,m),
 
     an explicit equation with a single solution per pair. Solutions are
     kept when they fall strictly inside (0, pi/4), sorted, and deduplicated
     within tolerance; the coinciding pairs are recorded per crossover.
+
+    Raises ``ValueError`` when the partition could hold more than
+    ``MAX_REGION_ENTRIES`` ordering entries.
     """
     k = as_photon_number(k)
     if k < 1:
         raise ValueError("k must be at least 1")
+    bound = (k + 1) * (k * (k + 1) // 2 + 1)
+    if bound > MAX_REGION_ENTRIES:
+        raise ValueError(
+            f"the regions of k={k} may hold up to {bound} ordering entries, "
+            f"more than the limit of {MAX_REGION_ENTRIES}"
+        )
+    crossovers, pairs = _crossings(k)
+    return RegionPartition(
+        k=k,
+        crossovers=tuple(crossovers),
+        orderings=tuple(_orderings(k, crossovers)),
+        pairs=tuple(tuple(p) for p in pairs),
+    )
 
+
+def _crossings(k: int) -> tuple[list[float], list[list[tuple[int, int]]]]:
+    """Sorted crossover angles in (0, pi/4) and the pairs meeting at each.
+
+    The binomial quotient C(k,n) / C(k,m) is the exact rational of the
+    crossing equation, rounded once to a float. Pairs with C(k,n) >= C(k,m)
+    cross at or beyond pi/4 and are skipped. A quotient below the smallest
+    normal float would lose its digits (or vanish), so its root is taken
+    from the logarithms of the two integers instead.
+    """
+    binom = [math.comb(k, j) for j in range(k + 1)]
     hits: list[tuple[float, tuple[int, int]]] = []
     for n in range(1, k + 1):
+        cn = binom[n]
         for m in range(n):
-            ratio = Fraction(
-                math.factorial(m) * math.factorial(k - m),
-                math.factorial(n) * math.factorial(k - n),
-            )
-            t = float(ratio) ** (1.0 / (2 * (n - m)))
+            cm = binom[m]
+            if cn >= cm:
+                continue
+            ratio = cn / cm
+            if ratio >= sys.float_info.min:
+                t = ratio ** (1.0 / (2 * (n - m)))
+            else:
+                t = math.exp((math.log(cn) - math.log(cm)) / (2 * (n - m)))
             theta = math.atan(t)
             if TOL < theta < QUARTER_PI - TOL:
                 hits.append((theta, (n, m)))
@@ -127,19 +165,47 @@ def find_crossovers(k: int) -> RegionPartition:
         else:
             crossovers.append(theta)
             pairs.append([pair])
+    return crossovers, pairs
 
-    boundaries = [0.0, *crossovers, QUARTER_PI]
-    orderings = []
-    for lo, hi in zip(boundaries[:-1], boundaries[1:]):
-        mid = 0.5 * (lo + hi)
-        orderings.append(sort_desc(spectrum(k, mid)).perm)
 
-    return RegionPartition(
-        k=k,
-        crossovers=tuple(crossovers),
-        orderings=tuple(orderings),
-        pairs=tuple(tuple(p) for p in pairs),
-    )
+def _orderings(k: int, crossovers: list[float]) -> list[tuple[int, ...]]:
+    """Sorting permutation of the spectrum at the midpoint of every region.
+
+    The midpoints are evaluated in chunks of at most ``ORDERING_ENTRIES``
+    entries, one numpy pass each: every row is ``spectrum(k, mid)`` by the
+    same formula and regime, normalized to unit sum, then argsorted as
+    ``sort_desc`` sorts (descending, ties to the lower index).
+    """
+    bounds = [0.0, *crossovers, QUARTER_PI]
+    mids = [0.5 * (lo + hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    n = np.arange(k + 1)
+    direct = k <= DIRECT_K_LIMIT
+    if direct:
+        coeff = np.empty(k + 1)
+        binom = 1.0
+        for j in range(k + 1):
+            coeff[j] = binom
+            binom *= (k - j) / (j + 1)
+    else:
+        lgk = math.lgamma(k + 1)
+        coeff = np.array(
+            [lgk - math.lgamma(j + 1) - math.lgamma(k - j + 1) for j in range(k + 1)]
+        )
+    rows = max(1, ORDERING_ENTRIES // (k + 1))
+    out: list[tuple[int, ...]] = []
+    for start in range(0, len(mids), rows):
+        chunk = mids[start : start + rows]
+        if direct:
+            c2 = np.array([[math.cos(t) ** 2] for t in chunk])
+            s2 = np.array([[math.sin(t) ** 2] for t in chunk])
+            spec = coeff * c2**n * s2 ** (k - n)
+        else:
+            lc2 = np.array([[math.log(math.cos(t) ** 2)] for t in chunk])
+            ls2 = np.array([[math.log(math.sin(t) ** 2)] for t in chunk])
+            spec = np.exp(coeff + n * lc2 + (k - n) * ls2)
+        spec /= spec.sum(axis=1, keepdims=True)
+        out.extend(map(tuple, np.argsort(-spec, axis=1, kind="stable").tolist()))
+    return out
 
 
 def component_derivatives(k: int, theta: float) -> np.ndarray:
@@ -161,7 +227,7 @@ def component_derivatives(k: int, theta: float) -> np.ndarray:
     out = np.zeros(k + 1)
     if k == 0:
         return out
-    if k <= _DIRECT_K_LIMIT:
+    if k <= DIRECT_K_LIMIT:
         binom = 1.0
         for n in range(k + 1):
             term = 0.0
@@ -205,7 +271,7 @@ def accumulation_derivatives(
         raise AmbiguousOrderingError(
             "theta sits at pi/4 where symmetric components tie"
         )
-    for cross in find_crossovers(k).crossovers:
+    for cross in _crossings(k)[0]:
         if abs(theta - cross) <= tol:
             raise AmbiguousOrderingError(
                 f"theta is within tolerance of the crossover at {cross!r}"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from itertools import accumulate
 
 import numpy as np
@@ -12,11 +13,15 @@ from hypothesis import strategies as st
 from bsmaj import (
     CatalystSpec,
     ProbVector,
+    RegionPartition,
     Relation,
     check_catalysis,
     compare,
     necessary_conditions,
+    sort_desc,
+    spectrum,
 )
+from bsmaj.regions import QUARTER_PI
 
 TOL = 1e-12
 
@@ -87,6 +92,59 @@ def reference_search(p, q, family, grid, r_max=3.0, tol=TOL):
         if check_catalysis(p, q, spec, tol=tol).catalysis_achieved:
             yield spec
         i += 1
+
+
+def reference_partition(k: int) -> RegionPartition:
+    """Region partition oracle: ``Fraction`` crossing ratios of factorials and
+    ``sort_desc(spectrum(k, mid))`` at the midpoint of every region."""
+    hits = []
+    for n in range(1, k + 1):
+        for m in range(n):
+            ratio = Fraction(
+                math.factorial(m) * math.factorial(k - m),
+                math.factorial(n) * math.factorial(k - n),
+            )
+            theta = math.atan(float(ratio) ** (1.0 / (2 * (n - m))))
+            if TOL < theta < QUARTER_PI - TOL:
+                hits.append((theta, (n, m)))
+    hits.sort(key=lambda item: item[0])
+
+    crossovers, pairs = [], []
+    for theta, pair in hits:
+        if crossovers and abs(theta - crossovers[-1]) <= TOL:
+            pairs[-1].append(pair)
+        else:
+            crossovers.append(theta)
+            pairs.append([pair])
+
+    boundaries = [0.0, *crossovers, QUARTER_PI]
+    orderings = tuple(
+        sort_desc(spectrum(k, 0.5 * (lo + hi))).perm
+        for lo, hi in zip(boundaries[:-1], boundaries[1:])
+    )
+    return RegionPartition(k=k, crossovers=tuple(crossovers), orderings=orderings,
+                           pairs=tuple(tuple(p) for p in pairs))
+
+
+def spectrum_recurrence(k: int, theta: float) -> ProbVector:
+    """Spectrum oracle built iteratively from the single-step update.
+
+    Transmitting n photons out of k+1 means either n-1 of the first k went
+    through and the extra photon was transmitted, or n went through and the
+    extra photon was reflected:
+
+        P[k+1][n] = P[k][n-1] * cos^2(theta) + P[k][n] * sin^2(theta).
+    """
+    c2 = math.cos(theta) ** 2
+    s2 = math.sin(theta) ** 2
+    cur = np.array([1.0])
+    for _ in range(k):
+        nxt = np.empty(cur.size + 1)
+        nxt[0] = s2 * cur[0]
+        nxt[1:-1] = c2 * cur[:-1] + s2 * cur[1:]
+        nxt[-1] = c2 * cur[-1]
+        cur = nxt
+    return ProbVector(cur)
 
 
 def random_mixture_matrix(rng: np.random.Generator, d: int, m: int) -> np.ndarray:

@@ -9,11 +9,10 @@ from bsmaj import (
     renyi,
     sort_desc,
     spectrum,
-    spectrum_recurrence,
     transmittance,
 )
 
-from conftest import oracle_relation
+from conftest import oracle_relation, spectrum_recurrence
 
 
 def test_single_photon_balanced():

@@ -315,6 +315,10 @@ CONTRACT_CASES = [
       "--family", "tmsv", "--grid", "0.1", "--r-max", "nan"], 2),
     (["catalysis", "search", "--p", "bs:3,0.72", "--q", "bs:3,0.62",
       "--family", "tmsv", "--grid", "inf"], 2),
+    (["regions", "--k", "1100"], 2),
+    (["infinitesimal", "--k", "1100", "--theta", "0.3"], 0),
+    (["entropy-curve", "--k", "2", "--steps", "10000000000"], 2),
+    (["figure-data", "--figure", "fig4", "--steps", "10000000000"], 2),
 ]
 
 

@@ -1,5 +1,7 @@
 import math
+import sys
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ from bsmaj import (
 from bsmaj import regions
 from bsmaj.regions import QUARTER_PI
 
-from conftest import central_difference
+from conftest import central_difference, reference_partition
 
 THETA1_K3 = math.atan(1 / math.sqrt(3))  # 0.5235987755982988
 THETA2_K3 = math.atan(3 ** -0.25)        # 0.6497662865344379
@@ -109,6 +111,54 @@ def test_first_crossover_swaps_top_two():
 def test_find_crossovers_rejects_k0():
     with pytest.raises(ValueError):
         find_crossovers(0)
+
+
+@pytest.mark.parametrize("k", [*range(1, 101), 150, 200])
+def test_partition_matches_reference(k):
+    # Covers both spectrum regimes: direct up to k=60, log space above.
+    part, ref = find_crossovers(k), reference_partition(k)
+    assert part.crossovers == ref.crossovers
+    assert part.pairs == ref.pairs
+    assert part.orderings == ref.orderings
+
+
+@pytest.mark.parametrize("k,rows", [(4, 2), (9, 4), (61, 2), (70, 3)])
+def test_orderings_across_chunk_boundaries(monkeypatch, k, rows):
+    monkeypatch.setattr(regions, "ORDERING_ENTRIES", rows * (k + 1) + k)
+    part = find_crossovers(k)
+    assert part.n_regions % rows != 0  # a partial last chunk
+    assert part.orderings == reference_partition(k).orderings
+
+
+def test_find_crossovers_bounds_partition_size():
+    limit = regions.MAX_REGION_ENTRIES
+    largest = max(k for k in range(1, 400) if (k + 1) * (k * (k + 1) // 2 + 1) <= limit)
+    assert find_crossovers(largest).n_regions > 1
+    with pytest.raises(ValueError, match="ordering entries"):
+        find_crossovers(largest + 1)
+    with pytest.raises(ValueError, match="ordering entries"):
+        find_crossovers(1100)
+
+
+def test_crossings_beyond_float_range_of_binomials():
+    # C(1100, 550) exceeds the largest float, so quotients of binomials
+    # overflow or fall below the smallest normal float; every pair with
+    # C(k,n) < C(k,m) still crosses once inside (0, pi/4).
+    k = 1100
+    binom = [math.comb(k, j) for j in range(k + 1)]
+    crossing = [(n, m) for n in range(1, k + 1) for m in range(n) if binom[n] < binom[m]]
+    crossovers, pairs = regions._crossings(k)
+    assert sorted(pair for group in pairs for pair in group) == sorted(crossing)
+    assert all(b - a > 0 for a, b in zip(crossovers, crossovers[1:]))
+
+    mpmath.mp.dps = 40
+    tiny = {(n, m) for n, m in crossing if binom[n] / binom[m] < sys.float_info.min}
+    assert len(tiny) == 2078
+    angle = {group[0]: theta for theta, group in zip(crossovers, pairs) if len(group) == 1}
+    for n, m in sorted(tiny)[::300]:
+        ratio = mpmath.mpf(binom[n]) / binom[m]
+        want = mpmath.atan(ratio ** (mpmath.mpf(1) / (2 * (n - m))))
+        assert abs(angle[n, m] - float(want)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -311,18 +361,25 @@ def test_verdict_boundary_at_crossover_and_quarter_pi():
 
 
 def test_verdict_scans_crossovers_once(monkeypatch):
-    calls = []
-    scan = regions.find_crossovers
+    # A verdict needs the crossover angles once and never the orderings.
+    calls, built = [], []
+    scan, order = regions._crossings, regions._orderings
 
     def counted(k):
         calls.append(k)
         return scan(k)
 
-    monkeypatch.setattr(regions, "find_crossovers", counted)
+    def counted_orderings(k, crossovers):
+        built.append(k)
+        return order(k, crossovers)
+
+    monkeypatch.setattr(regions, "_crossings", counted)
+    monkeypatch.setattr(regions, "_orderings", counted_orderings)
     for theta, status in ((0.1, "Holds"), (0.7, "Violated"), (THETA1_K3, "Boundary")):
         calls.clear()
         assert infinitesimal_verdict(3, theta).status.value == status
         assert calls == [3]
+    assert built == []
 
 
 def test_verdict_k0_trivially_holds():
