@@ -11,17 +11,25 @@ with transmittance tau = cos^2(theta).
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 
 import numpy as np
 
 from .majorization import MajorizationVerdict, compare
-from .vectors import TOL, ProbVector
+from .vectors import TOL, ProbVector, normalize_rows
 
 #: Largest k for which binomial coefficients are accumulated directly in
 #: doubles; above this the components are evaluated in log space.
 DIRECT_K_LIMIT = 60
+
+#: Largest photon number a spectrum may have; larger ones are rejected
+#: before any component is allocated.
+MAX_PHOTONS = 10**6
+
+#: Most spectrum entries (angles times k+1) one block of rows may hold.
+ROW_ENTRIES = 2**12
 
 
 def as_photon_number(k) -> int:
@@ -49,38 +57,65 @@ def transmittance(theta: float) -> float:
 
 
 def spectrum(k: int, theta: float) -> ProbVector:
-    """Transmitted-photon distribution for k incident photons at angle theta."""
-    k = as_photon_number(k)
-    theta = check_angle(theta)
-    c2 = math.cos(theta) ** 2
-    s2 = math.sin(theta) ** 2
-    if k == 0:
-        return ProbVector([1.0])
+    """Transmitted-photon distribution for k incident photons at angle theta.
 
-    out = np.empty(k + 1)
-    if k <= DIRECT_K_LIMIT:
-        binom = 1.0
-        for n in range(k + 1):
-            out[n] = binom * c2**n * s2 ** (k - n)
-            binom *= (k - n) / (n + 1)
-    else:
-        # Log-space evaluation keeps huge binomial coefficients finite.
-        if c2 == 0.0 or s2 == 0.0:
-            out[:] = 0.0
-            out[k if s2 == 0.0 else 0] = 1.0
+    The one-row case of :func:`spectrum_rows`.
+    """
+    (row,) = next(spectrum_rows(k, [theta]))
+    return ProbVector._from_trusted(row)
+
+
+def spectrum_rows(k: int, thetas):
+    """Yield the spectra of k photons at consecutive angles, in blocks of rows.
+
+    Each block is an array of shape (rows, k+1) holding at most
+    ``ROW_ENTRIES`` entries, but always at least one row. Up to
+    ``DIRECT_K_LIMIT`` photons the binomial coefficients are accumulated in
+    doubles; above it every component is exp of its log, and theta = 0
+    gives the point mass at n = k. Each row is normalized as
+    ``ProbVector`` normalizes. The photon number is checked against
+    ``MAX_PHOTONS``, and every angle against [0, pi/2], before any row is
+    computed.
+    """
+    k = as_photon_number(k)
+    if k > MAX_PHOTONS:
+        raise ValueError(f"photon number {k} exceeds the limit of {MAX_PHOTONS}")
+    angles = [check_angle(t) for t in np.ravel(thetas).tolist()]
+    n = np.arange(k + 1)  # n[::-1] is k - n
+    direct = k <= DIRECT_K_LIMIT
+    coeff = _direct_coefficients(k) if direct else _log_coefficients(k)
+    step = max(1, ROW_ENTRIES // (k + 1))
+    for start in range(0, len(angles), step):
+        cs = np.array(
+            [(math.cos(t) ** 2, math.sin(t) ** 2) for t in angles[start : start + step]]
+        )
+        c2, s2 = cs[:, :1], cs[:, 1:]
+        if direct:
+            rows = coeff * c2**n * s2 ** n[::-1]
         else:
-            lc2, ls2 = math.log(c2), math.log(s2)
-            lgk = math.lgamma(k + 1)
-            for n in range(k + 1):
-                logp = (
-                    lgk
-                    - math.lgamma(n + 1)
-                    - math.lgamma(k - n + 1)
-                    + n * lc2
-                    + (k - n) * ls2
-                )
-                out[n] = math.exp(logp)
-    return ProbVector(out)
+            # cos^2 stays positive up to pi/2; sin^2 is zero only at theta = 0,
+            # whose exponents are set before exp so none of them overflows
+            at_zero = s2 == 0.0
+            ls2 = np.log(np.where(at_zero, 1.0, s2))
+            logs = coeff + n * np.log(c2) + n[::-1] * ls2
+            logs[at_zero[:, 0]] = np.where(n == k, 0.0, -np.inf)
+            rows = np.exp(logs)
+        yield normalize_rows(rows)
+
+
+def _direct_coefficients(k: int) -> np.ndarray:
+    """C(k, j) for j = 0..k, each the running product of (k-j)/(j+1)."""
+    ratios = map(operator.truediv, range(k, 0, -1), range(1, k + 1))
+    products = itertools.accumulate(ratios, operator.mul, initial=1.0)
+    return np.fromiter(products, float, k + 1)
+
+
+def _log_coefficients(k: int) -> np.ndarray:
+    """log C(k, j) for j = 0..k, from lgamma."""
+    lgk = math.lgamma(k + 1)
+    return np.array(
+        [lgk - math.lgamma(j + 1) - math.lgamma(k - j + 1) for j in range(k + 1)]
+    )
 
 
 def photon_chain_check(

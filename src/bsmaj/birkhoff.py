@@ -8,16 +8,20 @@ the constructive witness for the photon-number majorization chain.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
+from .beamsplitter import as_photon_number, check_angle
 from .vectors import TOL, ProbVector
 
 #: Acceptance window for row/column sums, mirroring the vector
 #: normalization policy: tolerate roundoff, reject real bugs.
 SUM_TOL = 1e-9
+
+#: Most entries, (k+2)^2, a photon-chain witness matrix may have; larger
+#: photon numbers are rejected before the matrix is allocated.
+MAX_WITNESS_ENTRIES = 2**22
 
 
 class DoublyStochasticMatrix:
@@ -106,12 +110,16 @@ def bs_witness_matrix(k: int, theta: float) -> DoublyStochasticMatrix:
     never contributes. Applying it to the zero-padded k-photon spectrum
     yields the (k+1)-photon spectrum at the same angle.
     """
-    k = _check_photon_number(k)
-    if not 0.0 <= theta <= math.pi / 2:
-        raise ValueError(f"theta must lie in [0, pi/2], got {theta!r}")
+    k = as_photon_number(k)
+    theta = check_angle(theta)
+    d = k + 2
+    if d * d > MAX_WITNESS_ENTRIES:
+        raise ValueError(
+            f"the witness matrix of k={k} has {d * d} entries, "
+            f"more than the limit of {MAX_WITNESS_ENTRIES}"
+        )
     s2 = math.sin(theta) ** 2
     c2 = math.cos(theta) ** 2
-    d = k + 2
     m = np.zeros((d, d))
     np.fill_diagonal(m, s2)
     m[np.arange(1, d), np.arange(d - 1)] = c2
@@ -220,13 +228,3 @@ def _perfect_matching(support: np.ndarray, pivot) -> tuple[int, ...] | None:
     for col, row in enumerate(owner):
         perm[row] = col
     return tuple(perm)
-
-
-def _check_photon_number(k) -> int:
-    try:
-        k = operator.index(k)
-    except TypeError:
-        raise ValueError(f"photon number must be an integer, got {k!r}") from None
-    if k < 0:
-        raise ValueError(f"photon number must be nonnegative, got {k}")
-    return k

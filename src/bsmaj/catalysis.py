@@ -17,9 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .beamsplitter import check_angle
 from .entropy import renyi
 from .majorization import MajorizationVerdict, Relation, compare
-from .vectors import NORM_TOL, TOL, ProbVector, tensor
+from .vectors import TOL, ProbVector, normalize_rows, tensor
 
 #: Allowed spectral mass beyond the truncation point of a squeezed-vacuum
 #: catalyst, before renormalization.
@@ -74,10 +75,7 @@ class CatalystSpec:
 
     @classmethod
     def single_photon(cls, theta_c: float) -> "CatalystSpec":
-        theta_c = float(theta_c)
-        if not 0.0 <= theta_c <= math.pi / 2:
-            raise ValueError(f"theta_c must lie in [0, pi/2], got {theta_c!r}")
-        return cls(family=CatalystFamily.SINGLE_PHOTON, theta_c=theta_c)
+        return cls(family=CatalystFamily.SINGLE_PHOTON, theta_c=check_angle(theta_c))
 
     @classmethod
     def tmsv(cls, r: float, truncation_dim: int | None = None) -> "CatalystSpec":
@@ -354,12 +352,9 @@ def _sorted_products(p, cats, d) -> np.ndarray:
     """Rows ``tensor(p, c_i)``, normalized as ProbVector does, zero-padded
     to ``d`` entries and sorted in non-increasing order."""
     m, n = cats.shape[0], p.dim * cats.shape[1]
-    rows = (p.components[None, :, None] * cats[:, None, :]).reshape(m, n)
-    np.clip(rows, 0.0, None, out=rows)
-    totals = rows.sum(axis=1)
-    if np.any(np.abs(totals - 1.0) > NORM_TOL):
-        raise ValueError(f"tensored components sum to {totals.min()!r}, not 1")
-    rows /= totals[:, None]
+    rows = normalize_rows(
+        (p.components[None, :, None] * cats[:, None, :]).reshape(m, n)
+    )
     if n < d:
         rows = np.concatenate([rows, np.zeros((m, d - n))], axis=1)
     rows.sort(axis=1)

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from .beamsplitter import spectrum
+from .beamsplitter import spectrum_rows
 from .vectors import TOL, ProbVector, tensor
 
 #: Orders this close to 1 are routed to the Shannon branch; the 1/(1-alpha)
@@ -38,35 +38,36 @@ def renyi(p: ProbVector, order, *, tol: float = TOL) -> float:
     Shannon entropy with 0*log(0) taken as 0, order inf is -log of the
     largest component, and otherwise log(sum p_i^alpha) / (1 - alpha).
     """
-    alpha = parse_order(order)
-    x = p.components
+    return float(_renyi_rows(p.components, parse_order(order), tol))
+
+
+def _renyi_rows(x: np.ndarray, alpha: float, tol: float = TOL) -> np.ndarray:
+    """``renyi`` of every row (last axis) of an array of probability vectors."""
     if math.isinf(alpha):
-        return float(-math.log(x.max()))
-    if abs(alpha - 1.0) <= SHANNON_WINDOW:
-        pos = x[x > 0]
-        return float(-(pos * np.log(pos)).sum())
+        return -np.log(x.max(axis=-1))
     if alpha == 0.0:
-        return float(math.log(int((x > tol).sum())))
-    pos = x[x > 0]
+        return np.log((x > tol).sum(axis=-1))
+    pos = x > 0
+    logs = np.log(np.where(pos, x, 1.0))
+    if abs(alpha - 1.0) <= SHANNON_WINDOW:
+        return -(x * logs).sum(axis=-1)
     # log-sum-exp keeps large orders from underflowing the power sum
-    return float(_logsumexp(alpha * np.log(pos)) / (1.0 - alpha))
+    return _logsumexp(np.where(pos, alpha * logs, -np.inf)) / (1.0 - alpha)
 
 
-def _logsumexp(a: np.ndarray) -> float:
-    """log(sum(exp(a))) for a finite, non-empty 1-D array.
+def _logsumexp(a: np.ndarray) -> np.ndarray:
+    """log(sum(exp(a))) over the last axis; every row holds a finite entry.
 
     The maximal terms are split out of the shifted sum and restored through
     log1p, which is more accurate than the plain max shift when the rest of
     the sum is small; the operation order is scipy.special.logsumexp's, so
     results agree with it bit for bit.
     """
-    a_max = a.max()
+    a_max = a.max(axis=-1, keepdims=True)
     is_max = a == a_max
-    m = is_max.sum()
-    s = np.exp(np.where(is_max, -np.inf, a - a_max)).sum()
-    if s != 0:
-        s = s / m
-    return np.log1p(s) + np.log(m) + a_max
+    m = is_max.sum(axis=-1)
+    s = np.exp(np.where(is_max, -np.inf, a - a_max)).sum(axis=-1) / m
+    return np.log1p(s) + np.log(m) + a_max[..., 0]
 
 
 def shannon(p: ProbVector) -> float:
@@ -84,12 +85,14 @@ def entropy_curve(k: int, orders, theta_grid, *, bits: bool = False) -> np.ndarr
     angle and one column per order, in nats (or bits when requested).
     """
     alphas = [parse_order(a) for a in orders]
-    grid = np.asarray(theta_grid, dtype=float)
+    grid = np.asarray(theta_grid, dtype=float).ravel()
     out = np.empty((grid.size, len(alphas)))
-    for i, theta in enumerate(grid):
-        spec = spectrum(k, float(theta))
+    start = 0
+    for rows in spectrum_rows(k, grid):
+        stop = start + len(rows)
         for j, alpha in enumerate(alphas):
-            out[i, j] = renyi(spec, alpha)
+            out[start:stop, j] = _renyi_rows(rows, alpha)
+        start = stop
     if bits:
         out /= LN2
     return out

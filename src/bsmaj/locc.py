@@ -154,11 +154,11 @@ def verify_nielsen(k: int, theta: float, *, tol: float = TOL) -> bool:
     """
     k = as_photon_number(k)
     theta = check_angle(theta)
-    verdict = compare(spectrum(k + 1, theta), spectrum(k, theta), tol=tol)
+    target = spectrum(k, theta)
+    verdict = compare(spectrum(k + 1, theta), target, tol=tol)
     majorized = verdict.relation in (Relation.MAJORIZED_BY, Relation.EQUAL)
 
     branch1, branch2 = run_protocol(k, theta)
-    target = spectrum(k, theta)
     protocol_ok = (
         abs(branch1.probability + branch2.probability - 1.0) <= tol
         and branch1.post_spectrum.allclose(target, tol)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beamsplitter import DIRECT_K_LIMIT, as_photon_number, spectrum
+from .beamsplitter import as_photon_number, spectrum, spectrum_rows
 from .vectors import TOL, sort_desc
 
 QUARTER_PI = math.pi / 4
@@ -27,10 +27,6 @@ QUARTER_PI = math.pi / 4
 #: a priori by (k+1) * (k(k+1)/2 + 1); larger photon numbers are rejected
 #: before any crossover is computed.
 MAX_REGION_ENTRIES = 2 * 10**7
-
-#: Most spectrum entries (region midpoints times k+1) the ordering kernel
-#: evaluates in one numpy pass.
-ORDERING_ENTRIES = 2**12
 
 
 class AmbiguousOrderingError(ValueError):
@@ -171,87 +167,39 @@ def _crossings(k: int) -> tuple[list[float], list[list[tuple[int, int]]]]:
 def _orderings(k: int, crossovers: list[float]) -> list[tuple[int, ...]]:
     """Sorting permutation of the spectrum at the midpoint of every region.
 
-    The midpoints are evaluated in chunks of at most ``ORDERING_ENTRIES``
-    entries, one numpy pass each: every row is ``spectrum(k, mid)`` by the
-    same formula and regime, normalized to unit sum, then argsorted as
-    ``sort_desc`` sorts (descending, ties to the lower index).
+    The midpoints' spectra come from ``spectrum_rows`` block by block, the
+    rows ``spectrum`` returns; each block is argsorted as ``sort_desc``
+    sorts (descending, ties to the lower index).
     """
-    bounds = [0.0, *crossovers, QUARTER_PI]
-    mids = [0.5 * (lo + hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
-    n = np.arange(k + 1)
-    direct = k <= DIRECT_K_LIMIT
-    if direct:
-        coeff = np.empty(k + 1)
-        binom = 1.0
-        for j in range(k + 1):
-            coeff[j] = binom
-            binom *= (k - j) / (j + 1)
-    else:
-        lgk = math.lgamma(k + 1)
-        coeff = np.array(
-            [lgk - math.lgamma(j + 1) - math.lgamma(k - j + 1) for j in range(k + 1)]
-        )
-    rows = max(1, ORDERING_ENTRIES // (k + 1))
+    bounds = np.array([0.0, *crossovers, QUARTER_PI])
+    mids = 0.5 * (bounds[:-1] + bounds[1:])
     out: list[tuple[int, ...]] = []
-    for start in range(0, len(mids), rows):
-        chunk = mids[start : start + rows]
-        if direct:
-            c2 = np.array([[math.cos(t) ** 2] for t in chunk])
-            s2 = np.array([[math.sin(t) ** 2] for t in chunk])
-            spec = coeff * c2**n * s2 ** (k - n)
-        else:
-            lc2 = np.array([[math.log(math.cos(t) ** 2)] for t in chunk])
-            ls2 = np.array([[math.log(math.sin(t) ** 2)] for t in chunk])
-            spec = np.exp(coeff + n * lc2 + (k - n) * ls2)
-        spec /= spec.sum(axis=1, keepdims=True)
-        out.extend(map(tuple, np.argsort(-spec, axis=1, kind="stable").tolist()))
+    for rows in spectrum_rows(k, mids):
+        out.extend(map(tuple, np.argsort(-rows, axis=1, kind="stable").tolist()))
     return out
 
 
 def component_derivatives(k: int, theta: float) -> np.ndarray:
     """Angle derivatives of all spectrum components, in original index order.
 
-    Uses the expanded product form
+    Differentiating C(k,n) cos^(2n) sin^(2(k-n)) gives
 
-        dP_n/dtheta = C(k,n) * [ 2(k-n) c^(2n+1) s^(2(k-n)-1)
-                                 - 2n     c^(2n-1) s^(2(k-n)+1) ],
+        dP_n/dtheta = P_n * ( 2(k-n) cot(theta) - 2n tan(theta) ),
 
-    which stays finite at theta = 0 and pi/2 (each singular factor only
-    appears multiplied by a vanishing coefficient, and those terms are
-    skipped outright).
+    with P the spectrum at theta. Where cos(theta) or sin(theta) is exactly
+    zero the spectrum is a point mass at a stationary point, and every
+    derivative is zero.
     """
-    k = as_photon_number(k)
-    theta = float(theta)
-    c = math.cos(theta)
-    s = math.sin(theta)
-    out = np.zeros(k + 1)
-    if k == 0:
-        return out
-    if k <= DIRECT_K_LIMIT:
-        binom = 1.0
-        for n in range(k + 1):
-            term = 0.0
-            if n < k:
-                term += 2.0 * (k - n) * c ** (2 * n + 1) * s ** (2 * (k - n) - 1)
-            if n > 0:
-                term -= 2.0 * n * c ** (2 * n - 1) * s ** (2 * (k - n) + 1)
-            out[n] = binom * term
-            binom *= (k - n) / (n + 1)
-    else:
-        lgk = math.lgamma(k + 1)
-        for n in range(k + 1):
-            lbin = lgk - math.lgamma(n + 1) - math.lgamma(k - n + 1)
-            term = 0.0
-            if n < k and c > 0.0 and s > 0.0:
-                term += 2.0 * (k - n) * math.exp(
-                    lbin + (2 * n + 1) * math.log(c) + (2 * (k - n) - 1) * math.log(s)
-                )
-            if n > 0 and c > 0.0 and s > 0.0:
-                term -= 2.0 * n * math.exp(
-                    lbin + (2 * n - 1) * math.log(c) + (2 * (k - n) + 1) * math.log(s)
-                )
-            out[n] = term
-    return out
+    return _derivatives(spectrum(k, theta).components, theta)
+
+
+def _derivatives(p: np.ndarray, theta: float) -> np.ndarray:
+    """``component_derivatives`` from the spectrum ``p`` at ``theta``."""
+    c, s = math.cos(theta), math.sin(theta)
+    if c == 0.0 or s == 0.0:
+        return np.zeros(p.size)
+    n = np.arange(p.size)  # n[::-1] is k - n
+    return p * (2.0 * c / s * n[::-1] - 2.0 * s / c * n)
 
 
 def accumulation_derivatives(
@@ -276,9 +224,9 @@ def accumulation_derivatives(
             raise AmbiguousOrderingError(
                 f"theta is within tolerance of the crossover at {cross!r}"
             )
-    order = sort_desc(spectrum(k, theta)).perm
-    deriv = component_derivatives(k, theta)
-    acc = np.cumsum(deriv[list(order)])[:k]
+    p = spectrum(k, theta)
+    order = sort_desc(p).perm
+    acc = np.cumsum(_derivatives(p.components, theta)[list(order)])[:k]
     return AccumulationDerivatives(theta=theta, values=tuple(float(a) for a in acc))
 
 

@@ -20,6 +20,22 @@ TOL = 1e-12
 NORM_TOL = 1e-9
 
 
+def normalize_rows(arr: np.ndarray, *, norm_tol: float = NORM_TOL) -> np.ndarray:
+    """Clip each row (last axis) at zero and divide it by its sum, in place.
+
+    A row whose sum lies further than ``norm_tol`` from one is rejected as a
+    bug rather than renormalized.
+    """
+    np.maximum(arr, 0.0, out=arr)
+    totals = arr.sum(axis=-1, keepdims=True)
+    off = np.abs(totals - 1.0)
+    if off.max() > norm_tol:
+        worst = float(totals.flat[off.argmax()])
+        raise ValueError(f"components sum to {worst!r}, not 1")
+    arr /= totals
+    return arr
+
+
 class ProbVector:
     """Finite nonnegative real vector summing to one.
 
@@ -40,11 +56,7 @@ class ProbVector:
         lowest = float(arr.min())
         if lowest < -tol:
             raise ValueError(f"negative component beyond tolerance: {lowest}")
-        np.clip(arr, 0.0, None, out=arr)
-        total = float(arr.sum())
-        if abs(total - 1.0) > norm_tol:
-            raise ValueError(f"components sum to {total!r}, not 1")
-        arr /= total
+        arr = normalize_rows(arr, norm_tol=norm_tol)
         arr.setflags(write=False)
         self._components = arr
 

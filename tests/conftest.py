@@ -18,6 +18,7 @@ from bsmaj import (
     check_catalysis,
     compare,
     necessary_conditions,
+    renyi,
     sort_desc,
     spectrum,
 )
@@ -145,6 +146,15 @@ def spectrum_recurrence(k: int, theta: float) -> ProbVector:
         nxt[-1] = c2 * cur[-1]
         cur = nxt
     return ProbVector(cur)
+
+
+def entropy_curve_reference(k: int, orders, theta_grid) -> np.ndarray:
+    """Entropy sweep oracle: ``renyi(spectrum(k, theta), alpha)`` one angle
+    and one order at a time."""
+    return np.array(
+        [[renyi(spectrum(k, float(theta)), alpha) for alpha in orders]
+         for theta in theta_grid]
+    )
 
 
 def random_mixture_matrix(rng: np.random.Generator, d: int, m: int) -> np.ndarray:

@@ -11,6 +11,8 @@ from bsmaj import (
     spectrum,
     transmittance,
 )
+from bsmaj import beamsplitter
+from bsmaj.beamsplitter import MAX_PHOTONS, spectrum_rows
 
 from conftest import oracle_relation, spectrum_recurrence
 
@@ -36,8 +38,15 @@ def test_three_photon_sorted_reference_values():
 
 
 def test_point_mass_limits():
-    assert np.array_equal(spectrum(4, 0.0).components, [0, 0, 0, 0, 1])
-    assert spectrum(4, math.pi / 2).components[0] == pytest.approx(1.0, abs=1e-15)
+    # From k = 1100 on, log C(k, k/2) exceeds the largest finite exp
+    # argument, so a theta = 0 row must not pass its exponents to exp.
+    for k in (4, 1100, 2000):
+        want = np.zeros(k + 1)
+        want[k] = 1.0
+        assert np.array_equal(spectrum(k, 0.0).components, want)
+        assert spectrum(k, math.pi / 2).components[0] == pytest.approx(1.0, abs=1e-15)
+        rows = np.concatenate(list(spectrum_rows(k, [0.0, 0.3, 0.0])))
+        assert np.array_equal(rows[[0, 2]], [want, want])
 
 
 def test_transmittance():
@@ -52,6 +61,32 @@ def test_validation():
         spectrum(2.5, 0.3)
     with pytest.raises(ValueError):
         spectrum(2, 1.8)
+
+
+def test_photon_number_bound():
+    with pytest.raises(ValueError, match="limit of 1000000"):
+        spectrum(MAX_PHOTONS + 1, 0.5)
+    with pytest.raises(ValueError, match="limit"):
+        spectrum(10**8, 0.5)
+
+
+def test_spectrum_rows_blocks(monkeypatch):
+    monkeypatch.setattr(beamsplitter, "ROW_ENTRIES", 2 * 5)
+    grid = np.linspace(0.0, math.pi / 2, 7)
+    blocks = list(spectrum_rows(4, grid))
+    assert [len(b) for b in blocks] == [2, 2, 2, 1]
+    rows = np.concatenate(blocks)
+    for theta, row in zip(grid, rows):
+        assert np.array_equal(row, spectrum(4, float(theta)).components)
+    monkeypatch.setattr(beamsplitter, "ROW_ENTRIES", 1)
+    assert [len(b) for b in spectrum_rows(4, grid)] == [1] * 7
+
+
+def test_spectrum_rows_checks_before_yielding():
+    with pytest.raises(ValueError, match="theta"):
+        next(spectrum_rows(3, [0.2, 1.8]))
+    with pytest.raises(ValueError, match="photon number"):
+        next(spectrum_rows(-1, []))
 
 
 def test_recurrence_base_case():

@@ -16,6 +16,7 @@ from bsmaj import (
     pad_to,
     spectrum,
 )
+from bsmaj import birkhoff
 from bsmaj.birkhoff import _perfect_matching
 from bsmaj.birkhoff import apply as ds_apply
 
@@ -73,6 +74,20 @@ def test_witness_rejects_bad_angle():
         bs_witness_matrix(2, -0.1)
     with pytest.raises(ValueError):
         bs_witness_matrix(2, math.pi / 2 + 0.1)
+
+
+def test_witness_entries_bound(monkeypatch):
+    monkeypatch.setattr(birkhoff, "MAX_WITNESS_ENTRIES", 16)
+    assert bs_witness_matrix(2, 0.3).d == 4
+    with pytest.raises(ValueError, match="entries"):
+        bs_witness_matrix(3, 0.3)
+
+
+def test_witness_rejects_bad_photon_number():
+    with pytest.raises(ValueError, match="integer"):
+        bs_witness_matrix(2.5, 0.3)
+    with pytest.raises(ValueError, match="nonnegative"):
+        bs_witness_matrix(-1, 0.3)
 
 
 def test_apply_identity():

@@ -319,6 +319,11 @@ CONTRACT_CASES = [
     (["infinitesimal", "--k", "1100", "--theta", "0.3"], 0),
     (["entropy-curve", "--k", "2", "--steps", "10000000000"], 2),
     (["figure-data", "--figure", "fig4", "--steps", "10000000000"], 2),
+    (["spectrum", "--k", "100000000", "--theta", "0.5"], 2),
+    (["spectrum", "--k", "3000000", "--theta", "0.5"], 2),
+    (["spectrum", "--k", "1000000", "--theta", "0.5"], 0),
+    (["birkhoff", "--witness", "20000,0.3"], 2),
+    (["birkhoff", "--witness", "100000,0.3"], 2),
 ]
 
 

@@ -16,10 +16,11 @@ from bsmaj import (
     spectrum,
     tensor,
 )
+from bsmaj import beamsplitter
 from bsmaj.entropy import _logsumexp, parse_order
 from bsmaj.regions import QUARTER_PI
 
-from conftest import prob_vectors
+from conftest import entropy_curve_reference, prob_vectors
 
 ALPHAS = (0.0, 0.5, 1.0, 2.0, 10.0, math.inf)
 
@@ -118,6 +119,15 @@ def test_entropy_curve_shape_and_bits():
     assert np.allclose(bits * math.log(2), nats, atol=1e-12)
 
 
+@pytest.mark.parametrize("k", [2, 60, 61, 1000, 1100])
+def test_entropy_curve_matches_per_angle_renyi(monkeypatch, k):
+    # Three rows per block, so the 11 angles end in a partial block.
+    monkeypatch.setattr(beamsplitter, "ROW_ENTRIES", 3 * (k + 1) + k)
+    grid = np.linspace(0.0, math.pi / 2, 11)
+    got = entropy_curve(k, ALPHAS, grid)
+    assert np.array_equal(got, entropy_curve_reference(k, ALPHAS, grid))
+
+
 def test_two_photon_shannon_strictly_increasing():
     grid = np.linspace(1e-4, QUARTER_PI - 1e-6, 500)
     s1 = entropy_curve(2, [1.0], grid)[:, 0]
@@ -203,3 +213,15 @@ def test_logsumexp_bit_identical_to_scipy():
     special = pytest.importorskip("scipy.special")
     for a in _logsumexp_inputs():
         assert float(_logsumexp(a)) == float(special.logsumexp(a))
+
+
+def test_logsumexp_rows_match_one_row_bit_for_bit():
+    rng = np.random.default_rng(11)
+    a = 3.0 * np.log(rng.dirichlet(np.full(40, 0.4), size=12))
+    a[2, :15] = -np.inf  # zero components, as renyi passes them
+    a[5, :3] = a[5].max()  # ties at the maximum
+    a[7] = 0.0
+    rows = _logsumexp(a)
+    assert rows.shape == (12,)
+    for row, want in zip(a, rows):
+        assert _logsumexp(row) == want

@@ -19,7 +19,7 @@ from bsmaj import (
     sort_desc,
     spectrum,
 )
-from bsmaj import regions
+from bsmaj import beamsplitter, regions
 from bsmaj.regions import QUARTER_PI
 
 from conftest import central_difference, reference_partition
@@ -124,7 +124,7 @@ def test_partition_matches_reference(k):
 
 @pytest.mark.parametrize("k,rows", [(4, 2), (9, 4), (61, 2), (70, 3)])
 def test_orderings_across_chunk_boundaries(monkeypatch, k, rows):
-    monkeypatch.setattr(regions, "ORDERING_ENTRIES", rows * (k + 1) + k)
+    monkeypatch.setattr(beamsplitter, "ROW_ENTRIES", rows * (k + 1) + k)
     part = find_crossovers(k)
     assert part.n_regions % rows != 0  # a partial last chunk
     assert part.orderings == reference_partition(k).orderings
