@@ -31,6 +31,10 @@ MAX_PHOTONS = 10**6
 #: Most spectrum entries (angles times k+1) one block of rows may hold.
 ROW_ENTRIES = 2**12
 
+#: Most spectrum entries, k_max^2 + 2 k_max, a photon chain may build; longer
+#: chains are rejected before any spectrum is computed.
+MAX_CHAIN_ENTRIES = 2**22
+
 
 def as_photon_number(k) -> int:
     """Validate a nonnegative integer photon count (floats are rejected)."""
@@ -130,6 +134,12 @@ def photon_chain_check(
     k_max = as_photon_number(k_max)
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
+    entries = k_max * (k_max + 2)  # spectra of k+1 and k photons, k < k_max
+    if entries > MAX_CHAIN_ENTRIES:
+        raise ValueError(
+            f"the photon chain up to k_max={k_max} builds {entries} spectrum "
+            f"entries, more than the limit of {MAX_CHAIN_ENTRIES}"
+        )
     theta = check_angle(theta)
     return [
         compare(spectrum(k + 1, theta), spectrum(k, theta), tol=tol)

@@ -4,8 +4,9 @@ Two incomparable spectra p and q can sometimes be supplemented with a
 shared catalyst spectrum c so that the product p (x) c is majorized by
 q (x) c; the catalyst is returned intact by the conversion. Supported
 catalyst families: the two-outcome spectrum of a single photon split at an
-angle, truncated two-mode squeezed vacuum (a geometric spectrum with ratio
-tanh^2 r), and explicit user-supplied vectors.
+angle, two-mode squeezed vacuum (a geometric spectrum with ratio tanh^2 r,
+decided for the untruncated state unless a truncation is given), and
+explicit user-supplied vectors.
 """
 
 from __future__ import annotations
@@ -23,26 +24,21 @@ from .majorization import MajorizationVerdict, Relation, compare
 from .vectors import TOL, ProbVector, normalize_rows, tensor
 
 #: Allowed spectral mass beyond the truncation point of a squeezed-vacuum
-#: catalyst, before renormalization.
+#: catalyst, before renormalization. Only a truncated catalyst (an explicit
+#: ``tmsv:R,N``, or ``catalyst_spectrum``) uses it; checks and searches with an
+#: automatic squeezed-vacuum catalyst decide for the untruncated state.
 TAIL_TOL = 1e-12
-
-#: Strict prefix-sum margins within this factor of the tail tolerance
-#: trigger a confirmation pass at a much deeper truncation.
-MARGINAL_FACTOR = 10.0
-
-#: Tail tolerance shrink factor used by the confirmation pass.
-CONFIRM_SHRINK = 1e-6
 
 #: Most grid candidates one search may scan; finer grids are rejected
 #: before any candidate is checked.
 MAX_CANDIDATES = 10**6
 
-#: Most components a squeezed-vacuum catalyst may have, whether the
-#: truncation is chosen automatically, for the deep pass, or given explicitly.
+#: Most components a truncated squeezed-vacuum catalyst may have, and most
+#: terms the threshold window of an untruncated one may hold.
 MAX_CATALYST_DIM = 10**6
 
-#: Most tensored entries (candidates times dimension) a search compares in
-#: one numpy pass.
+#: Most tensored entries (candidates times dimension) a single-photon search
+#: compares in one numpy pass.
 BATCH_ENTRIES = 2**18
 
 #: Default entropy orders for the additivity-based necessary condition.
@@ -169,26 +165,22 @@ class CatalysisReport:
     verdict_without: MajorizationVerdict
     verdict_with: MajorizationVerdict
     catalyst: CatalystSpec
-    marginal: bool = False
 
     @property
     def catalysis_achieved(self) -> bool:
-        """True when the catalyst turns incomparability into majorization.
-
-        Marginal successes, whose verdict failed to reproduce at a deeper
-        truncation, are not claimed.
-        """
+        """True when the catalyst turns incomparability into majorization."""
         return (
             self.verdict_without.relation is Relation.INCOMPARABLE
             and self.verdict_with.relation is Relation.MAJORIZED_BY
-            and not self.marginal
         )
 
     def to_dict(self) -> dict:
         return {
             "without": self.verdict_without.relation.value,
             "with": self.verdict_with.relation.value,
-            "marginal": self.marginal,
+            # Kept in the output schema; no verdict is marginal since
+            # squeezed-vacuum catalysts are decided for the untruncated state.
+            "marginal": False,
             "achieved": self.catalysis_achieved,
             "catalyst": self.catalyst.describe(),
         }
@@ -204,39 +196,159 @@ def check_catalysis(
 ) -> CatalysisReport:
     """Compare p against q bare and with the catalyst tensored onto both.
 
-    For a squeezed-vacuum catalyst whose catalyzed pair has an interior
-    prefix-sum gap within ``MARGINAL_FACTOR * tail_tol`` of zero, which is
-    nearly always, a deep pass recomputes that verdict with the catalyst
-    truncated at ``tail_tol * CONFIRM_SHRINK``, whatever the verdict is.
-    The searches call this only for candidates already MajorizedBy.
+    A squeezed-vacuum catalyst without an explicit truncation is the
+    untruncated geometric spectrum c_j = (1 - rho) rho^j, rho = tanh^2 r.
+    Its verdict comes from the threshold form of majorization: p (x) c is
+    majorized by q (x) c exactly when D(t) = F_q(t) - F_p(t) >= 0 for every
+    t > 0, where F(t) = sum over entries x of (x - t)_+ (the ROADMAP.md
+    derivation under "Decide squeezed-vacuum catalysis exactly"). Below the
+    smallest nonzero entry a_min of (1 - rho) p and (1 - rho) q,
+    D(rho t) = rho (D(t) - Delta t) with Delta = |supp q| - |supp p|, so D is
+    evaluated only at the products in [rho a_min, a_max] and continued in
+    closed form below them. When p and q span many decades that window is
+    long, and it stops instead at a floor below which |D| provably stays
+    within tol / 2, too little to change the verdict; either way its length
+    grows with the decades between its ends over |log rho|. The verdict holds
+    MajorizedBy when min D >= -tol, Majorizes when max D <= tol, and Equal
+    when both hold; it carries no prefix-sum gaps. The window is refused
+    above ``MAX_CATALYST_DIM`` terms.
+
+    Every other catalyst, including an explicit ``tmsv:R,N`` truncated at
+    ``tail_tol``, is materialized and compared by prefix sums.
     """
-    cvec = catalyst_spectrum(c, tail_tol=tail_tol)
     verdict_without = compare(p, q, tol=tol)
-    verdict_with = compare(tensor(p, cvec), tensor(q, cvec), tol=tol)
+    untruncated = c.family is CatalystFamily.TMSV and c.truncation_dim is None
+    # tanh^2 r = 0 is the vacuum, which catalyst_spectrum builds exactly
+    if untruncated and math.tanh(c.r) ** 2 > 0.0:
+        verdict_with = _window_verdict(p, q, c.r, tol)
+    else:
+        cvec = catalyst_spectrum(c, tail_tol=tail_tol)
+        verdict_with = compare(tensor(p, cvec), tensor(q, cvec), tol=tol)
+    return CatalysisReport(verdict_without, verdict_with, c)
 
-    marginal = False
-    if c.family is CatalystFamily.TMSV:
-        # Deep in the geometric tail both sorted prefix sums approach one
-        # together, so gaps near the truncation floor are expected there and
-        # do not by themselves discredit the verdict. When such gaps occur,
-        # the verdict is recomputed at a much deeper truncation and flagged
-        # as numerically marginal only if it fails to reproduce. The final
-        # gap is structurally zero (both sides sum to one) and is skipped.
-        interior = verdict_with.partial_sum_gaps[:-1]
-        floor = MARGINAL_FACTOR * tail_tol
-        if any(abs(g) <= floor for g in interior):
-            deep = catalyst_spectrum(
-                CatalystSpec.tmsv(c.r), tail_tol=tail_tol * CONFIRM_SHRINK
-            )
-            confirm = compare(tensor(p, deep), tensor(q, deep), tol=tol)
-            marginal = confirm.relation is not verdict_with.relation
 
-    return CatalysisReport(
-        verdict_without=verdict_without,
-        verdict_with=verdict_with,
-        catalyst=c,
-        marginal=marginal,
-    )
+def _window_verdict(p, q, r, tol) -> MajorizationVerdict:
+    """``check_catalysis``'s verdict for the untruncated squeezed vacuum; it
+    carries no prefix-sum gaps."""
+    vals, weights = _window_entries(p, q)
+    _check_window(vals, r, tol)
+    lo, hi = _threshold_gaps(vals, weights, math.tanh(r) ** 2, tol)
+    return MajorizationVerdict(_window_relation(lo, hi, tol), (), None)
+
+
+def _window_relation(lo, hi, tol) -> Relation:
+    """The relation of p (x) c to q (x) c from the extremes of D."""
+    below, above = lo >= -tol, hi <= tol
+    if below and above:
+        return Relation.EQUAL
+    if below:
+        return Relation.MAJORIZED_BY
+    if above:
+        return Relation.MAJORIZES
+    return Relation.INCOMPARABLE
+
+
+def _window_entries(p, q):
+    """Nonzero entries of q, then of p, with threshold-gap weights +1 and -1."""
+    b, a = q.components[q.components > 0], p.components[p.components > 0]
+    return np.concatenate([b, a]), np.repeat([1.0, -1.0], [b.size, a.size])
+
+
+def _window_floor(n, rho, tol) -> float:
+    """A threshold t0 below which every threshold gap of n entries stays
+    within tol / 2.
+
+    D(t) = G_p(t) - G_q(t) with G(t) = sum min(x, t), which rises with t, so
+    |D(t)| <= max(G_p(t0), G_q(t0)) for t <= t0. An entry v adds t0 K + v rho^K
+    to G(t0): K < log(1/t0)/|log rho| + 1 products lie at or above t0, and the
+    mass below them is v rho^K < t0 s with s = 1/(1 - rho) >= 1/|log rho|. So
+    G(t0) <= n s t0 (log(1/t0) + 2), which is at most tol / 2 at
+    t0 = 1/(X (2 log X + 2)) for any X >= max(8, 2 n s / tol).
+    """
+    if tol <= 0.0:
+        return 0.0
+    x = max(8.0, 2.0 * n / ((1.0 - rho) * tol))
+    return 1.0 / (x * (2.0 * math.log(x) + 2.0))
+
+
+def _window_steps(vals, rho, tol):
+    """Per entry, how many products (1 - rho) v rho^j the window holds, and
+    whether the window is self-similar.
+
+    The window holds every product at or above its lower end, the larger of
+    rho (1 - rho) a_min and ``_window_floor``. At the first, the last product
+    of each entry lies in [rho a_min, a_min) (scaled by 1 - rho) and D
+    continues below the window in closed form; at the second, D stays
+    within tol / 2 below it and so cannot change the verdict.
+    """
+    log_rho = math.log(rho)
+    floor = _window_floor(vals.size, rho, tol)
+    a_min = vals.min()
+    if floor <= rho * (1.0 - rho) * a_min:
+        return np.floor(np.log(vals / a_min) / -log_rho) + 2.0, True
+    steps = np.floor(np.log((1.0 - rho) * vals / floor) / -log_rho) + 1.0
+    return np.maximum(steps, 0.0), False
+
+
+def _check_window(vals, r, tol) -> None:
+    """Refuse a window of more than ``MAX_CATALYST_DIM`` terms before any is
+    built; it grows without bound as tanh^2 r approaches one."""
+    terms = int(_window_steps(vals, math.tanh(r) ** 2, tol)[0].sum())
+    if terms > MAX_CATALYST_DIM:
+        raise ValueError(
+            f"squeezing parameter {r!r} needs a threshold window of {terms} terms "
+            f"for this pair, more than the limit of {MAX_CATALYST_DIM}"
+        )
+
+
+def _threshold_gaps(vals, weights, rho, tol):
+    """Least and greatest threshold gap D for catalyst ratio ``rho``, as far
+    as the verdict at ``tol`` can tell them apart.
+
+    With the window's products z sorted in decreasing order and w their
+    weights, D at z_k is sum_{l <= k} w_l (z_l - z_k): one cumsum of w z and
+    one of w. Below a self-similar window the extremes are continued in
+    closed form; below a floored one D stays within tol / 2 and is left out.
+    """
+    n = vals.size
+    log_rho = math.log(rho)
+    steps, self_similar = _window_steps(vals, rho, tol)
+    lengths = steps.astype(np.int64)
+    entry = np.repeat(np.arange(n), lengths)
+    power = np.arange(entry.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    z = ((1.0 - rho) * vals)[entry] * rho**power
+    order = np.argsort(-z)
+    z = z[order]
+    w = weights[entry[order]]
+    gaps = np.cumsum(w * z) - z * np.cumsum(w)
+    # D = 0 above every product, and a floor above every product leaves none
+    lo, hi = gaps.min(initial=0.0), gaps.max(initial=0.0)
+    if not self_similar:
+        return lo, hi
+
+    # The last n products are the terms in [rho a_min, a_min); D at rho^m
+    # times such a term t is rho^m (D(t) - m Delta t).
+    d, t = gaps[-n:], z[-n:]
+    delta = int(weights.sum())
+    if delta > 0:
+        lo = min(lo, _tail_least(d, delta * t, rho, log_rho))
+    elif delta < 0:
+        hi = max(hi, -_tail_least(-d, -delta * t, rho, log_rho))
+    return lo, hi
+
+
+def _tail_least(d, u, rho, log_rho) -> float:
+    """Least rho^m (d - m u) over integers m >= 1 and entries, for u >= 0.
+
+    Consecutive values differ by rho^m ((1 - rho)(m u - d) - rho u), so the
+    sequence falls until m reaches d/u + rho/(1 - rho) and rises after it;
+    its ceiling (at least 1) is the minimizer. Beyond 746/|log rho| every
+    power underflows to zero, so larger m are clipped there.
+    """
+    with np.errstate(over="ignore"):
+        ratio = np.divide(d, u, out=np.zeros_like(d), where=u > 0.0)
+    steps = np.clip(np.ceil(ratio + rho / (1.0 - rho)), 1.0, 746.0 / -log_rho)
+    return float((np.exp(steps * log_rho) * (d - steps * u)).min())
 
 
 def necessary_conditions(
@@ -263,18 +375,22 @@ def search_catalyst(
     *,
     r_max: float = 3.0,
     tol: float = TOL,
-    tail_tol: float = TAIL_TOL,
 ) -> CatalystSpec | None:
     """First catalyst in the family (scanning its parameter upward) that works.
 
     If p is already majorized by q there is nothing to catalyze and the
     trivial one-dimensional catalyst is returned immediately; if the
     entropy screen fails, no catalyst can exist and None is returned
-    without scanning. Grid candidates are screened in batches, and only
-    those whose tensored pair is MajorizedBy reach :func:`check_catalysis`,
-    so the deep-truncation pass runs for no other squeezed-vacuum candidate.
+    without scanning. Grid candidates are decided as
+    :func:`check_catalysis` decides them: single-photon catalysts in
+    batches, by the prefix sums of the tensored pairs; squeezed-vacuum
+    catalysts one at a time, by the threshold gaps of the untruncated state
+    on their window (the ROADMAP.md derivation under "Decide squeezed-vacuum
+    catalysis exactly"). A squeezed-vacuum scan whose window
+    at ``r_max`` would exceed ``MAX_CATALYST_DIM`` terms is refused before
+    any candidate is decided.
     """
-    return next(_search(p, q, family, grid, r_max, tol, tail_tol), None)
+    return next(_search(p, q, family, grid, r_max, tol), None)
 
 
 def search_catalyst_all(
@@ -285,52 +401,40 @@ def search_catalyst_all(
     *,
     r_max: float = 3.0,
     tol: float = TOL,
-    tail_tol: float = TAIL_TOL,
 ) -> list[CatalystSpec]:
     """All grid candidates in the family that achieve catalysis.
 
-    Screens and checks candidates as :func:`search_catalyst` does.
+    Screens and decides candidates as :func:`search_catalyst` does.
     """
-    return list(_search(p, q, family, grid, r_max, tol, tail_tol))
+    return list(_search(p, q, family, grid, r_max, tol))
 
 
-def _search(p, q, family, grid, r_max, tol, tail_tol):
+def _search(p, q, family, grid, r_max, tol):
     """Yield, in scan order, every candidate that achieves catalysis.
 
-    Consecutive grid candidates of one catalyst dimension form a batch of
-    at most ``BATCH_ENTRIES`` tensored entries. A batch is compared in one
-    numpy pass; a candidate whose tensored pair is not MajorizedBy cannot
-    achieve catalysis and is dropped without a report.
+    Squeezed-vacuum candidates are decided one window at a time. Consecutive
+    single-photon candidates form a batch of at most ``BATCH_ENTRIES``
+    tensored entries, compared in one numpy pass.
     """
-    specs = _candidate_specs(p, q, family, grid, r_max, tol, tail_tol)
+    specs = _candidate_specs(p, q, family, grid, r_max, tol)
     first = next(specs, None)
     if first is None:
         return
     if first.family is CatalystFamily.EXPLICIT:
         yield first  # trivial catalyst short-circuit
         return
-    batch, rows = [], []
-    for spec in itertools.chain([first], specs):
-        c = catalyst_spectrum(spec, tail_tol=tail_tol).components
-        if batch and (
-            c.size != rows[0].size
-            or (len(rows) + 1) * c.size * max(p.dim, q.dim) > BATCH_ENTRIES
-        ):
-            yield from _checked(p, q, batch, rows, tol, tail_tol)
-            batch, rows = [], []
-        batch.append(spec)
-        rows.append(c)
-    if batch:
-        yield from _checked(p, q, batch, rows, tol, tail_tol)
-
-
-def _checked(p, q, batch, rows, tol, tail_tol):
-    """The batch's candidates that achieve catalysis, in order."""
-    cats = np.stack(rows)
-    for i in np.flatnonzero(_majorized_by_rows(p, q, cats, tol)):
-        spec = batch[i]
-        if check_catalysis(p, q, spec, tol=tol, tail_tol=tail_tol).catalysis_achieved:
-            yield spec
+    specs = itertools.chain([first], specs)
+    if first.family is CatalystFamily.TMSV:
+        vals, weights = _window_entries(p, q)
+        for spec in specs:
+            lo, hi = _threshold_gaps(vals, weights, math.tanh(spec.r) ** 2, tol)
+            if _window_relation(lo, hi, tol) is Relation.MAJORIZED_BY:
+                yield spec
+        return
+    per_batch = max(1, BATCH_ENTRIES // (2 * max(p.dim, q.dim)))
+    while batch := list(itertools.islice(specs, per_batch)):
+        cats = np.stack([catalyst_spectrum(spec).components for spec in batch])
+        yield from itertools.compress(batch, _majorized_by_rows(p, q, cats, tol))
 
 
 def _majorized_by_rows(p, q, cats, tol) -> np.ndarray:
@@ -361,7 +465,7 @@ def _sorted_products(p, cats, d) -> np.ndarray:
     return rows[:, ::-1]
 
 
-def _candidate_specs(p, q, family, grid, r_max, tol, tail_tol):
+def _candidate_specs(p, q, family, grid, r_max, tol):
     """Yield candidates; a leading explicit spec short-circuits the scan,
     and a bare None means the search is hopeless."""
     family = CatalystFamily(family)
@@ -370,15 +474,16 @@ def _candidate_specs(p, q, family, grid, r_max, tol, tail_tol):
     if not grid > 0:
         raise ValueError("grid step must be positive")
     limit = math.pi / 4 if family is CatalystFamily.SINGLE_PHOTON else r_max
-    if limit / grid > MAX_CANDIDATES:
+    span = limit + 1e-15  # the last grid point may overshoot by roundoff
+    if span / grid > MAX_CANDIDATES:
         raise ValueError(
-            f"grid step {grid!r} would scan about {limit / grid:.3g} candidates, "
+            f"grid step {grid!r} would scan about {span / grid:.3g} candidates, "
             f"more than the limit of {MAX_CANDIDATES}; use a coarser grid"
         )
-    if family is CatalystFamily.TMSV and limit >= grid:
-        # The largest candidate's deep-truncation pass fixes the largest
-        # catalyst the scan can build.
-        _capped_tmsv_dimension(CatalystSpec.tmsv(limit).r, tail_tol * CONFIRM_SHRINK)
+    tmsv = family is CatalystFamily.TMSV
+    if tmsv and limit >= grid:
+        # The largest candidate has the largest window.
+        _check_window(_window_entries(p, q)[0], CatalystSpec.tmsv(limit).r, tol)
 
     base = compare(p, q, tol=tol)
     if base.relation in (Relation.MAJORIZED_BY, Relation.EQUAL):
@@ -389,10 +494,7 @@ def _candidate_specs(p, q, family, grid, r_max, tol, tail_tol):
         return
 
     i = 1
-    while i * grid <= limit + 1e-15:
+    while i * grid <= span:
         value = i * grid
-        if family is CatalystFamily.SINGLE_PHOTON:
-            yield CatalystSpec.single_photon(value)
-        else:
-            yield CatalystSpec.tmsv(value)
+        yield CatalystSpec.tmsv(value) if tmsv else CatalystSpec.single_photon(value)
         i += 1

@@ -24,6 +24,7 @@ from .birkhoff import (
     bs_witness_matrix,
 )
 from .catalysis import (
+    CatalystFamily,
     CatalystSpec,
     TAIL_TOL,
     TruncationError,
@@ -31,6 +32,7 @@ from .catalysis import (
     check_catalysis,
     search_catalyst,
     search_catalyst_all,
+    tmsv_dimension,
 )
 from .entropy import entropy_curve, parse_order
 from .locc import run_protocol, verify_nielsen
@@ -431,7 +433,9 @@ def catalysis_group():
               help="single-photon:THETA, tmsv:R[,N], file:PATH, or inline JSON.")
 @click.option("--tail-tol", type=click.FloatRange(0, 1, min_open=True, max_open=True),
               default=TAIL_TOL, show_default=True, callback=_finite,
-              help="Spectral mass allowed beyond a tmsv truncation.")
+              help="Spectral mass allowed beyond an explicit tmsv:R,N truncation. "
+                   "For tmsv:R it sets only the reported catalyst_dim: that "
+                   "verdict is for the untruncated state.")
 @click.pass_obj
 @_domain_guard
 def catalysis_check_cmd(obj, p, q, catalyst, tail_tol):
@@ -439,7 +443,10 @@ def catalysis_check_cmd(obj, p, q, catalyst, tail_tol):
     _require_json(obj, "catalysis check")
     report = check_catalysis(p, q, catalyst, tol=obj["tol"], tail_tol=tail_tol)
     results = report.to_dict()
-    results["catalyst_dim"] = catalyst_spectrum(catalyst, tail_tol=tail_tol).dim
+    if catalyst.family is CatalystFamily.TMSV and catalyst.truncation_dim is None:
+        results["catalyst_dim"] = tmsv_dimension(catalyst.r, tail_tol)
+    else:
+        results["catalyst_dim"] = catalyst_spectrum(catalyst, tail_tol=tail_tol).dim
     _emit_json(obj, "catalysis check",
                {"p": [float(x) for x in p.components],
                 "q": [float(x) for x in q.components],

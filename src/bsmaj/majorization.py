@@ -25,6 +25,8 @@ class MajorizationVerdict:
     sums, second argument minus first; the first argument is majorized by
     the second exactly when every gap is nonnegative (within tolerance).
     ``first_violation`` is the first prefix index where that fails, if any.
+    A verdict decided without prefix sums (a pair catalyzed by an untruncated
+    squeezed vacuum) has no gaps and no first violation.
     """
 
     relation: Relation

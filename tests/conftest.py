@@ -6,6 +6,7 @@ import math
 from fractions import Fraction
 from itertools import accumulate
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -15,12 +16,13 @@ from bsmaj import (
     ProbVector,
     RegionPartition,
     Relation,
-    check_catalysis,
+    catalyst_spectrum,
     compare,
     necessary_conditions,
     renyi,
     sort_desc,
     spectrum,
+    tensor,
 )
 from bsmaj.regions import QUARTER_PI
 
@@ -73,11 +75,16 @@ def prob_vectors(draw, min_dim=1, max_dim=8):
 
 
 def reference_search(p, q, family, grid, r_max=3.0, tol=TOL):
-    """Catalyst search oracle: ``check_catalysis`` on every grid candidate.
+    """Catalyst search oracle: ``compare`` of the tensored pair for every grid
+    candidate, one at a time.
 
     Yields the trivial catalyst when p is already majorized by q, nothing
     when the bare verdict or the entropy screen rules catalysis out, and
-    otherwise every grid candidate that achieves catalysis, in scan order.
+    otherwise every grid candidate whose tensored pair is MajorizedBy, in
+    scan order. A squeezed-vacuum catalyst is the geometric spectrum
+    truncated at tail mass 1e-12 and renormalized (``catalyst_spectrum``),
+    so for that family this is the truncated test that the search used
+    before it decided for the untruncated state.
     """
     base = compare(p, q, tol=tol).relation
     if base in (Relation.MAJORIZED_BY, Relation.EQUAL):
@@ -90,9 +97,75 @@ def reference_search(p, q, family, grid, r_max=3.0, tol=TOL):
     i = 1
     while i * grid <= limit + 1e-15:
         spec = CatalystSpec.single_photon(i * grid) if single else CatalystSpec.tmsv(i * grid)
-        if check_catalysis(p, q, spec, tol=tol).catalysis_achieved:
+        c = catalyst_spectrum(spec, tail_tol=1e-12)
+        if compare(tensor(p, c), tensor(q, c), tol=tol).relation is Relation.MAJORIZED_BY:
             yield spec
         i += 1
+
+
+def exact_threshold_extremes(p, q, r):
+    """Least and greatest threshold gap D(t) = F_q(t) - F_p(t) over t > 0,
+    with F(t) = sum (x - t)_+ over the entries of p (x) c or q (x) c, for the
+    untruncated squeezed vacuum c_j = (1 - rho) rho^j, rho = tanh^2 r.
+
+    p and q are renormalized as exact rationals, and rho is the exact value
+    of the float ``tanh(r)**2``. Every entry x rho^j of the window (powers
+    down to the first below the smallest entry) is held as an integer over
+    one common denominator, L 2^(e J), where rho = M / 2^e and L is the
+    common denominator of the entries; so sorting, prefix sums and D at each
+    product are exact. Below the window D(rho^m t) = rho^m (D(t) - m Delta t)
+    with Delta = |supp q| - |supp p|; the exact minimizing m (the ceiling of
+    D(t)/(Delta t) + rho/(1 - rho), at least 1) is found in rationals and
+    its value evaluated at 50 digits. Returns two mpmath numbers.
+    """
+    rho = Fraction(math.tanh(r) ** 2)
+    mult, shift = rho.numerator, rho.denominator.bit_length() - 1  # rho = M / 2^e
+    entries = []
+    for vec, weight in ((q, 1), (p, -1)):
+        xs = [Fraction(float(x)) for x in vec.components if x > 0]
+        total = sum(xs)
+        entries += [(x / total, weight) for x in xs]
+    common = math.lcm(*(x.denominator for x, _ in entries))
+    low = min(x for x, _ in entries)
+    top = max(math.floor(math.log(x / low) / -math.log(rho)) for x, _ in entries) + 3
+    scale = 1 << (shift * top)
+    floor = low.numerator * (common // low.denominator) * scale
+    terms = []
+    for x, weight in entries:
+        value = x.numerator * (common // x.denominator) * scale
+        while True:
+            terms.append((value, weight))
+            if value < floor:
+                break
+            assert value % (1 << shift) == 0, "window deeper than its estimate"
+            value = value * mult >> shift
+    terms.sort(key=lambda item: item[0], reverse=True)
+    sums = list(accumulate(w * v for v, w in terms))
+    counts = list(accumulate(w for _, w in terms))
+    gaps = [s - v * c for s, (v, _), c in zip(sums, terms, counts)]
+    denominator = common * scale
+    lo, hi = Fraction(min(gaps), denominator), Fraction(max(gaps), denominator)
+
+    delta = sum(w for _, w in entries)
+    n = len(entries)
+    tails = [(Fraction(d, denominator), Fraction(v, denominator))
+             for d, (v, _) in zip(gaps[-n:], terms[-n:])]
+
+    with mpmath.workdps(50):
+        def mp(x: Fraction):
+            return mpmath.mpf(x.numerator) / x.denominator
+
+        def least_below(d, u):
+            # least rho^m (d - m u) over m >= 1, for u > 0
+            m = max(1, math.ceil(d / u + rho / (1 - rho)))
+            return mp(rho) ** m * mp(d - m * u)
+
+        least, greatest = mp(lo), mp(hi)
+        if delta > 0:
+            least = min([least] + [least_below(d, delta * t) for d, t in tails])
+        elif delta < 0:
+            greatest = max([greatest] + [-least_below(-d, -delta * t) for d, t in tails])
+        return least * mp(1 - rho), greatest * mp(1 - rho)
 
 
 def reference_partition(k: int) -> RegionPartition:

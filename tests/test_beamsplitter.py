@@ -152,3 +152,22 @@ def test_chain_agrees_with_oracle():
 def test_chain_requires_positive_k_max():
     with pytest.raises(ValueError):
         photon_chain_check(0, 0.5)
+
+
+def test_chain_length_bound(monkeypatch):
+    # k_max^2 + 2 k_max entries: 2047 is the longest chain under 2^22
+    with pytest.raises(ValueError, match="limit of 4194304"):
+        photon_chain_check(2048, 0.5)
+
+    def no_spectrum(*args, **kwargs):
+        raise AssertionError("a spectrum was built")
+
+    monkeypatch.setattr(beamsplitter, "spectrum", no_spectrum)
+    with pytest.raises(ValueError, match="limit"):
+        photon_chain_check(100000, 0.5)
+    # the bound is exact: 3 photons build 3 * 5 = 15 entries
+    monkeypatch.undo()
+    monkeypatch.setattr(beamsplitter, "MAX_CHAIN_ENTRIES", 15)
+    assert len(photon_chain_check(3, 0.5)) == 3
+    with pytest.raises(ValueError, match="24 spectrum entries"):
+        photon_chain_check(4, 0.5)

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -24,8 +25,9 @@ from bsmaj import (
     tmsv_dimension,
 )
 
-from conftest import prob_vectors, reference_search
+from conftest import exact_threshold_extremes, prob_vectors, reference_search
 
+TOL = 1e-12
 P_072 = spectrum(3, 0.72)
 Q_062 = spectrum(3, 0.62)
 
@@ -84,14 +86,14 @@ def test_reference_pair_is_incomparable_and_single_photon_catalyzes():
     assert report.verdict_without.relation is Relation.INCOMPARABLE
     assert report.verdict_with.relation is Relation.MAJORIZED_BY
     assert report.catalysis_achieved
-    assert not report.marginal
+    assert report.to_dict()["marginal"] is False
 
 
 def test_reference_pair_tmsv_catalyzes():
     report = check_catalysis(P_072, Q_062, CatalystSpec.tmsv(1.38), tail_tol=1e-12)
     assert report.verdict_without.relation is Relation.INCOMPARABLE
     assert report.verdict_with.relation is Relation.MAJORIZED_BY
-    assert not report.marginal
+    assert report.to_dict()["marginal"] is False
     assert report.catalysis_achieved
 
 
@@ -189,19 +191,18 @@ def test_tmsv_truncation_stability():
         )
 
 
-def test_marginal_flag_fires_when_deeper_truncation_flips():
-    # A two-outcome pair that is on the knife edge: build synthetic vectors
-    # whose catalyzed gaps sit inside the marginality floor and whose deeper
-    # verdict differs. A crude but deterministic construction: compare a
-    # vector against itself perturbed at the truncation scale.
+def test_pair_within_tolerance_stays_equal_with_squeezed_vacuum():
+    # Every threshold gap sits inside the tolerance in both directions, so
+    # the catalyzed verdict is Equal, nothing is achieved and the JSON's
+    # marginal flag reads false.
     eps = 5e-13
     p = ProbVector([0.5 + eps, 0.5 - eps])
     q = ProbVector([0.5, 0.5])
     report = check_catalysis(p, q, CatalystSpec.tmsv(0.8))
-    # Whatever the verdicts, the report must be self-consistent: a claimed
-    # success is never marginal.
-    if report.catalysis_achieved:
-        assert not report.marginal
+    assert report.verdict_with.relation is Relation.EQUAL
+    assert report.verdict_with.first_violation is None
+    assert not report.catalysis_achieved
+    assert report.to_dict()["marginal"] is False
 
 
 def test_report_serialization():
@@ -218,7 +219,7 @@ def test_tensor_of_catalyzed_pair_has_expected_dimension():
     assert tensor(P_072, c).dim == 8
 
 
-def test_squeezed_vacuum_dimension_is_capped():
+def test_squeezed_vacuum_dimension_is_capped(monkeypatch):
     cap = catalysis.MAX_CATALYST_DIM
     with pytest.raises(ValueError, match="limit"):
         CatalystSpec.tmsv(1.38, truncation_dim=cap + 1)
@@ -227,11 +228,23 @@ def test_squeezed_vacuum_dimension_is_capped():
     with pytest.raises(ValueError, match="limit") as err:
         catalyst_spectrum(CatalystSpec.tmsv(10.0))
     assert not isinstance(err.value, TruncationError)
-    # the deep pass asks for about 1.5 times as many components
-    r = 5.9
-    assert tmsv_dimension(r) <= cap < tmsv_dimension(r, catalysis.TAIL_TOL * catalysis.CONFIRM_SHRINK)
-    with pytest.raises(ValueError, match="limit"):
-        catalyst_spectrum(CatalystSpec.tmsv(r), tail_tol=catalysis.TAIL_TOL * catalysis.CONFIRM_SHRINK)
+    # The untruncated check is capped by its window instead. At r = 6 the
+    # paper pair's window holds about 5.3e5 terms although a truncation
+    # would need about 1.1e6 components; at r = 6.5 the window holds about
+    # 1.4e6 terms and is refused before any term is built.
+    assert tmsv_dimension(6.0) > cap
+    report = check_catalysis(P_072, Q_062, CatalystSpec.tmsv(6.0))
+    assert report.verdict_with.relation is Relation.MAJORIZED_BY
+    assert report.verdict_with.partial_sum_gaps == ()
+    assert 5 * 10**5 < _window_terms(P_072, Q_062, 6.0) <= cap
+
+    def no_window(*args, **kwargs):
+        raise AssertionError("a window was built")
+
+    monkeypatch.setattr(catalysis, "_threshold_gaps", no_window)
+    with pytest.raises(ValueError, match="threshold window of 14[0-9]{5} terms") as err:
+        check_catalysis(P_072, Q_062, CatalystSpec.tmsv(6.5))
+    assert not isinstance(err.value, TruncationError)
 
 
 def test_search_rejects_oversized_squeezing_before_any_check(monkeypatch):
@@ -240,8 +253,10 @@ def test_search_rejects_oversized_squeezing_before_any_check(monkeypatch):
 
     monkeypatch.setattr(catalysis, "check_catalysis", no_checks)
     monkeypatch.setattr(catalysis, "compare", no_checks)
-    # 5.9 is refused for its deep pass alone; 25 has tanh^2 r = 1
-    for r_max in (5.9, 10.0, 25.0):
+    monkeypatch.setattr(catalysis, "_threshold_gaps", no_checks)
+    # 6.5 is refused for the paper pair's window (about 1.4e6 terms at the
+    # largest r); 10 for a far larger one; 25 has tanh^2 r = 1
+    for r_max in (6.5, 10.0, 25.0):
         with pytest.raises(ValueError):
             search_catalyst_all(P_072, Q_062, "tmsv", 0.5, r_max=r_max)
 
@@ -316,32 +331,168 @@ def test_batch_boundaries_do_not_change_the_result(monkeypatch):
         assert search_catalyst_all(P_072, Q_062, family, grid) == want
 
 
-def test_deep_pass_runs_only_for_majorized_candidates(monkeypatch):
+def test_tmsv_search_builds_no_truncated_catalyst(monkeypatch):
     grid = 0.1
-    deep_tol = catalysis.TAIL_TOL * catalysis.CONFIRM_SHRINK
-    majorized = []
-    for i in range(1, 31):
-        c = catalyst_spectrum(CatalystSpec.tmsv(i * grid))
-        if compare(tensor(P_072, c), tensor(Q_062, c)).relation is Relation.MAJORIZED_BY:
-            majorized.append(i * grid)
+    want = list(reference_search(P_072, Q_062, "tmsv", grid))
+    assert 0 < len(want) < 30
 
-    reports, deep_calls = [], []
-    real_check, real_spectrum = catalysis.check_catalysis, catalysis.catalyst_spectrum
+    def refuse(*args, **kwargs):
+        raise AssertionError("a truncated catalyst was built or a pair tensored")
 
-    def counting_check(*args, **kwargs):
-        reports.append(real_check(*args, **kwargs))
-        return reports[-1]
+    for name in ("catalyst_spectrum", "tensor", "check_catalysis", "_majorized_by_rows"):
+        monkeypatch.setattr(catalysis, name, refuse)
+    assert search_catalyst_all(P_072, Q_062, "tmsv", grid) == want
+    assert search_catalyst(P_072, Q_062, "tmsv", grid) == want[0]
 
-    def counting_spectrum(spec, *, tail_tol=catalysis.TAIL_TOL):
-        if tail_tol == deep_tol:
-            deep_calls.append(spec.r)
-        return real_spectrum(spec, tail_tol=tail_tol)
 
-    monkeypatch.setattr(catalysis, "check_catalysis", counting_check)
-    monkeypatch.setattr(catalysis, "catalyst_spectrum", counting_spectrum)
-    search_catalyst_all(P_072, Q_062, "tmsv", grid)
+#: Allowed distance between the float threshold extremes and the exact ones.
+#: The float gaps are prefix sums of up to about 2,000 products below one;
+#: over 1,500 random pairs drawn as below their extremes stayed within
+#: 1.2e-15 of the exact ones, so 1e-14 leaves a margin of about 9 and is 1%
+#: of the tolerance.
+WINDOW_ALLOWANCE = 1e-14
 
-    assert 0 < len(majorized) < 30
-    assert [rep.catalyst.r for rep in reports] == majorized
-    assert all(rep.verdict_with.relation is Relation.MAJORIZED_BY for rep in reports)
-    assert deep_calls and set(deep_calls) <= set(majorized)
+
+@st.composite
+def weight_vectors(draw):
+    """Probability vectors from integer weights 0..20 over 1 to 6 entries:
+    equal and unequal supports, and entries within a factor 20 of each other,
+    so that the exact windows stay small."""
+    weights = draw(st.lists(st.integers(0, 20), min_size=1, max_size=6))
+    if not any(weights):
+        weights[0] = 1
+    return ProbVector(np.array(weights, dtype=float) / sum(weights))
+
+
+def _window_extremes(p, q, r, tol=TOL):
+    vals, weights = catalysis._window_entries(p, q)
+    return catalysis._threshold_gaps(vals, weights, math.tanh(r) ** 2, tol)
+
+
+def _window_terms(p, q, r, tol=TOL):
+    vals, _ = catalysis._window_entries(p, q)
+    return int(catalysis._window_steps(vals, math.tanh(r) ** 2, tol)[0].sum())
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=weight_vectors(), q=weight_vectors(), r=st.floats(0.05, 3.0))
+@example(p=P_072, q=Q_062, r=1.38)
+@example(p=ProbVector([0.7, 0.3]), q=ProbVector([0.8, 0.19, 0.01]), r=3.0)
+@example(p=ProbVector([0.5, 0.3, 0.2]), q=ProbVector([0.5, 0.3, 0.2]), r=2.0)
+def test_window_verdict_matches_exact_rationals(p, q, r):
+    want_lo, want_hi = exact_threshold_extremes(p, q, r)
+    lo, hi = _window_extremes(p, q, r)
+    assert abs(lo - want_lo) <= WINDOW_ALLOWANCE
+    assert abs(hi - want_hi) <= WINDOW_ALLOWANCE
+    verdict = check_catalysis(p, q, CatalystSpec.tmsv(r)).verdict_with
+    assert verdict.partial_sum_gaps == () and verdict.first_violation is None
+    majorized = verdict.relation in (Relation.MAJORIZED_BY, Relation.EQUAL)
+    assert majorized == (lo >= -TOL)
+    if abs(want_lo + TOL) > WINDOW_ALLOWANCE and abs(want_hi - TOL) > WINDOW_ALLOWANCE:
+        below, above = want_lo >= -TOL, want_hi <= TOL
+        want = {(True, True): Relation.EQUAL, (True, False): Relation.MAJORIZED_BY,
+                (False, True): Relation.MAJORIZES, (False, False): Relation.INCOMPARABLE}
+        assert verdict.relation is want[below, above]
+
+
+def test_violation_below_the_window_is_found_by_the_tail(monkeypatch):
+    # q has one entry more than p, 2e-11, far below the rest: every gap on
+    # the window is nonnegative, and the continuation below it, with its
+    # drift -m Delta t, is what rules MajorizedBy out (by about 4.5e-12)
+    p = ProbVector([0.3, 0.7])
+    q = ProbVector([0.95, 0.05 - 2e-11, 2e-11])
+    verdict = check_catalysis(p, q, CatalystSpec.tmsv(1.5)).verdict_with
+    assert verdict.relation is Relation.INCOMPARABLE
+    want_lo, _ = exact_threshold_extremes(p, q, 1.5)
+    assert want_lo < -4 * TOL
+    lo, _ = _window_extremes(p, q, 1.5)
+    assert abs(lo - want_lo) <= WINDOW_ALLOWANCE
+    monkeypatch.setattr(catalysis, "_tail_least", lambda *args: math.inf)
+    assert _window_extremes(p, q, 1.5)[0] >= 0.0
+
+
+def test_catalyzed_pair_inside_the_tolerance_is_equal_both_ways():
+    # Incomparable bare by about 1e-12. At r = 1 every exact threshold gap
+    # lies inside +-tol (-6.2e-13 .. 7.6e-13): the catalyzed pair is Equal in
+    # both orders, so r = 1 is no hit. (Prefix sums on the truncated catalyst
+    # call it MajorizedBy in both orders, since one entry differs by 1.4e-12.)
+    p = ProbVector([0.2920450262389661, 0.2350690037451042,
+                    0.19593811311492307, 0.27694785690100665])
+    q = ProbVector([0.2920450262397049, 0.23506900374181805,
+                    0.1959381131164012, 0.2769478569020757])
+    assert compare(p, q).relation is Relation.INCOMPARABLE
+    lo, hi = exact_threshold_extremes(p, q, 1.0)
+    assert -TOL + WINDOW_ALLOWANCE < lo < 0.0 < hi < TOL - WINDOW_ALLOWANCE
+    for a, b in ((p, q), (q, p)):
+        report = check_catalysis(a, b, CatalystSpec.tmsv(1.0))
+        assert report.verdict_with.relation is Relation.EQUAL
+        assert not report.catalysis_achieved
+    # at r = 0.75 p (x) c leads by more than the tolerance somewhere
+    assert [hit.r for hit in search_catalyst_all(p, q, "tmsv", 0.25)] == [0.75]
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-6, 0.3])
+@pytest.mark.parametrize("r", [0.05, 0.5, 1.0, 3.0, 6.0])
+def test_window_floor_bounds_the_gaps_below_it(r, tol):
+    # Below the floor t0 every threshold gap lies within +-max G(t0), with
+    # G(t) = sum min(x, t) over the products (1 - rho) v rho^j of one side.
+    # Evaluate G(t0) exactly per entry, t0 K + v rho^K with K products at or
+    # above t0, on the sides that come closest to the bound: n equal entries,
+    # and one entry of mass one among n - 1 negligible ones.
+    rho = math.tanh(r) ** 2
+    with mpmath.workdps(40):
+        m_rho = mpmath.mpf(rho)
+        for n in (1, 2, 6, 200):
+            t0 = catalysis._window_floor(n, rho, tol)
+            assert t0 > 0.0
+            for side in (np.full(n, 1.0 / n), np.array([1.0] + [1e-300] * (n - 1))):
+                total = mpmath.mpf(0)
+                for v in side:
+                    k = max(0, math.floor(math.log((1 - rho) * v / t0) / -math.log(rho)) + 1)
+                    # make the count exact: the K-th product is the first below t0
+                    while k > 0 and (1 - m_rho) * v * m_rho ** (k - 1) < t0:
+                        k -= 1
+                    while (1 - m_rho) * v * m_rho**k >= t0:
+                        k += 1
+                    total += t0 * k + v * m_rho**k
+                assert total <= tol / 2
+
+
+#: Pairs whose nonzero entries span from about 1e-35 (k = 100 near pi/4) to
+#: 1e-261 (k = 100 at small angles): the self-similar window would hold
+#: millions of terms, so the window stops at the floor.
+WIDE_PAIRS = [
+    (spectrum(100, 0.78), spectrum(100, 0.74)),
+    (spectrum(100, 0.05), spectrum(100, 0.06)),
+]
+
+
+@pytest.mark.parametrize("p,q", WIDE_PAIRS)
+def test_wide_range_pair_is_decided_as_the_truncated_test_decides(p, q):
+    # The truncated test tensors a 2,787-term catalyst onto both 101-vectors
+    # at r = 3; the floored window is smaller and the success set the same.
+    vals, _ = catalysis._window_entries(p, q)
+    assert not catalysis._window_steps(vals, math.tanh(3.0) ** 2, TOL)[1]
+    assert _window_terms(p, q, 3.0) < tmsv_dimension(3.0) * (p.dim + q.dim)
+    assert search_catalyst_all(p, q, "tmsv", 0.5) == list(reference_search(p, q, "tmsv", 0.5))
+    for r in (0.3, 2.5):
+        c = catalyst_spectrum(CatalystSpec.tmsv(r))
+        want = compare(tensor(p, c), tensor(q, c)).relation
+        assert check_catalysis(p, q, CatalystSpec.tmsv(r)).verdict_with.relation is want
+
+
+@pytest.mark.parametrize("p,q", WIDE_PAIRS)
+@pytest.mark.parametrize("r", [0.3, 0.6, 1.0])
+def test_floored_window_agrees_with_the_full_one(monkeypatch, p, q, r):
+    # Where the self-similar window of a wide pair is still affordable, the
+    # floored window's extremes are within tol / 2 of its exact ones and the
+    # verdict is the same.
+    floored = _window_extremes(p, q, r)
+    verdict = check_catalysis(p, q, CatalystSpec.tmsv(r)).verdict_with
+    monkeypatch.setattr(catalysis, "_window_floor", lambda *args: 0.0)
+    vals, _ = catalysis._window_entries(p, q)
+    assert catalysis._window_steps(vals, math.tanh(r) ** 2, TOL)[1]
+    full = _window_extremes(p, q, r)
+    assert abs(floored[0] - full[0]) <= TOL / 2
+    assert abs(floored[1] - full[1]) <= TOL / 2
+    assert check_catalysis(p, q, CatalystSpec.tmsv(r)).verdict_with == verdict

@@ -324,6 +324,19 @@ CONTRACT_CASES = [
     (["spectrum", "--k", "1000000", "--theta", "0.5"], 0),
     (["birkhoff", "--witness", "20000,0.3"], 2),
     (["birkhoff", "--witness", "100000,0.3"], 2),
+    (["photon-chain", "--k-max", "100000", "--theta", "0.5"], 2),
+    (["catalysis", "search", "--p", "bs:3,0.72", "--q", "bs:3,0.62",
+      "--family", "tmsv", "--grid", "1e-170", "--r-max", "1e-165"], 2),
+    (["catalysis", "check", "--p", "bs:3,0.72", "--q", "bs:3,0.62",
+      "--catalyst", "tmsv:6.5"], 2),
+    (["catalysis", "check", "--p", "bs:100,0.05", "--q", "bs:100,0.06",
+      "--catalyst", "tmsv:2.5"], 0),
+    (["catalysis", "search", "--p", "bs:100,0.05", "--q", "bs:100,0.06",
+      "--family", "tmsv", "--grid", "0.1"], 0),
+    (["--tol", "0", "catalysis", "check", "--p", "bs:3,0.72", "--q", "bs:3,0.62",
+      "--catalyst", "tmsv:1.38"], 0),
+    (["--tol", "100", "catalysis", "check", "--p", "bs:3,0.72", "--q", "bs:3,0.62",
+      "--catalyst", "tmsv:3"], 0),
 ]
 
 

@@ -1,4 +1,5 @@
-"""40-digit mpmath tier for the spectrum kernel and the component derivatives.
+"""40-digit mpmath tier for the spectrum kernel, the component derivatives,
+the accumulation derivatives and the crossover angles.
 
 Both spectrum regimes are covered: binomial coefficients accumulated in
 doubles up to ``DIRECT_K_LIMIT`` photons, log-space evaluation above it.
@@ -11,10 +12,14 @@ import mpmath
 import numpy as np
 import pytest
 
-from bsmaj import component_derivatives, spectrum
+from bsmaj import accumulation_derivatives, component_derivatives, spectrum
 from bsmaj.beamsplitter import DIRECT_K_LIMIT
+from bsmaj.regions import QUARTER_PI, _crossings
 
 KS = (3, 30, 60, 61, 100, 300, 1000)
+REGION_KS = (3, 30, 100, 300)
+REGION_ANGLES = (0.01, 0.05, 0.3, 0.62, 0.75, 0.78)
+TOL = 1e-12
 ANGLES = (0.0, 1e-3, 0.05, 0.3, 0.62, math.pi / 4, 1.0, 1.4, 1.55, math.pi / 2)
 
 
@@ -63,3 +68,59 @@ def test_component_derivatives_match_mpmath(k):
             assert np.array_equal(got, np.zeros(k + 1))
             continue
         assert norm_relative_error(got, want) <= derivative_tol(k), theta
+
+
+def accumulation_reference(k: int, theta: float):
+    """Prefix sums of the derivatives in the exact descending order of the
+    40-digit spectrum, the j+1 largest for j = 0 .. k-1."""
+    spec, deriv = reference(k, theta)
+    order = sorted(range(k + 1), key=lambda n: spec[n], reverse=True)
+    with mpmath.workdps(40):
+        return [mpmath.fsum(deriv[n] for n in order[: j + 1]) for j in range(k)]
+
+
+def accumulation_tol(k: int) -> float:
+    # k derivatives, each with an error growing as k in the log regime, are
+    # summed: measured worst over 27 angles in (0, pi/4) is 5.8e-16, 9.8e-15,
+    # 1.4e-13 and 9.8e-13 at k = 3, 30, 100 and 300, about 1.5e-17 k^2
+    return 2e-15 + 4e-17 * k * k
+
+
+def crossover_reference(k: int):
+    """Crossover angles at 40 digits, kept and merged as ``_crossings`` does:
+    pairs with C(k,n) < C(k,m) whose angle lies strictly inside (tol,
+    pi/4 - tol), each within tol of the previous kept angle merged into it."""
+    hits = []
+    with mpmath.workdps(40):
+        for n in range(1, k + 1):
+            cn = math.comb(k, n)
+            for m in range(n):
+                cm = math.comb(k, m)
+                if cn < cm:
+                    theta = mpmath.atan((mpmath.mpf(cn) / cm) ** (mpmath.mpf(1) / (2 * (n - m))))
+                    if TOL < theta < QUARTER_PI - TOL:
+                        hits.append(theta)
+        hits.sort()
+        kept = []
+        for theta in hits:
+            if not kept or abs(theta - kept[-1]) > TOL:
+                kept.append(theta)
+    return kept
+
+
+@pytest.mark.parametrize("k", REGION_KS)
+def test_accumulation_derivatives_match_mpmath(k):
+    for theta in REGION_ANGLES:
+        got = accumulation_derivatives(k, theta).values
+        want = accumulation_reference(k, theta)
+        assert norm_relative_error(got, want) <= accumulation_tol(k), theta
+
+
+@pytest.mark.parametrize("k", REGION_KS)
+def test_crossover_angles_match_mpmath(k):
+    want = crossover_reference(k)
+    got = _crossings(k)[0]
+    assert len(got) == len(want)
+    # each angle is one correctly rounded quotient, a root and an arctangent:
+    # measured worst 1.5e-16 relative to pi/4 or less
+    assert norm_relative_error(got, want) <= 1e-15
