@@ -12,7 +12,6 @@ explicit user-supplied vectors.
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -20,7 +19,7 @@ import numpy as np
 
 from .beamsplitter import check_angle
 from .entropy import renyi
-from .majorization import MajorizationVerdict, Relation, compare
+from .majorization import MajorizationVerdict, Relation, compare, gap_relation
 from .vectors import TOL, ProbVector, normalize_rows, tensor
 
 #: Allowed spectral mass beyond the truncation point of a squeezed-vacuum
@@ -208,10 +207,10 @@ def check_catalysis(
     closed form below them. When p and q span many decades that window is
     long, and it stops instead at a floor below which |D| provably stays
     within tol / 2, too little to change the verdict; either way its length
-    grows with the decades between its ends over |log rho|. The verdict holds
-    MajorizedBy when min D >= -tol, Majorizes when max D <= tol, and Equal
-    when both hold; it carries no prefix-sum gaps. The window is refused
-    above ``MAX_CATALYST_DIM`` terms.
+    grows with the decades between its ends over |log rho|. The verdict is
+    :func:`~bsmaj.majorization.gap_relation` of min D and max D, the rule
+    ``compare`` applies to prefix sums; it carries no prefix-sum gaps. The
+    window is refused above ``MAX_CATALYST_DIM`` terms.
 
     Every other catalyst, including an explicit ``tmsv:R,N`` truncated at
     ``tail_tol``, is materialized and compared by prefix sums.
@@ -233,19 +232,7 @@ def _window_verdict(p, q, r, tol) -> MajorizationVerdict:
     vals, weights = _window_entries(p, q)
     _check_window(vals, r, tol)
     lo, hi = _threshold_gaps(vals, weights, math.tanh(r) ** 2, tol)
-    return MajorizationVerdict(_window_relation(lo, hi, tol), (), None)
-
-
-def _window_relation(lo, hi, tol) -> Relation:
-    """The relation of p (x) c to q (x) c from the extremes of D."""
-    below, above = lo >= -tol, hi <= tol
-    if below and above:
-        return Relation.EQUAL
-    if below:
-        return Relation.MAJORIZED_BY
-    if above:
-        return Relation.MAJORIZES
-    return Relation.INCOMPARABLE
+    return MajorizationVerdict(gap_relation(lo, hi, tol), (), None)
 
 
 def _window_entries(p, q):
@@ -412,29 +399,56 @@ def search_catalyst_all(
 def _search(p, q, family, grid, r_max, tol):
     """Yield, in scan order, every candidate that achieves catalysis.
 
+    The grid is the float products ``grid * i`` for i = 1, 2, ... up to the
+    family's limit plus 1e-15 (the last point may overshoot by roundoff).
     Squeezed-vacuum candidates are decided one window at a time. Consecutive
     single-photon candidates form a batch of at most ``BATCH_ENTRIES``
-    tensored entries, compared in one numpy pass.
+    tensored entries, compared in one numpy pass. A ``CatalystSpec`` is
+    built only for a hit.
     """
-    specs = _candidate_specs(p, q, family, grid, r_max, tol)
-    first = next(specs, None)
-    if first is None:
+    family = CatalystFamily(family)
+    if family is CatalystFamily.EXPLICIT:
+        raise ValueError("search requires a parametric family")
+    if not grid > 0:
+        raise ValueError("grid step must be positive")
+    single = family is CatalystFamily.SINGLE_PHOTON
+    limit = math.pi / 4 if single else r_max
+    span = limit + 1e-15
+    if not span / grid <= MAX_CANDIDATES:  # NaN too
+        raise ValueError(
+            f"grid step {grid!r} would scan about {span / grid:.3g} candidates, "
+            f"more than the limit of {MAX_CANDIDATES}; use a coarser grid"
+        )
+    if not single and limit >= grid:
+        # The largest candidate has the largest window.
+        _check_window(_window_entries(p, q)[0], CatalystSpec.tmsv(limit).r, tol)
+
+    base = compare(p, q, tol=tol).relation
+    if base in (Relation.MAJORIZED_BY, Relation.EQUAL):
+        yield CatalystSpec.explicit(ProbVector([1.0]))
         return
-    if first.family is CatalystFamily.EXPLICIT:
-        yield first  # trivial catalyst short-circuit
+    if base is Relation.MAJORIZES or not necessary_conditions(p, q, tol=tol):
         return
-    specs = itertools.chain([first], specs)
-    if first.family is CatalystFamily.TMSV:
+
+    # The products rise with i, so the points within span are a prefix.
+    values = grid * np.arange(1, int(span / grid) + 2)
+    values = values[values <= span].tolist()
+    if not single:
         vals, weights = _window_entries(p, q)
-        for spec in specs:
-            lo, hi = _threshold_gaps(vals, weights, math.tanh(spec.r) ** 2, tol)
-            if _window_relation(lo, hi, tol) is Relation.MAJORIZED_BY:
-                yield spec
+        for r in values:
+            lo, hi = _threshold_gaps(vals, weights, math.tanh(r) ** 2, tol)
+            if gap_relation(lo, hi, tol) is Relation.MAJORIZED_BY:
+                yield CatalystSpec.tmsv(r)
         return
     per_batch = max(1, BATCH_ENTRIES // (2 * max(p.dim, q.dim)))
-    while batch := list(itertools.islice(specs, per_batch)):
-        cats = np.stack([catalyst_spectrum(spec).components for spec in batch])
-        yield from itertools.compress(batch, _majorized_by_rows(p, q, cats, tol))
+    for start in range(0, len(values), per_batch):
+        thetas = values[start:start + per_batch]
+        # the rows catalyst_spectrum builds, normalized as ProbVector does
+        c2 = np.array([math.cos(t) ** 2 for t in thetas])
+        cats = normalize_rows(np.stack([c2, 1.0 - c2], axis=1))
+        for theta, hit in zip(thetas, _majorized_by_rows(p, q, cats, tol)):
+            if hit:
+                yield CatalystSpec.single_photon(theta)
 
 
 def _majorized_by_rows(p, q, cats, tol) -> np.ndarray:
@@ -446,10 +460,13 @@ def _majorized_by_rows(p, q, cats, tol) -> np.ndarray:
     d = max(p.dim, q.dim) * cats.shape[1]
     ps = _sorted_products(p, cats, d)
     qs = _sorted_products(q, cats, d)
-    equal = np.abs(ps - qs).max(axis=1) <= tol
     gaps = np.cumsum(qs, axis=1)
     gaps -= np.cumsum(ps, axis=1)
-    return (gaps.min(axis=1) >= -tol) & ~equal
+    extremes = zip(gaps.min(axis=1).tolist(), gaps.max(axis=1).tolist())
+    return np.array(
+        [gap_relation(lo, hi, tol) is Relation.MAJORIZED_BY for lo, hi in extremes],
+        dtype=bool,
+    )
 
 
 def _sorted_products(p, cats, d) -> np.ndarray:
@@ -463,38 +480,3 @@ def _sorted_products(p, cats, d) -> np.ndarray:
         rows = np.concatenate([rows, np.zeros((m, d - n))], axis=1)
     rows.sort(axis=1)
     return rows[:, ::-1]
-
-
-def _candidate_specs(p, q, family, grid, r_max, tol):
-    """Yield candidates; a leading explicit spec short-circuits the scan,
-    and a bare None means the search is hopeless."""
-    family = CatalystFamily(family)
-    if family is CatalystFamily.EXPLICIT:
-        raise ValueError("search requires a parametric family")
-    if not grid > 0:
-        raise ValueError("grid step must be positive")
-    limit = math.pi / 4 if family is CatalystFamily.SINGLE_PHOTON else r_max
-    span = limit + 1e-15  # the last grid point may overshoot by roundoff
-    if span / grid > MAX_CANDIDATES:
-        raise ValueError(
-            f"grid step {grid!r} would scan about {span / grid:.3g} candidates, "
-            f"more than the limit of {MAX_CANDIDATES}; use a coarser grid"
-        )
-    tmsv = family is CatalystFamily.TMSV
-    if tmsv and limit >= grid:
-        # The largest candidate has the largest window.
-        _check_window(_window_entries(p, q)[0], CatalystSpec.tmsv(limit).r, tol)
-
-    base = compare(p, q, tol=tol)
-    if base.relation in (Relation.MAJORIZED_BY, Relation.EQUAL):
-        yield CatalystSpec.explicit(ProbVector([1.0]))
-        return
-    if base.relation is Relation.MAJORIZES or not necessary_conditions(p, q, tol=tol):
-        yield None
-        return
-
-    i = 1
-    while i * grid <= span:
-        value = i * grid
-        yield CatalystSpec.tmsv(value) if tmsv else CatalystSpec.single_photon(value)
-        i += 1

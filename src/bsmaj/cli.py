@@ -17,7 +17,7 @@ import click
 import numpy as np
 
 from . import __version__
-from .beamsplitter import photon_chain_check, spectrum
+from .beamsplitter import check_angle, photon_chain_check, spectrum
 from .birkhoff import (
     DoublyStochasticMatrix,
     birkhoff_decompose,
@@ -362,7 +362,9 @@ def entropy_curve_cmd(obj, k, alphas, theta_min, theta_max, steps, bits):
         raise click.UsageError("at least one entropy order is required")
     orders = [parse_order(t) for t in tokens]
     _check_steps(steps)
-    if not 0.0 <= theta_min < theta_max:
+    check_angle(theta_min)
+    check_angle(theta_max)
+    if not theta_min < theta_max:
         raise click.UsageError("need 0 <= theta-min < theta-max")
     grid = np.linspace(theta_min, theta_max, steps)
     values = entropy_curve(k, orders, grid, bits=bits)

@@ -24,9 +24,11 @@ class MajorizationVerdict:
     ``partial_sum_gaps[i]`` is the difference between the (i+1)-term prefix
     sums, second argument minus first; the first argument is majorized by
     the second exactly when every gap is nonnegative (within tolerance).
-    ``first_violation`` is the first prefix index where that fails, if any.
-    A verdict decided without prefix sums (a pair catalyzed by an untruncated
-    squeezed vacuum) has no gaps and no first violation.
+    The relation follows :func:`gap_relation`: Equal when both directions
+    hold, so swapping the arguments mirrors it. ``first_violation`` is the
+    first prefix index where the first direction fails, if any. A verdict
+    decided without prefix sums (a pair catalyzed by an untruncated squeezed
+    vacuum) has no gaps and no first violation.
     """
 
     relation: Relation
@@ -49,41 +51,42 @@ class MajorizationVerdict:
         )
 
 
+def gap_relation(lo: float, hi: float, tol: float) -> Relation:
+    """The relation of p to q from the least and greatest gap, q minus p.
+
+    p is majorized by q when every gap is at least -tol, and majorizes q
+    when every gap is at most tol. Equal means both hold; otherwise the one
+    that holds is the relation, and Incomparable means neither does.
+    """
+    below, above = lo >= -tol, hi <= tol
+    if below and above:
+        return Relation.EQUAL
+    if below:
+        return Relation.MAJORIZED_BY
+    if above:
+        return Relation.MAJORIZES
+    return Relation.INCOMPARABLE
+
+
 def compare(p: ProbVector, q: ProbVector, *, tol: float = TOL) -> MajorizationVerdict:
     """Decide the majorization relation between ``p`` and ``q``.
 
     Vectors of unequal dimension are zero-padded to a common dimension
-    first; padding never changes any prefix sum of a sorted vector. A gap
-    within ``tol`` of zero counts as satisfied for both directions, and
-    componentwise equality (within ``tol``) takes precedence over the two
-    one-sided verdicts.
+    first; padding never changes any prefix sum of a sorted vector. The
+    relation comes from the extremes of the prefix-sum gaps by
+    :func:`gap_relation`: a gap within ``tol`` of zero counts as satisfied
+    for both directions, and the pair is Equal when both directions hold,
+    so ``compare(q, p)`` is always the mirror of ``compare(p, q)``.
     """
     d = max(p.dim, q.dim)
     ps = np.sort(pad_to(p, d).components)[::-1]
     qs = np.sort(pad_to(q, d).components)[::-1]
     gaps = np.cumsum(qs) - np.cumsum(ps)
-
-    p_prec_q = bool(gaps.min() >= -tol)
-    q_prec_p = bool(gaps.max() <= tol)
-
-    first_violation: int | None = None
-    if not p_prec_q:
-        first_violation = int(np.argmax(gaps < -tol))
-
-    if np.max(np.abs(ps - qs)) <= tol:
-        relation = Relation.EQUAL
-        first_violation = None
-    elif p_prec_q:
-        relation = Relation.MAJORIZED_BY
-    elif q_prec_p:
-        relation = Relation.MAJORIZES
-    else:
-        relation = Relation.INCOMPARABLE
-
+    lo = gaps.min()
     return MajorizationVerdict(
-        relation=relation,
+        relation=gap_relation(lo, gaps.max(), tol),
         partial_sum_gaps=tuple(gaps.tolist()),
-        first_violation=first_violation,
+        first_violation=None if lo >= -tol else int(np.argmax(gaps < -tol)),
     )
 
 

@@ -30,19 +30,23 @@ TOL = 1e-12
 
 
 def oracle_relation(p_seq, q_seq, tol=TOL) -> str:
-    """Independent majorization check: pure-Python sort and running sums."""
+    """Independent majorization check: pure-Python sort and running sums.
+
+    Equal means that both directions hold within ``tol``.
+    """
     p_list = [float(x) for x in p_seq]
     q_list = [float(x) for x in q_seq]
     d = max(len(p_list), len(q_list))
     ps = sorted(p_list + [0.0] * (d - len(p_list)), reverse=True)
     qs = sorted(q_list + [0.0] * (d - len(q_list)), reverse=True)
-    cp = list(accumulate(ps))
-    cq = list(accumulate(qs))
-    if all(abs(a - b) <= tol for a, b in zip(ps, qs)):
+    gaps = [b - a for a, b in zip(accumulate(ps), accumulate(qs))]
+    majorized = all(g >= -tol for g in gaps)
+    majorizes = all(g <= tol for g in gaps)
+    if majorized and majorizes:
         return "Equal"
-    if all(b - a >= -tol for a, b in zip(cp, cq)):
+    if majorized:
         return "MajorizedBy"
-    if all(b - a <= tol for a, b in zip(cp, cq)):
+    if majorizes:
         return "Majorizes"
     return "Incomparable"
 

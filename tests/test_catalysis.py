@@ -331,18 +331,68 @@ def test_batch_boundaries_do_not_change_the_result(monkeypatch):
         assert search_catalyst_all(P_072, Q_062, family, grid) == want
 
 
-def test_tmsv_search_builds_no_truncated_catalyst(monkeypatch):
-    grid = 0.1
-    want = list(reference_search(P_072, Q_062, "tmsv", grid))
+@pytest.mark.parametrize("family,grid", [("tmsv", 0.1), ("single-photon", 0.02)])
+def test_tmsv_search_builds_no_truncated_catalyst(monkeypatch, family, grid):
+    want = list(reference_search(P_072, Q_062, family, grid))
     assert 0 < len(want) < 30
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a truncated catalyst was built or a pair tensored")
+        raise AssertionError("a catalyst was built, a pair tensored or checked")
 
-    for name in ("catalyst_spectrum", "tensor", "check_catalysis", "_majorized_by_rows"):
+    refused = ["catalyst_spectrum", "tensor", "check_catalysis"]
+    if family == "tmsv":
+        refused.append("_majorized_by_rows")
+    for name in refused:
         monkeypatch.setattr(catalysis, name, refuse)
-    assert search_catalyst_all(P_072, Q_062, "tmsv", grid) == want
-    assert search_catalyst(P_072, Q_062, "tmsv", grid) == want[0]
+    assert search_catalyst_all(P_072, Q_062, family, grid) == want
+    assert search_catalyst(P_072, Q_062, family, grid) == want[0]
+
+
+def _old_grid(grid, limit):
+    """The grid points of the per-candidate loop: i * grid while within
+    limit + 1e-15."""
+    values, i = [], 1
+    while i * grid <= limit + 1e-15:
+        values.append(i * grid)
+        i += 1
+    return values
+
+
+def _scanned(monkeypatch, family, grid, r_max=3.0):
+    """Every grid candidate a search decides, in order: each one is made a
+    hit."""
+    monkeypatch.setattr(catalysis, "_threshold_gaps", lambda *args: (0.0, 1.0))
+    monkeypatch.setattr(catalysis, "_majorized_by_rows",
+                        lambda p, q, cats, tol: np.ones(cats.shape[0], dtype=bool))
+    hits = search_catalyst_all(P_072, Q_062, family, grid, r_max=r_max)
+    return [hit.r if family == "tmsv" else hit.theta_c for hit in hits]
+
+
+@pytest.mark.parametrize("family,grid,r_max", [
+    # 3 * 0.1 = 0.30000000000000004 overshoots 0.3 by roundoff and is kept
+    ("tmsv", 0.1, 0.3),
+    ("tmsv", 0.01, 3.0),
+    ("tmsv", 0.3, 0.9),
+    ("single-photon", 0.1, None),
+    ("single-photon", math.pi / 4 / 7, None),
+    ("single-photon", math.pi / 4 / 393, None),
+])
+def test_scanned_grid_matches_the_per_candidate_loop(monkeypatch, family, grid, r_max):
+    limit = math.pi / 4 if r_max is None else r_max
+    want = _old_grid(grid, limit)
+    assert _scanned(monkeypatch, family, grid, r_max=r_max or 3.0) == want
+    if (family, grid) == ("tmsv", 0.1):
+        assert want[-1] == 0.30000000000000004
+
+
+def test_r_max_below_the_grid_scans_nothing(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a window was checked or built")
+
+    monkeypatch.setattr(catalysis, "_check_window", refuse)
+    monkeypatch.setattr(catalysis, "_threshold_gaps", refuse)
+    assert search_catalyst_all(P_072, Q_062, "tmsv", 0.5, r_max=0.3) == []
+    assert search_catalyst(P_072, Q_062, "tmsv", 0.5, r_max=0.3) is None
 
 
 #: Allowed distance between the float threshold extremes and the exact ones.
@@ -414,8 +464,7 @@ def test_violation_below_the_window_is_found_by_the_tail(monkeypatch):
 def test_catalyzed_pair_inside_the_tolerance_is_equal_both_ways():
     # Incomparable bare by about 1e-12. At r = 1 every exact threshold gap
     # lies inside +-tol (-6.2e-13 .. 7.6e-13): the catalyzed pair is Equal in
-    # both orders, so r = 1 is no hit. (Prefix sums on the truncated catalyst
-    # call it MajorizedBy in both orders, since one entry differs by 1.4e-12.)
+    # both orders, so r = 1 is no hit.
     p = ProbVector([0.2920450262389661, 0.2350690037451042,
                     0.19593811311492307, 0.27694785690100665])
     q = ProbVector([0.2920450262397049, 0.23506900374181805,

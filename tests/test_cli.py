@@ -105,6 +105,13 @@ def test_majorize_round_trip(cli_runner):
     assert len(verdict.partial_sum_gaps) == 4
 
 
+def test_majorize_pair_within_tolerance_is_equal_both_ways(cli_runner):
+    p, q = "[0.5, 0.3, 0.2]", "[0.5000000000008, 0.2999999999984, 0.2000000000008]"
+    for a, b in ((p, q), (q, p)):
+        result = invoke(cli_runner, ["majorize", "--p", a, "--q", b])
+        assert payload(result)["results"]["relation"] == "Equal"
+
+
 def test_photon_chain(cli_runner):
     result = invoke(cli_runner, ["photon-chain", "--k-max", "4", "--theta", "0.7"])
     data = payload(result)
@@ -319,6 +326,9 @@ CONTRACT_CASES = [
     (["infinitesimal", "--k", "1100", "--theta", "0.3"], 0),
     (["entropy-curve", "--k", "2", "--steps", "10000000000"], 2),
     (["figure-data", "--figure", "fig4", "--steps", "10000000000"], 2),
+    (["entropy-curve", "--k", "2", "--theta-max", "2"], 2),
+    (["entropy-curve", "--k", "2", "--theta-min", "-1"], 2),
+    (["entropy-curve", "--k", "2", "--theta-min", "2", "--theta-max", "3"], 2),
     (["spectrum", "--k", "100000000", "--theta", "0.5"], 2),
     (["spectrum", "--k", "3000000", "--theta", "0.5"], 2),
     (["spectrum", "--k", "1000000", "--theta", "0.5"], 0),
@@ -346,6 +356,17 @@ def test_exit_code_contract(cli_runner, args, code):
     result = invoke(cli_runner, args)
     assert result.exit_code == code, result.output
     assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("flags,value", [
+    (["--theta-max", "2"], "2.0"),
+    (["--theta-min", "2", "--theta-max", "3"], "2.0"),
+    (["--theta-min", "-1"], "-1.0"),
+])
+def test_entropy_curve_names_the_angle_out_of_range(cli_runner, flags, value):
+    result = invoke(cli_runner, ["entropy-curve", "--k", "2", *flags])
+    assert result.exit_code == 2
+    assert f"got {value}" in result.output
 
 
 def test_vacuum_catalyst_has_one_component(cli_runner):

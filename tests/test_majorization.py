@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bsmaj import (
     DoublyStochasticMatrix,
@@ -72,6 +73,48 @@ def test_padding_invariance(p):
 @given(prob_vectors(max_dim=6), prob_vectors(max_dim=6))
 def test_compare_agrees_with_oracle(p, q):
     assert compare(p, q).relation.value == oracle_relation(p.components, q.components)
+
+
+#: Prefix gaps +8e-13, -8e-13, 0: inside the tolerance both ways, while the
+#: middle entries differ by 1.6e-12.
+NEAR_P = [0.5, 0.3, 0.2]
+NEAR_Q = [0.5000000000008, 0.2999999999984, 0.2000000000008]
+
+
+def test_pair_within_tolerance_both_ways_is_equal_in_both_orders():
+    p, q = ProbVector(NEAR_P), ProbVector(NEAR_Q)
+    for a, b in ((p, q), (q, p)):
+        verdict = compare(a, b)
+        assert verdict.relation is Relation.EQUAL
+        assert verdict.first_violation is None
+        assert oracle_relation(a.components, b.components) == "Equal"
+
+
+MIRROR = {
+    Relation.EQUAL: Relation.EQUAL,
+    Relation.INCOMPARABLE: Relation.INCOMPARABLE,
+    Relation.MAJORIZED_BY: Relation.MAJORIZES,
+    Relation.MAJORIZES: Relation.MAJORIZED_BY,
+}
+
+
+@st.composite
+def near_equal_pairs(draw):
+    """A vector and a copy perturbed by a few 1e-12 per entry, so that the
+    prefix gaps straddle the tolerance."""
+    p = draw(prob_vectors(max_dim=6))
+    shifts = draw(st.lists(st.integers(-3, 3), min_size=p.dim, max_size=p.dim))
+    q = np.maximum(p.components + 1e-12 * np.array(shifts, dtype=float), 0.0)
+    return p, ProbVector(q)
+
+
+@settings(max_examples=200)
+@given(near_equal_pairs())
+def test_compare_mirrors_under_swap(pair):
+    p, q = pair
+    forward = compare(p, q)
+    assert compare(q, p).relation is MIRROR[forward.relation]
+    assert forward.relation.value == oracle_relation(p.components, q.components)
 
 
 def test_random_majorized_point_mass():
