@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beamsplitter import as_photon_number, spectrum, spectrum_rows
+from .beamsplitter import as_photon_number, spectrum
 from .vectors import TOL, sort_desc
 
 QUARTER_PI = math.pi / 4
@@ -45,9 +45,11 @@ class RegionPartition:
     half-open interval [crossovers[r-2], crossovers[r-1]), with region 1
     starting at 0 and the last region ending at pi/4; a crossover angle
     itself belongs to the region on its right. ``orderings[r-1]`` is the
-    sorting permutation sampled at the midpoint of region r, and
-    ``pairs[i]`` lists the component index pairs (n, m), n > m, that
-    coincide at ``crossovers[i]``.
+    sorting permutation of the spectrum throughout region r. It is exact,
+    derived from the crossing transpositions rather than sampled: region 1
+    is (k, k-1, ..., 0) and every later region swaps the crossing pairs of
+    the crossover before it. ``pairs[i]`` lists the component index pairs
+    (n, m), n > m, that coincide at ``crossovers[i]``.
     """
 
     k: int
@@ -121,7 +123,7 @@ def find_crossovers(k: int) -> RegionPartition:
     return RegionPartition(
         k=k,
         crossovers=tuple(crossovers),
-        orderings=tuple(_orderings(k, crossovers)),
+        orderings=tuple(_orderings(k, pairs)),
         pairs=tuple(tuple(p) for p in pairs),
     )
 
@@ -164,18 +166,26 @@ def _crossings(k: int) -> tuple[list[float], list[list[tuple[int, int]]]]:
     return crossovers, pairs
 
 
-def _orderings(k: int, crossovers: list[float]) -> list[tuple[int, ...]]:
-    """Sorting permutation of the spectrum at the midpoint of every region.
+def _orderings(k: int, pairs: list[list[tuple[int, int]]]) -> list[tuple[int, ...]]:
+    """Sorting permutation of the spectrum in every region, from the crossings.
 
-    The midpoints' spectra come from ``spectrum_rows`` block by block, the
-    rows ``spectrum`` returns; each block is argsorted as ``sort_desc``
-    sorts (descending, ties to the lower index).
+    For n > m, P_n / P_m = C(k,n) / C(k,m) * cot(theta)^(2(n-m)) falls
+    strictly from infinity at theta = 0, so region 1 sorts as (k, ..., 0)
+    and each pair crosses once, from n above m to m above n. Two components
+    that meet at a crossover are adjacent just before it, so every later
+    region is the previous one with each pair of its crossover swapped, in
+    the order ``_crossings`` lists them. No spectrum is built: the orderings
+    hold where float components underflow to zero and would tie.
     """
-    bounds = np.array([0.0, *crossovers, QUARTER_PI])
-    mids = 0.5 * (bounds[:-1] + bounds[1:])
-    out: list[tuple[int, ...]] = []
-    for rows in spectrum_rows(k, mids):
-        out.extend(map(tuple, np.argsort(-rows, axis=1, kind="stable").tolist()))
+    order = list(range(k, -1, -1))
+    where = order[:]  # where[n] = k - n is the position of component n
+    out = [tuple(order)]
+    for group in pairs:
+        for n, m in group:
+            i, j = where[n], where[m]
+            order[i], order[j] = m, n
+            where[n], where[m] = j, i
+        out.append(tuple(order))
     return out
 
 

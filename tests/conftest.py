@@ -174,7 +174,13 @@ def exact_threshold_extremes(p, q, r):
 
 def reference_partition(k: int) -> RegionPartition:
     """Region partition oracle: ``Fraction`` crossing ratios of factorials and
-    ``sort_desc(spectrum(k, mid))`` at the midpoint of every region."""
+    ``sort_desc(spectrum(k, mid))`` at the midpoint of every region.
+
+    The orderings are exact only while no two float components at a
+    midpoint underflow to 0.0 and tie (k <= 122): ``sort_desc`` puts tied
+    zeros in index order, which need not be their true order. Above that, check orderings
+    with ``descends_in_mpmath`` instead.
+    """
     hits = []
     for n in range(1, k + 1):
         for m in range(n):
@@ -202,6 +208,17 @@ def reference_partition(k: int) -> RegionPartition:
     )
     return RegionPartition(k=k, crossovers=tuple(crossovers), orderings=orderings,
                            pairs=tuple(tuple(p) for p in pairs))
+
+
+def descends_in_mpmath(k: int, theta: float, ordering, dps: int = 50) -> bool:
+    """Whether the spectrum at ``theta``, evaluated at ``dps`` digits, falls
+    strictly along ``ordering``. No component underflows at that precision,
+    so this tells apart the components that are 0.0 in float."""
+    with mpmath.workdps(dps):
+        th = mpmath.mpf(theta)
+        c2, s2 = mpmath.cos(th) ** 2, mpmath.sin(th) ** 2
+        p = [math.comb(k, n) * c2**n * s2 ** (k - n) for n in ordering]
+        return all(a > b for a, b in zip(p, p[1:]))
 
 
 def spectrum_recurrence(k: int, theta: float) -> ProbVector:

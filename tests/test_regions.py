@@ -1,9 +1,12 @@
+import json
 import math
 import sys
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bsmaj import (
     AmbiguousOrderingError,
@@ -20,9 +23,10 @@ from bsmaj import (
     spectrum,
 )
 from bsmaj import beamsplitter, regions
+from bsmaj.cli import main
 from bsmaj.regions import QUARTER_PI
 
-from conftest import central_difference, reference_partition
+from conftest import central_difference, descends_in_mpmath, reference_partition
 
 THETA1_K3 = math.atan(1 / math.sqrt(3))  # 0.5235987755982988
 THETA2_K3 = math.atan(3 ** -0.25)        # 0.6497662865344379
@@ -113,21 +117,88 @@ def test_find_crossovers_rejects_k0():
         find_crossovers(0)
 
 
+#: Largest k whose float spectrum has at most one component 0.0 at every
+#: region midpoint, so that no zeros tie in the float sort.
+FLOAT_EXACT_K = 122
+
+
+def region_midpoints(part):
+    bounds = [0.0, *part.crossovers, QUARTER_PI]
+    return [0.5 * (lo + hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
 @pytest.mark.parametrize("k", [*range(1, 101), 150, 200])
 def test_partition_matches_reference(k):
     # Covers both spectrum regimes: direct up to k=60, log space above.
     part, ref = find_crossovers(k), reference_partition(k)
     assert part.crossovers == ref.crossovers
     assert part.pairs == ref.pairs
-    assert part.orderings == ref.orderings
+    if k <= FLOAT_EXACT_K:
+        assert part.orderings == ref.orderings
+        return
+    # Components that underflow to 0.0 tie in float; the float sort puts
+    # them in index order, the orderings in their true order.
+    mids = region_midpoints(part)
+    for mid, order in zip(mids, part.orderings):
+        assert np.all(np.diff(spectrum(k, mid).components[list(order)]) <= 0.0)
+    n = part.n_regions
+    for r in sorted({0, n // 3, n // 2, 2 * n // 3, n - 1}):
+        assert descends_in_mpmath(k, mids[r], part.orderings[r]), r
 
 
-@pytest.mark.parametrize("k,rows", [(4, 2), (9, 4), (61, 2), (70, 3)])
-def test_orderings_across_chunk_boundaries(monkeypatch, k, rows):
-    monkeypatch.setattr(beamsplitter, "ROW_ENTRIES", rows * (k + 1) + k)
+@pytest.mark.parametrize("k", [4, 9, 61, 70, 123])
+def test_find_crossovers_builds_no_spectrum(monkeypatch, k):
+    def refuse(*args, **kwargs):
+        raise AssertionError("find_crossovers built a spectrum")
+
+    for module, name in ((beamsplitter, "spectrum"), (beamsplitter, "spectrum_rows"),
+                         (regions, "spectrum"), (regions, "sort_desc")):
+        monkeypatch.setattr(module, name, refuse)
     part = find_crossovers(k)
-    assert part.n_regions % rows != 0  # a partial last chunk
-    assert part.orderings == reference_partition(k).orderings
+    assert part.n_regions == len(part.orderings)
+
+
+def test_region1_ordering_where_float_components_underflow(cli_runner):
+    # At k=123 the float spectrum at the first region's midpoint holds two
+    # exact zeros, which a float sort would rank in index order.
+    k = 123
+    want = tuple(range(k, -1, -1))
+    part = find_crossovers(k)
+    mid = region_midpoints(part)[0]
+    assert part.orderings[0] == want
+    assert np.count_nonzero(spectrum(k, mid).components == 0.0) == 2
+    assert descends_in_mpmath(k, mid, want)
+    result = cli_runner.invoke(main, ["regions", "--k", str(k)], catch_exceptions=False)
+    assert result.exit_code == 0
+    assert tuple(json.loads(result.output)["results"]["orderings"][0]) == want
+
+
+def test_merged_crossover_swaps_each_pair():
+    # At k=326 two disjoint pairs cross 6.4e-13 apart and share one
+    # crossover; the orderings on both sides of it must be exact.
+    k = 326
+    crossovers, pairs = regions._crossings(k)
+    merged = [i for i, group in enumerate(pairs) if len(group) > 1]
+    assert merged and sorted(pairs[merged[0]]) == [(199, 143), (297, 41)]
+    orderings = regions._orderings(k, pairs)
+    bounds = [0.0, *crossovers, QUARTER_PI]
+    for i in merged:
+        for r in (i, i + 1):  # the regions left and right of crossover i
+            mid = 0.5 * (bounds[r] + bounds[r + 1])
+            assert descends_in_mpmath(k, mid, orderings[r]), r
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(1, 150), region=st.floats(0.0, 1.0), u=st.floats(0.01, 0.99))
+@example(k=123, region=0.0, u=0.5)
+@example(k=150, region=0.999, u=0.01)
+def test_orderings_descend_in_mpmath_inside_region(k, region, u):
+    part = find_crossovers(k)
+    r = min(int(region * part.n_regions), part.n_regions - 1)
+    bounds = [0.0, *part.crossovers, QUARTER_PI]
+    theta = bounds[r] + u * (bounds[r + 1] - bounds[r])
+    assert part.region_of(theta) == r + 1
+    assert descends_in_mpmath(k, theta, part.orderings[r])
 
 
 def test_find_crossovers_bounds_partition_size():
@@ -369,9 +440,9 @@ def test_verdict_scans_crossovers_once(monkeypatch):
         calls.append(k)
         return scan(k)
 
-    def counted_orderings(k, crossovers):
+    def counted_orderings(k, pairs):
         built.append(k)
-        return order(k, crossovers)
+        return order(k, pairs)
 
     monkeypatch.setattr(regions, "_crossings", counted)
     monkeypatch.setattr(regions, "_orderings", counted_orderings)
