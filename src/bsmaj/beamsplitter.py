@@ -18,7 +18,7 @@ import operator
 import numpy as np
 
 from .majorization import MajorizationVerdict, compare
-from .vectors import TOL, ProbVector, normalize_rows
+from .vectors import TOL, ProbVector, check_work, normalize_rows
 
 #: Largest k for which binomial coefficients are accumulated directly in
 #: doubles; above this the components are evaluated in log space.
@@ -30,6 +30,10 @@ MAX_PHOTONS = 10**6
 
 #: Most spectrum entries (angles times k+1) one block of rows may hold.
 ROW_ENTRIES = 2**12
+
+#: Most spectrum entries (angles times k+1) one call of ``spectrum_rows`` may
+#: yield; longer sweeps are rejected before any row is computed.
+MAX_SWEEP_ENTRIES = 2**23
 
 #: Most spectrum entries, k_max^2 + 2 k_max, a photon chain may build; longer
 #: chains are rejected before any spectrum is computed.
@@ -78,13 +82,16 @@ def spectrum_rows(k: int, thetas):
     doubles; above it every component is exp of its log, and theta = 0
     gives the point mass at n = k. Each row is normalized as
     ``ProbVector`` normalizes. The photon number is checked against
-    ``MAX_PHOTONS``, and every angle against [0, pi/2], before any row is
-    computed.
+    ``MAX_PHOTONS``, the sweep against ``MAX_SWEEP_ENTRIES`` and every angle
+    against [0, pi/2], before any row is computed.
     """
     k = as_photon_number(k)
-    if k > MAX_PHOTONS:
-        raise ValueError(f"photon number {k} exceeds the limit of {MAX_PHOTONS}")
-    angles = [check_angle(t) for t in np.ravel(thetas).tolist()]
+    check_work(k, MAX_PHOTONS, f"photon number {k}")
+    thetas = np.ravel(thetas)
+    entries = thetas.size * (k + 1)
+    check_work(entries, MAX_SWEEP_ENTRIES,
+               f"{thetas.size} spectra of k={k} hold {entries} entries")
+    angles = [check_angle(t) for t in thetas.tolist()]
     n = np.arange(k + 1)  # n[::-1] is k - n
     direct = k <= DIRECT_K_LIMIT
     coeff = _direct_coefficients(k) if direct else _log_coefficients(k)
@@ -135,11 +142,8 @@ def photon_chain_check(
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     entries = k_max * (k_max + 2)  # spectra of k+1 and k photons, k < k_max
-    if entries > MAX_CHAIN_ENTRIES:
-        raise ValueError(
-            f"the photon chain up to k_max={k_max} builds {entries} spectrum "
-            f"entries, more than the limit of {MAX_CHAIN_ENTRIES}"
-        )
+    check_work(entries, MAX_CHAIN_ENTRIES,
+               f"a photon chain up to k_max={k_max} builds {entries} spectrum entries")
     theta = check_angle(theta)
     return [
         compare(spectrum(k + 1, theta), spectrum(k, theta), tol=tol)

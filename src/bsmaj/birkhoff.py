@@ -13,11 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .beamsplitter import as_photon_number, check_angle
-from .vectors import TOL, ProbVector
-
-#: Acceptance window for row/column sums, mirroring the vector
-#: normalization policy: tolerate roundoff, reject real bugs.
-SUM_TOL = 1e-9
+from .vectors import NORM_TOL, TOL, ProbVector, check_work
 
 #: Most entries, (k+2)^2, a photon-chain witness matrix may have; larger
 #: photon numbers are rejected before the matrix is allocated.
@@ -25,21 +21,22 @@ MAX_WITNESS_ENTRIES = 2**22
 
 
 class DoublyStochasticMatrix:
-    """Square nonnegative matrix whose rows and columns each sum to one."""
+    """Square nonnegative matrix whose rows and columns each sum to one
+    within ``NORM_TOL``, the vector normalization window."""
 
     __slots__ = ("_entries",)
 
-    def __init__(self, entries, *, tol: float = TOL, sum_tol: float = SUM_TOL):
+    def __init__(self, entries):
         arr = np.array(entries, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.size == 0:
             raise ValueError("expected a non-empty square matrix")
         lowest = float(arr.min())
-        if lowest < -tol:
+        if lowest < -TOL:
             raise ValueError(f"negative entry beyond tolerance: {lowest}")
         np.clip(arr, 0.0, None, out=arr)
         row_err = float(np.max(np.abs(arr.sum(axis=1) - 1.0)))
         col_err = float(np.max(np.abs(arr.sum(axis=0) - 1.0)))
-        if row_err > sum_tol or col_err > sum_tol:
+        if row_err > NORM_TOL or col_err > NORM_TOL:
             raise ValueError(
                 f"row/column sums deviate from 1 by {max(row_err, col_err)!r}"
             )
@@ -113,11 +110,7 @@ def bs_witness_matrix(k: int, theta: float) -> DoublyStochasticMatrix:
     k = as_photon_number(k)
     theta = check_angle(theta)
     d = k + 2
-    if d * d > MAX_WITNESS_ENTRIES:
-        raise ValueError(
-            f"the witness matrix of k={k} has {d * d} entries, "
-            f"more than the limit of {MAX_WITNESS_ENTRIES}"
-        )
+    check_work(d * d, MAX_WITNESS_ENTRIES, f"the witness of k={k} has {d * d} entries")
     s2 = math.sin(theta) ** 2
     c2 = math.cos(theta) ** 2
     m = np.zeros((d, d))

@@ -20,7 +20,7 @@ import numpy as np
 from .beamsplitter import check_angle
 from .entropy import renyi
 from .majorization import MajorizationVerdict, Relation, compare, gap_relation
-from .vectors import TOL, ProbVector, normalize_rows, tensor
+from .vectors import TOL, ProbVector, check_work, normalize_rows, tensor
 
 #: Allowed spectral mass beyond the truncation point of a squeezed-vacuum
 #: catalyst, before renormalization. Only a truncated catalyst (an explicit
@@ -40,7 +40,7 @@ MAX_CATALYST_DIM = 10**6
 #: compares in one numpy pass.
 BATCH_ENTRIES = 2**18
 
-#: Default entropy orders for the additivity-based necessary condition.
+#: Entropy orders of the additivity-based necessary condition.
 ALPHA_GRID = (0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 100.0, math.inf)
 
 
@@ -82,13 +82,11 @@ class CatalystSpec:
                 f"squeezing parameter {r!r} is too large: tanh^2 r rounds to 1, "
                 "so the geometric spectrum has no normalizable truncation"
             )
-        if truncation_dim is not None and truncation_dim < 1:
-            raise ValueError("truncation_dim must be positive")
-        if truncation_dim is not None and truncation_dim > MAX_CATALYST_DIM:
-            raise ValueError(
-                f"truncation_dim {truncation_dim} exceeds the limit of "
-                f"{MAX_CATALYST_DIM} components"
-            )
+        if truncation_dim is not None:
+            if truncation_dim < 1:
+                raise ValueError("truncation_dim must be positive")
+            check_work(truncation_dim, MAX_CATALYST_DIM,
+                       f"truncation_dim {truncation_dim}")
         return cls(family=CatalystFamily.TMSV, r=r, truncation_dim=truncation_dim)
 
     @classmethod
@@ -121,18 +119,6 @@ def tmsv_dimension(r: float, tail_tol: float = TAIL_TOL) -> int:
     return max(1, math.ceil(math.log(tail_tol) / math.log(q)))
 
 
-def _capped_tmsv_dimension(r: float, tail_tol: float) -> int:
-    """``tmsv_dimension``, refused above ``MAX_CATALYST_DIM`` before any
-    component is allocated."""
-    needed = tmsv_dimension(r, tail_tol)
-    if needed > MAX_CATALYST_DIM:
-        raise ValueError(
-            f"squeezing parameter {r!r} needs {needed} components for tail mass "
-            f"{tail_tol:.3g}, more than the limit of {MAX_CATALYST_DIM}"
-        )
-    return needed
-
-
 def catalyst_spectrum(spec: CatalystSpec, *, tail_tol: float = TAIL_TOL) -> ProbVector:
     """Materialize the probability vector of a catalyst candidate."""
     if spec.family is CatalystFamily.SINGLE_PHOTON:
@@ -142,10 +128,12 @@ def catalyst_spectrum(spec: CatalystSpec, *, tail_tol: float = TAIL_TOL) -> Prob
         return spec.vector
     # Truncated squeezed vacuum: geometric with ratio tanh^2 r.
     q = math.tanh(spec.r) ** 2
+    needed = n_terms = tmsv_dimension(spec.r, tail_tol)
     if spec.truncation_dim is None:
-        needed = n_terms = _capped_tmsv_dimension(spec.r, tail_tol)
+        check_work(needed, MAX_CATALYST_DIM, f"squeezing parameter {spec.r!r} needs "
+                   f"{needed} components for tail mass {tail_tol:.3g}")
     else:
-        needed, n_terms = tmsv_dimension(spec.r, tail_tol), spec.truncation_dim
+        n_terms = spec.truncation_dim
     tail = q**n_terms
     if tail >= tail_tol:
         raise TruncationError(
@@ -281,11 +269,8 @@ def _check_window(vals, r, tol) -> None:
     """Refuse a window of more than ``MAX_CATALYST_DIM`` terms before any is
     built; it grows without bound as tanh^2 r approaches one."""
     terms = int(_window_steps(vals, math.tanh(r) ** 2, tol)[0].sum())
-    if terms > MAX_CATALYST_DIM:
-        raise ValueError(
-            f"squeezing parameter {r!r} needs a threshold window of {terms} terms "
-            f"for this pair, more than the limit of {MAX_CATALYST_DIM}"
-        )
+    check_work(terms, MAX_CATALYST_DIM, f"squeezing parameter {r!r} needs a "
+               f"threshold window of {terms} terms for this pair")
 
 
 def _threshold_gaps(vals, weights, rho, tol):
@@ -338,20 +323,15 @@ def _tail_least(d, u, rho, log_rho) -> float:
     return float((np.exp(steps * log_rho) * (d - steps * u)).min())
 
 
-def necessary_conditions(
-    p: ProbVector,
-    q: ProbVector,
-    *,
-    alphas=ALPHA_GRID,
-    tol: float = TOL,
-) -> bool:
+def necessary_conditions(p: ProbVector, q: ProbVector, *, tol: float = TOL) -> bool:
     """Entropy screen that any catalyzable pair must pass.
 
     These entropies are additive over tensor products, so a catalyzed
     conversion from q-like to p-like spectra forces every order to satisfy
-    S(p) >= S(q). A single decrease rules every catalyst out.
+    S(p) >= S(q) at every order of ``ALPHA_GRID``. A single decrease rules
+    every catalyst out.
     """
-    return all(renyi(p, a) >= renyi(q, a) - tol for a in alphas)
+    return all(renyi(p, a) >= renyi(q, a) - tol for a in ALPHA_GRID)
 
 
 def search_catalyst(
@@ -414,11 +394,8 @@ def _search(p, q, family, grid, r_max, tol):
     single = family is CatalystFamily.SINGLE_PHOTON
     limit = math.pi / 4 if single else r_max
     span = limit + 1e-15
-    if not span / grid <= MAX_CANDIDATES:  # NaN too
-        raise ValueError(
-            f"grid step {grid!r} would scan about {span / grid:.3g} candidates, "
-            f"more than the limit of {MAX_CANDIDATES}; use a coarser grid"
-        )
+    check_work(span / grid, MAX_CANDIDATES,
+               f"grid step {grid!r} would scan about {span / grid:.3g} candidates")
     if not single and limit >= grid:
         # The largest candidate has the largest window.
         _check_window(_window_entries(p, q)[0], CatalystSpec.tmsv(limit).r, tol)

@@ -44,7 +44,7 @@ from .regions import (
     find_crossovers,
     infinitesimal_verdict,
 )
-from .vectors import TOL, ProbVector, sort_desc
+from .vectors import TOL, ProbVector, check_work, sort_desc
 
 
 #: Most angles an entropy sweep may sample.
@@ -232,8 +232,7 @@ def _check_steps(steps: int) -> None:
     """Reject angle-grid sizes outside [2, MAX_STEPS] before any allocation."""
     if steps < 2:
         raise click.UsageError("steps must be at least 2")
-    if steps > MAX_STEPS:
-        raise click.UsageError(f"steps must be at most {MAX_STEPS}, got {steps}")
+    check_work(steps, MAX_STEPS, f"{steps} angle steps")
 
 
 def _require_json(obj, command: str) -> None:

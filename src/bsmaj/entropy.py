@@ -31,22 +31,22 @@ def parse_order(text) -> float:
     return alpha
 
 
-def renyi(p: ProbVector, order, *, tol: float = TOL) -> float:
+def renyi(p: ProbVector, order) -> float:
     """Renyi entropy of the given order, in nats.
 
-    order 0 counts the support (entries above ``tol``), order 1 is the
+    order 0 counts the support (entries above ``TOL``), order 1 is the
     Shannon entropy with 0*log(0) taken as 0, order inf is -log of the
     largest component, and otherwise log(sum p_i^alpha) / (1 - alpha).
     """
-    return float(_renyi_rows(p.components, parse_order(order), tol))
+    return float(_renyi_rows(p.components, parse_order(order)))
 
 
-def _renyi_rows(x: np.ndarray, alpha: float, tol: float = TOL) -> np.ndarray:
+def _renyi_rows(x: np.ndarray, alpha: float) -> np.ndarray:
     """``renyi`` of every row (last axis) of an array of probability vectors."""
     if math.isinf(alpha):
         return -np.log(x.max(axis=-1))
     if alpha == 0.0:
-        return np.log((x > tol).sum(axis=-1))
+        return np.log((x > TOL).sum(axis=-1))
     pos = x > 0
     logs = np.log(np.where(pos, x, 1.0))
     if abs(alpha - 1.0) <= SHANNON_WINDOW:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .beamsplitter import as_photon_number, spectrum
-from .vectors import TOL, sort_desc
+from .vectors import TOL, check_work, sort_desc
 
 QUARTER_PI = math.pi / 4
 
@@ -27,6 +27,10 @@ QUARTER_PI = math.pi / 4
 #: a priori by (k+1) * (k(k+1)/2 + 1); larger photon numbers are rejected
 #: before any crossover is computed.
 MAX_REGION_ENTRIES = 2 * 10**7
+
+#: Most component pairs, k(k+1)/2, a crossing scan may test; larger photon
+#: numbers are rejected before any binomial is computed.
+MAX_CROSSING_PAIRS = 2**21
 
 
 class AmbiguousOrderingError(ValueError):
@@ -114,11 +118,8 @@ def find_crossovers(k: int) -> RegionPartition:
     if k < 1:
         raise ValueError("k must be at least 1")
     bound = (k + 1) * (k * (k + 1) // 2 + 1)
-    if bound > MAX_REGION_ENTRIES:
-        raise ValueError(
-            f"the regions of k={k} may hold up to {bound} ordering entries, "
-            f"more than the limit of {MAX_REGION_ENTRIES}"
-        )
+    check_work(bound, MAX_REGION_ENTRIES,
+               f"the regions of k={k} may hold up to {bound} ordering entries")
     crossovers, pairs = _crossings(k)
     return RegionPartition(
         k=k,
@@ -137,6 +138,8 @@ def _crossings(k: int) -> tuple[list[float], list[list[tuple[int, int]]]]:
     normal float would lose its digits (or vanish), so its root is taken
     from the logarithms of the two integers instead.
     """
+    n_pairs = k * (k + 1) // 2
+    check_work(n_pairs, MAX_CROSSING_PAIRS, f"k={k} has {n_pairs} component pairs")
     binom = [math.comb(k, j) for j in range(k + 1)]
     hits: list[tuple[float, tuple[int, int]]] = []
     for n in range(1, k + 1):

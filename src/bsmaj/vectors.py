@@ -19,17 +19,31 @@ TOL = 1e-12
 #: window are renormalized; anything further off is rejected as a bug.
 NORM_TOL = 1e-9
 
+#: Most entries, p.dim times q.dim, a tensor product may have; larger ones
+#: are rejected before the product is allocated.
+MAX_TENSOR_ENTRIES = 2**23
 
-def normalize_rows(arr: np.ndarray, *, norm_tol: float = NORM_TOL) -> np.ndarray:
+
+def check_work(count, limit, what: str) -> None:
+    """Refuse work of more than ``limit`` units before any of it is done.
+
+    ``what`` names the work and its size, ``count``; the message appends the
+    limit to it. A NaN count fails the comparison and is refused too.
+    """
+    if not count <= limit:
+        raise ValueError(f"{what}, more than the limit of {limit}")
+
+
+def normalize_rows(arr: np.ndarray) -> np.ndarray:
     """Clip each row (last axis) at zero and divide it by its sum, in place.
 
-    A row whose sum lies further than ``norm_tol`` from one is rejected as a
+    A row whose sum lies further than ``NORM_TOL`` from one is rejected as a
     bug rather than renormalized.
     """
     np.maximum(arr, 0.0, out=arr)
     totals = arr.sum(axis=-1, keepdims=True)
     off = np.abs(totals - 1.0)
-    if off.max() > norm_tol:
+    if off.max() > NORM_TOL:
         worst = float(totals.flat[off.argmax()])
         raise ValueError(f"components sum to {worst!r}, not 1")
     arr /= totals
@@ -39,24 +53,24 @@ def normalize_rows(arr: np.ndarray, *, norm_tol: float = NORM_TOL) -> np.ndarray
 class ProbVector:
     """Finite nonnegative real vector summing to one.
 
-    Components within ``tol`` below zero are clamped to zero. A total sum
-    within ``norm_tol`` of one is silently renormalized, which tolerates
+    Components within ``TOL`` below zero are clamped to zero. A total sum
+    within ``NORM_TOL`` of one is silently renormalized, which tolerates
     accumulated roundoff from upstream arithmetic while still catching
     genuinely unnormalized input.
     """
 
     __slots__ = ("_components",)
 
-    def __init__(self, components, *, tol: float = TOL, norm_tol: float = NORM_TOL):
+    def __init__(self, components):
         arr = np.array(components, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("expected a non-empty 1-D sequence of probabilities")
         if not np.all(np.isfinite(arr)):
             raise ValueError("components must be finite")
         lowest = float(arr.min())
-        if lowest < -tol:
+        if lowest < -TOL:
             raise ValueError(f"negative component beyond tolerance: {lowest}")
-        arr = normalize_rows(arr, norm_tol=norm_tol)
+        arr = normalize_rows(arr)
         arr.setflags(write=False)
         self._components = arr
 
@@ -165,4 +179,7 @@ def pad_to(p: ProbVector, d: int) -> ProbVector:
 
 def tensor(p: ProbVector, q: ProbVector) -> ProbVector:
     """Product distribution in row-major index order: entry (i, j) is p[i]*q[j]."""
+    entries = p.dim * q.dim
+    check_work(entries, MAX_TENSOR_ENTRIES,
+               f"a tensor product of {p.dim} by {q.dim} has {entries} entries")
     return ProbVector(np.outer(p.components, q.components).ravel())

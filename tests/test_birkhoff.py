@@ -152,9 +152,7 @@ def test_decompose_flags_non_stochastic_residual():
     # Row sums drift inside the acceptance window but the support cannot be
     # peeled to zero by permutations; the decomposition must say so.
     drift = 8e-10
-    D = DoublyStochasticMatrix(
-        [[0.5, 0.5], [0.5, 0.5 + drift]], sum_tol=1e-9
-    )
+    D = DoublyStochasticMatrix([[0.5, 0.5], [0.5, 0.5 + drift]])
     with pytest.raises(ValueError, match="doubly stochastic"):
         birkhoff_decompose(D)
 

@@ -3,10 +3,14 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bsmaj import (
     BirkhoffDecomposition,
@@ -347,15 +351,84 @@ CONTRACT_CASES = [
       "--catalyst", "tmsv:1.38"], 0),
     (["--tol", "100", "catalysis", "check", "--p", "bs:3,0.72", "--q", "bs:3,0.62",
       "--catalyst", "tmsv:3"], 0),
+    (["infinitesimal", "--k", "20000", "--theta", "0.3"], 2),
+    (["infinitesimal", "--k", "100000000", "--theta", "0.3"], 2),
+    (["entropy-curve", "--k", "1000000", "--steps", "1000000"], 2),
+    (["catalysis", "check", "--p", "bs:1000000,0.3", "--q", "bs:1000000,0.31",
+      "--catalyst", "tmsv:1,1000000"], 2),
+    (["catalysis", "check", "--p", "bs:3,0.72", "--q", "bs:3,0.62",
+      "--catalyst", "tmsv:1.38,1000000"], 0),
 ]
+
+#: Seconds within which a refused input must exit: refusals come before the
+#: work they bound.
+REFUSAL_SECONDS = 1.0
+
+
+def invoke_within_contract(runner, args):
+    """``invoke``, checking that no traceback shows and a refusal is prompt."""
+    start = time.perf_counter()
+    result = invoke(runner, args)
+    elapsed = time.perf_counter() - start
+    assert "Traceback" not in result.output
+    if result.exit_code == 2:
+        assert elapsed < REFUSAL_SECONDS, result.output
+    return result
 
 
 @pytest.mark.parametrize("args,code", CONTRACT_CASES,
                          ids=[" ".join(args) for args, _ in CONTRACT_CASES])
 def test_exit_code_contract(cli_runner, args, code):
-    result = invoke(cli_runner, args)
+    result = invoke_within_contract(cli_runner, args)
     assert result.exit_code == code, result.output
-    assert "Traceback" not in result.output
+
+
+#: Small valid values of each drawn option, and values far past every cap or
+#: no number at all.
+SMALL_VALUES = {
+    "k": ["0", "1", "2", "3", "5"],
+    "theta": ["0", "0.3", "0.62", "pi/4", "1.2"],
+    "theta2": ["0.2", "0.72", "pi/3"],
+    "steps": ["2", "3", "17"],
+    "grid": ["0.1", "0.05", "0.5"],
+    "r_max": ["0.5", "1.5", "3"],
+}
+FAR_VALUES = ["100000000", "10000000000", "1e-170", "nan", "inf", "-1"]
+
+
+@st.composite
+def cli_arguments(draw):
+    """One CLI argument list; the options in a drawn set take far values."""
+    far = draw(st.sets(st.sampled_from(sorted(SMALL_VALUES))))
+    v = {name: draw(st.sampled_from(FAR_VALUES if name in far else small))
+         for name, small in SMALL_VALUES.items()}
+    k, theta, theta2 = v["k"], v["theta"], v["theta2"]
+    steps, grid, r_max = v["steps"], v["grid"], v["r_max"]
+    pair = ["--p", f"bs:{k},{theta}", "--q", f"bs:3,{theta2}"]
+    return draw(st.sampled_from([
+        ["spectrum", "--k", k, "--theta", theta],
+        ["photon-chain", "--k-max", k, "--theta", theta],
+        ["regions", "--k", k],
+        ["infinitesimal", "--k", k, "--theta", theta],
+        ["entropy-curve", "--k", k, "--theta-min", theta, "--theta-max", theta2,
+         "--steps", steps],
+        ["figure-data", "--figure", "fig5", "--steps", steps],
+        ["locc-verify", "--k", k, "--theta", theta],
+        ["birkhoff", "--witness", f"{k},{theta}"],
+        ["majorize", *pair],
+        ["catalysis", "check", *pair, "--catalyst", f"tmsv:{r_max}"],
+        ["catalysis", "check", *pair, "--catalyst", f"single-photon:{theta}"],
+        ["catalysis", "search", *pair, "--family", "tmsv", "--grid", grid,
+         "--r-max", r_max],
+        ["catalysis", "search", *pair, "--family", "single-photon", "--grid", grid],
+    ]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(args=cli_arguments())
+def test_exit_code_contract_fuzz(args):
+    result = invoke_within_contract(CliRunner(), args)
+    assert result.exit_code in (0, 1, 2), result.output
 
 
 @pytest.mark.parametrize("flags,value", [
