@@ -33,12 +33,20 @@ TAIL_TOL = 1e-12
 MAX_CANDIDATES = 10**6
 
 #: Most components a truncated squeezed-vacuum catalyst may have, and most
-#: terms the threshold window of an untruncated one may hold.
+#: closed-form threshold terms (n^2 for n nonzero entries of the pair) the
+#: check of an untruncated one may take.
 MAX_CATALYST_DIM = 10**6
 
 #: Most tensored entries (candidates times dimension) a single-photon search
 #: compares in one numpy pass.
 BATCH_ENTRIES = 2**18
+
+#: Most closed-form terms (candidates times n^2) a squeezed-vacuum search
+#: decides in one numpy pass. Larger blocks run faster (2^12 cut the
+#: catalyst-scan benchmark's round by another quarter), but that benchmark's
+#: worker keeps one float per operation of its fixed-length run, so its peak
+#: RSS then rose past its 3% bound; at 2^10 it stays within it.
+TMSV_BATCH_TERMS = 2**10
 
 #: Entropy orders of the additivity-based necessary condition.
 ALPHA_GRID = (0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 100.0, math.inf)
@@ -187,140 +195,124 @@ def check_catalysis(
     untruncated geometric spectrum c_j = (1 - rho) rho^j, rho = tanh^2 r.
     Its verdict comes from the threshold form of majorization: p (x) c is
     majorized by q (x) c exactly when D(t) = F_q(t) - F_p(t) >= 0 for every
-    t > 0, where F(t) = sum over entries x of (x - t)_+ (the ROADMAP.md
-    derivation under "Decide squeezed-vacuum catalysis exactly"). Below the
-    smallest nonzero entry a_min of (1 - rho) p and (1 - rho) q,
-    D(rho t) = rho (D(t) - Delta t) with Delta = |supp q| - |supp p|, so D is
-    evaluated only at the products in [rho a_min, a_max] and continued in
-    closed form below them. When p and q span many decades that window is
-    long, and it stops instead at a floor below which |D| provably stays
-    within tol / 2, too little to change the verdict; either way its length
-    grows with the decades between its ends over |log rho|. The verdict is
-    :func:`~bsmaj.majorization.gap_relation` of min D and max D, the rule
-    ``compare`` applies to prefix sums; it carries no prefix-sum gaps. The
-    window is refused above ``MAX_CATALYST_DIM`` terms.
+    t > 0, where F(t) = sum over entries x of (x - t)_+. The verdict is
+    :func:`~bsmaj.majorization.gap_relation` of the least and greatest D,
+    which :func:`_threshold_extremes` finds in closed form; it carries no
+    prefix-sum gaps. Pairs whose closed form needs more than
+    ``MAX_CATALYST_DIM`` terms are refused before any is formed, and so are
+    squeezings too close to tanh^2 r = 1 for it (:func:`_check_closed_form`).
 
     Every other catalyst, including an explicit ``tmsv:R,N`` truncated at
     ``tail_tol``, is materialized and compared by prefix sums.
     """
     verdict_without = compare(p, q, tol=tol)
     untruncated = c.family is CatalystFamily.TMSV and c.truncation_dim is None
+    rho = math.tanh(c.r) ** 2 if untruncated else 0.0
     # tanh^2 r = 0 is the vacuum, which catalyst_spectrum builds exactly
-    if untruncated and math.tanh(c.r) ** 2 > 0.0:
-        verdict_with = _window_verdict(p, q, c.r, tol)
+    if rho > 0.0:
+        vals, weights = _gap_entries(p, q)
+        _check_closed_form(vals, c.r)
+        lo, hi = _threshold_extremes(vals, weights, np.array([rho]))
+        verdict_with = MajorizationVerdict(gap_relation(float(lo[0]), float(hi[0]), tol),
+                                           (), None)
     else:
         cvec = catalyst_spectrum(c, tail_tol=tail_tol)
         verdict_with = compare(tensor(p, cvec), tensor(q, cvec), tol=tol)
     return CatalysisReport(verdict_without, verdict_with, c)
 
 
-def _window_verdict(p, q, r, tol) -> MajorizationVerdict:
-    """``check_catalysis``'s verdict for the untruncated squeezed vacuum; it
-    carries no prefix-sum gaps."""
-    vals, weights = _window_entries(p, q)
-    _check_window(vals, r, tol)
-    lo, hi = _threshold_gaps(vals, weights, math.tanh(r) ** 2, tol)
-    return MajorizationVerdict(gap_relation(lo, hi, tol), (), None)
-
-
-def _window_entries(p, q):
-    """Nonzero entries of q, then of p, with threshold-gap weights +1 and -1."""
+def _gap_entries(p, q):
+    """Nonzero entries of q and p in non-increasing order, with threshold-gap
+    weights +1 for those of q and -1 for those of p."""
     b, a = q.components[q.components > 0], p.components[p.components > 0]
-    return np.concatenate([b, a]), np.repeat([1.0, -1.0], [b.size, a.size])
+    vals = np.concatenate([b, a])
+    order = np.argsort(-vals, kind="stable")
+    return vals[order], np.repeat([1.0, -1.0], [b.size, a.size])[order]
 
 
-def _window_floor(n, rho, tol) -> float:
-    """A threshold t0 below which every threshold gap of n entries stays
-    within tol / 2.
-
-    D(t) = G_p(t) - G_q(t) with G(t) = sum min(x, t), which rises with t, so
-    |D(t)| <= max(G_p(t0), G_q(t0)) for t <= t0. An entry v adds t0 K + v rho^K
-    to G(t0): K < log(1/t0)/|log rho| + 1 products lie at or above t0, and the
-    mass below them is v rho^K < t0 s with s = 1/(1 - rho) >= 1/|log rho|. So
-    G(t0) <= n s t0 (log(1/t0) + 2), which is at most tol / 2 at
-    t0 = 1/(X (2 log X + 2)) for any X >= max(8, 2 n s / tol).
-    """
-    if tol <= 0.0:
-        return 0.0
-    x = max(8.0, 2.0 * n / ((1.0 - rho) * tol))
-    return 1.0 / (x * (2.0 * math.log(x) + 2.0))
-
-
-def _window_steps(vals, rho, tol):
-    """Per entry, how many products (1 - rho) v rho^j the window holds, and
-    whether the window is self-similar.
-
-    The window holds every product at or above its lower end, the larger of
-    rho (1 - rho) a_min and ``_window_floor``. At the first, the last product
-    of each entry lies in [rho a_min, a_min) (scaled by 1 - rho) and D
-    continues below the window in closed form; at the second, D stays
-    within tol / 2 below it and so cannot change the verdict.
-    """
-    log_rho = math.log(rho)
-    floor = _window_floor(vals.size, rho, tol)
-    a_min = vals.min()
-    if floor <= rho * (1.0 - rho) * a_min:
-        return np.floor(np.log(vals / a_min) / -log_rho) + 2.0, True
-    steps = np.floor(np.log((1.0 - rho) * vals / floor) / -log_rho) + 1.0
-    return np.maximum(steps, 0.0), False
-
-
-def _check_window(vals, r, tol) -> None:
-    """Refuse a window of more than ``MAX_CATALYST_DIM`` terms before any is
-    built; it grows without bound as tanh^2 r approaches one."""
-    terms = int(_window_steps(vals, math.tanh(r) ** 2, tol)[0].sum())
-    check_work(terms, MAX_CATALYST_DIM, f"squeezing parameter {r!r} needs a "
-               f"threshold window of {terms} terms for this pair")
-
-
-def _threshold_gaps(vals, weights, rho, tol):
-    """Least and greatest threshold gap D for catalyst ratio ``rho``, as far
-    as the verdict at ``tol`` can tell them apart.
-
-    With the window's products z sorted in decreasing order and w their
-    weights, D at z_k is sum_{l <= k} w_l (z_l - z_k): one cumsum of w z and
-    one of w. Below a self-similar window the extremes are continued in
-    closed form; below a floored one D stays within tol / 2 and is left out.
-    """
+def _check_closed_form(vals, r) -> None:
+    """Refuse, before any term is formed, more than ``MAX_CATALYST_DIM``
+    closed-form terms (n^2 for n entries), or a squeezing at which a switch-on
+    index c_yx of :func:`_threshold_extremes` would pass 2^53, beyond which
+    neighbouring catalyst powers are no longer distinct floats. The largest
+    c_yx is that of the largest entry seen from the smallest."""
     n = vals.size
-    log_rho = math.log(rho)
-    steps, self_similar = _window_steps(vals, rho, tol)
-    lengths = steps.astype(np.int64)
-    entry = np.repeat(np.arange(n), lengths)
-    power = np.arange(entry.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    z = ((1.0 - rho) * vals)[entry] * rho**power
-    order = np.argsort(-z)
-    z = z[order]
-    w = weights[entry[order]]
-    gaps = np.cumsum(w * z) - z * np.cumsum(w)
-    # D = 0 above every product, and a floor above every product leaves none
-    lo, hi = gaps.min(initial=0.0), gaps.max(initial=0.0)
-    if not self_similar:
-        return lo, hi
-
-    # The last n products are the terms in [rho a_min, a_min); D at rho^m
-    # times such a term t is rho^m (D(t) - m Delta t).
-    d, t = gaps[-n:], z[-n:]
-    delta = int(weights.sum())
-    if delta > 0:
-        lo = min(lo, _tail_least(d, delta * t, rho, log_rho))
-    elif delta < 0:
-        hi = max(hi, -_tail_least(-d, -delta * t, rho, log_rho))
-    return lo, hi
+    check_work(n * n, MAX_CATALYST_DIM,
+               f"{n} nonzero entries need {n * n} closed-form threshold terms")
+    reach = (math.log(vals[0]) - math.log(vals[-1])) / -math.log(math.tanh(r) ** 2)
+    if not reach <= 2.0**53:
+        raise ValueError(
+            f"squeezing parameter {r!r} is too large for this pair: its entries "
+            f"lie {reach:.3g} catalyst powers apart, more than 2^53"
+        )
 
 
-def _tail_least(d, u, rho, log_rho) -> float:
-    """Least rho^m (d - m u) over integers m >= 1 and entries, for u >= 0.
+def _threshold_extremes(vals, weights, rhos):
+    """Least and greatest threshold gap D over t > 0, in closed form, for
+    each catalyst ratio in the array ``rhos``.
 
-    Consecutive values differ by rho^m ((1 - rho)(m u - d) - rho u), so the
-    sequence falls until m reaches d/u + rho/(1 - rho) and rises after it;
-    its ceiling (at least 1) is the minimizer. Beyond 746/|log rho| every
-    power underflows to zero, so larger m are clipped there.
+    ``vals`` are the nonzero entries v of p and q in non-increasing order
+    and ``weights`` their w, +1 on q and -1 on p. With lam = -ln rho and
+    J_x(t) the number of products (1 - rho) v_x rho^j above t,
+
+        D(t) = sum_x w_x [v_x (1 - rho^J_x) - t J_x],
+
+    which is linear between products, so its extremes lie at products or are
+    the 0 it takes above them all. At the product t = (1 - rho) v_y rho^j of
+    a base entry y, J_x = max(0, j + c_yx), where c_yx = ceil(delta_yx) and
+    delta_yx = ln(v_x / v_y) / lam, and v_x rho^J_x = v_y rho^j
+    rho^(c_yx - delta_yx). So each y sees the entries x switch on in order,
+    at j >= 1 - c_yx, and between two switch-ons
+
+        D = S0 - v_y rho^j [S1 + (1 - rho)(S2 + j S3)],
+
+    summed over the prefix switched on so far: S0 = sum w v; S1 = sum w
+    rho^(c - delta), each factor in (rho, 1], so nothing overflows;
+    S2 = sum w c; S3 = sum w. The bracket is alpha + beta j, with
+    alpha = S1 + (1 - rho) S2 and beta = (1 - rho) S3, and rho^j (alpha +
+    beta j) has one stationary point, j* = 1/lam - alpha/beta. So each
+    segment's extremes lie at its two ends and at floor(j*) and ceil(j*);
+    the last segment, with every entry on, runs on to j -> infinity, where D
+    tends to S0, which is 0 for unit-sum p and q. That is n^2 segments for n
+    entries, whatever rho and however many decades the entries span.
+
+    S2 + j S3 is formed in whole numbers before it is scaled. It may pass
+    2^53 (n terms of up to 1 + L/lam each, L = ln(v_max / v_min)), but its
+    rounding enters D multiplied by (1 - rho) v_y rho^j, and since
+    1 - rho <= lam and rho^j j <= 1/(e lam), that product stays below
+    n (L + 2) v_y, so the rounding of its n additions adds at most about
+    n^2 (L + 2) v_y 2^-53 to D at any rho. The factors of S1 carry the
+    rounding of delta_yx, whose error times lam is a few ulps of L.
+    :func:`_check_closed_form` refuses a c_yx past 2^53, where catalyst
+    powers one apart stop being distinct floats; that cut-off is
+    conservative, and the tests check the kernel up to it. Each ratio's
+    extremes come out bit for bit the same whichever block of ratios it is
+    decided in.
     """
-    with np.errstate(over="ignore"):
-        ratio = np.divide(d, u, out=np.zeros_like(d), where=u > 0.0)
-    steps = np.clip(np.ceil(ratio + rho / (1.0 - rho)), 1.0, 746.0 / -log_rho)
-    return float((np.exp(steps * log_rho) * (d - steps * u)).min())
+    lam = -np.log(rhos)[:, None, None]
+    rest = (1.0 - rhos)[:, None, None]
+    logs = np.log(vals)
+    delta = (logs - logs[:, None]) / lam  # [ratio, y, x]
+    c = np.ceil(delta)
+    s0, s3 = np.cumsum(weights * vals), np.cumsum(weights)
+    s1 = np.cumsum(weights * np.exp(lam * (delta - c)), axis=-1)
+    s2 = np.cumsum(weights * c, axis=-1)
+    # segment k runs from j = max(0, 1 - c_k) to -c_(k+1); the last one has no end
+    lower = np.maximum(1.0 - c, 0.0)
+    upper = np.concatenate([-c[..., 1:], np.full_like(c[..., :1], np.inf)], axis=-1)
+    valid = lower <= upper
+    with np.errstate(divide="ignore", invalid="ignore"):
+        jstar = np.where(s3 != 0.0, 1.0 / lam - (s1 + rest * s2) / (rest * s3), lower)
+    upper = np.maximum(upper, lower)  # an empty segment is masked out below
+    lo = hi = np.zeros(rhos.size)
+    for j in (lower, np.where(np.isinf(upper), lower, upper),
+              np.floor(jstar), np.ceil(jstar)):
+        j = np.clip(j, lower, upper)
+        gap = s0 - vals[:, None] * np.exp(-lam * j) * (s1 + rest * (s2 + j * s3))
+        gap = np.where(valid, gap, 0.0)
+        lo = np.minimum(lo, gap.min(axis=(1, 2)))
+        hi = np.maximum(hi, gap.max(axis=(1, 2)))
+    return lo, hi
 
 
 def necessary_conditions(p: ProbVector, q: ProbVector, *, tol: float = TOL) -> bool:
@@ -349,13 +341,12 @@ def search_catalyst(
     trivial one-dimensional catalyst is returned immediately; if the
     entropy screen fails, no catalyst can exist and None is returned
     without scanning. Grid candidates are decided as
-    :func:`check_catalysis` decides them: single-photon catalysts in
-    batches, by the prefix sums of the tensored pairs; squeezed-vacuum
-    catalysts one at a time, by the threshold gaps of the untruncated state
-    on their window (the ROADMAP.md derivation under "Decide squeezed-vacuum
-    catalysis exactly"). A squeezed-vacuum scan whose window
-    at ``r_max`` would exceed ``MAX_CATALYST_DIM`` terms is refused before
-    any candidate is decided.
+    :func:`check_catalysis` decides them, in blocks: single-photon catalysts
+    by the prefix sums of the tensored pairs, squeezed-vacuum catalysts by
+    the closed-form threshold gaps of the untruncated state
+    (:func:`_threshold_extremes`). A squeezed-vacuum scan that
+    :func:`check_catalysis` would refuse at ``r_max`` is refused before any
+    candidate is decided.
     """
     return next(_search(p, q, family, grid, r_max, tol), None)
 
@@ -381,10 +372,10 @@ def _search(p, q, family, grid, r_max, tol):
 
     The grid is the float products ``grid * i`` for i = 1, 2, ... up to the
     family's limit plus 1e-15 (the last point may overshoot by roundoff).
-    Squeezed-vacuum candidates are decided one window at a time. Consecutive
-    single-photon candidates form a batch of at most ``BATCH_ENTRIES``
-    tensored entries, compared in one numpy pass. A ``CatalystSpec`` is
-    built only for a hit.
+    Consecutive candidates form a block, decided in one numpy pass: at most
+    ``BATCH_ENTRIES`` tensored entries for single-photon catalysts, at most
+    ``TMSV_BATCH_TERMS`` closed-form terms for squeezed vacua. A
+    ``CatalystSpec`` is built only for a hit.
     """
     family = CatalystFamily(family)
     if family is CatalystFamily.EXPLICIT:
@@ -397,8 +388,8 @@ def _search(p, q, family, grid, r_max, tol):
     check_work(span / grid, MAX_CANDIDATES,
                f"grid step {grid!r} would scan about {span / grid:.3g} candidates")
     if not single and limit >= grid:
-        # The largest candidate has the largest window.
-        _check_window(_window_entries(p, q)[0], CatalystSpec.tmsv(limit).r, tol)
+        # The largest candidate has the largest switch-on indices.
+        _check_closed_form(_gap_entries(p, q)[0], CatalystSpec.tmsv(limit).r)
 
     base = compare(p, q, tol=tol).relation
     if base in (Relation.MAJORIZED_BY, Relation.EQUAL):
@@ -407,25 +398,33 @@ def _search(p, q, family, grid, r_max, tol):
     if base is Relation.MAJORIZES or not necessary_conditions(p, q, tol=tol):
         return
 
+    if single:
+        per_block, make = BATCH_ENTRIES // (2 * max(p.dim, q.dim)), CatalystSpec.single_photon
+
+        def hits(thetas):
+            # the rows catalyst_spectrum builds, normalized as ProbVector does
+            c2 = np.array([math.cos(t) ** 2 for t in thetas])
+            cats = normalize_rows(np.stack([c2, 1.0 - c2], axis=1))
+            return _majorized_by_rows(p, q, cats, tol)
+    else:
+        vals, weights = _gap_entries(p, q)
+        per_block, make = TMSV_BATCH_TERMS // vals.size**2, CatalystSpec.tmsv
+
+        def hits(rs):
+            rhos = np.array([math.tanh(r) ** 2 for r in rs])
+            lo, hi = _threshold_extremes(vals, weights, rhos)
+            return [gap_relation(a, b, tol) is Relation.MAJORIZED_BY
+                    for a, b in zip(lo.tolist(), hi.tolist())]
+
     # The products rise with i, so the points within span are a prefix.
     values = grid * np.arange(1, int(span / grid) + 2)
     values = values[values <= span].tolist()
-    if not single:
-        vals, weights = _window_entries(p, q)
-        for r in values:
-            lo, hi = _threshold_gaps(vals, weights, math.tanh(r) ** 2, tol)
-            if gap_relation(lo, hi, tol) is Relation.MAJORIZED_BY:
-                yield CatalystSpec.tmsv(r)
-        return
-    per_batch = max(1, BATCH_ENTRIES // (2 * max(p.dim, q.dim)))
-    for start in range(0, len(values), per_batch):
-        thetas = values[start:start + per_batch]
-        # the rows catalyst_spectrum builds, normalized as ProbVector does
-        c2 = np.array([math.cos(t) ** 2 for t in thetas])
-        cats = normalize_rows(np.stack([c2, 1.0 - c2], axis=1))
-        for theta, hit in zip(thetas, _majorized_by_rows(p, q, cats, tol)):
+    per_block = max(1, per_block)
+    for start in range(0, len(values), per_block):
+        block = values[start:start + per_block]
+        for value, hit in zip(block, hits(block)):
             if hit:
-                yield CatalystSpec.single_photon(theta)
+                yield make(value)
 
 
 def _majorized_by_rows(p, q, cats, tol) -> np.ndarray:

@@ -50,6 +50,14 @@ from .vectors import TOL, ProbVector, check_work, sort_desc
 #: Most angles an entropy sweep may sample.
 MAX_STEPS = 10**6
 
+#: Most entry steps, support entries times d^2, a ``birkhoff --file``
+#: decomposition may take: each of its terms zeroes at least one support
+#: entry and scans the d x d residual. A dense d = 90 matrix is accepted.
+#: This is an estimate, not a worst-case bound: a term's augmenting-path
+#: matching may cost up to d times the support. Random and circulant
+#: mixtures at d = 90 took 0.35-0.65 ms per term.
+MAX_DECOMPOSITION_WORK = 2**26
+
 
 # --------------------------------------------------------------------------
 # parsing and formatting helpers
@@ -233,6 +241,15 @@ def _check_steps(steps: int) -> None:
     if steps < 2:
         raise click.UsageError("steps must be at least 2")
     check_work(steps, MAX_STEPS, f"{steps} angle steps")
+
+
+def _check_decomposition(matrix: DoublyStochasticMatrix, tol: float) -> None:
+    """Refuse a decomposition of more than ``MAX_DECOMPOSITION_WORK`` entry
+    steps before it starts."""
+    support = int(np.count_nonzero(matrix.entries > tol))
+    work = support * matrix.d**2
+    check_work(work, MAX_DECOMPOSITION_WORK, f"decomposing a {matrix.d}x{matrix.d} matrix "
+               f"with {support} support entries takes about {work} entry steps")
 
 
 def _require_json(obj, command: str) -> None:
@@ -501,6 +518,7 @@ def birkhoff_cmd(obj, witness, path):
         params = {"witness": witness}
     else:
         matrix = DoublyStochasticMatrix.from_rows(json.loads(Path(path).read_text()))
+        _check_decomposition(matrix, obj["tol"])
         params = {"file": str(path)}
     decomp = birkhoff_decompose(matrix, tol=obj["tol"])
     error = float(np.max(np.abs(decomp.reconstruct() - matrix.entries)))

@@ -172,6 +172,68 @@ def exact_threshold_extremes(p, q, r):
         return least * mp(1 - rho), greatest * mp(1 - rho)
 
 
+def closed_form_extremes_mpmath(vals, weights, rho, dps: int = 60):
+    """The segment extremes of ``catalysis._threshold_extremes`` for one
+    float ratio ``rho``, evaluated one segment at a time at ``dps`` digits.
+
+    The switch-on indices c_yx = ceil(ln(v_x / v_y) / lam) are exact here,
+    so this checks the float kernel's rounding, not its derivation; the
+    exact oracle above checks that, at squeezings where its window is small.
+    Returns two mpmath numbers.
+    """
+    with mpmath.workdps(dps):
+        rho = mpmath.mpf(float(rho))
+        lam, rest = -mpmath.log(rho), 1 - rho
+        vs = [mpmath.mpf(float(v)) for v in vals]
+        ws = [int(w) for w in weights]
+        least = greatest = mpmath.mpf(0)
+        for vy in vs:
+            cs = [int(mpmath.ceil(mpmath.log(vx / vy) / lam)) for vx in vs]
+            s0 = s1 = mpmath.mpf(0)
+            s2 = s3 = 0
+            for k, (vx, wx, c) in enumerate(zip(vs, ws, cs)):
+                s0 += wx * vx
+                s1 += wx * mpmath.exp(mpmath.log(vx / vy) - lam * c)
+                s2, s3 = s2 + wx * c, s3 + wx
+                lower = max(1 - c, 0)
+                upper = -cs[k + 1] if k + 1 < len(cs) else None
+                if upper is not None and lower > upper:
+                    continue
+                js = [lower] + ([upper] if upper is not None else [])
+                if s3:
+                    jstar = 1 / lam - (s1 + rest * s2) / (rest * s3)
+                    js += [int(mpmath.floor(jstar)), int(mpmath.ceil(jstar))]
+                for j in js:
+                    j = max(j, lower) if upper is None else min(max(j, lower), upper)
+                    gap = s0 - vy * mpmath.exp(-lam * j) * (s1 + rest * (s2 + j * s3))
+                    least, greatest = min(least, gap), max(greatest, gap)
+        return least, greatest
+
+
+def sorted_threshold_gaps(p, q, r, floor):
+    """D(t) = F_q(t) - F_p(t) at every product (1 - rho) v rho^j, rho =
+    tanh^2 r, of the nonzero entries v of p and q down to ``floor``, in float.
+
+    The products are sorted once in decreasing order z_1 >= z_2 >= ..., and
+    with w = +1 on those of q and -1 on those of p, D(z_k) = sum_{l <= k}
+    w_l (z_l - z_k): one cumsum of w z and one of w. Below ``floor`` nothing
+    is evaluated; the caller chooses a floor below which D is known.
+    """
+    rho = math.tanh(r) ** 2
+    zs, ws = [], []
+    for vec, weight in ((q, 1.0), (p, -1.0)):
+        for v in vec.components[vec.components > 0]:
+            top = (1.0 - rho) * v
+            count = max(0, math.floor(math.log(top / floor) / -math.log(rho))) + 2
+            z = top * rho ** np.arange(count)
+            zs.append(z[z >= floor])
+            ws.append(np.full(zs[-1].size, weight))
+    z, w = np.concatenate(zs), np.concatenate(ws)
+    order = np.argsort(-z, kind="stable")
+    z, w = z[order], w[order]
+    return np.cumsum(w * z) - z * np.cumsum(w)
+
+
 def reference_partition(k: int) -> RegionPartition:
     """Region partition oracle: ``Fraction`` crossing ratios of factorials and
     ``sort_desc(spectrum(k, mid))`` at the midpoint of every region.

@@ -17,7 +17,7 @@ import pytest
 import bsmaj
 from bsmaj import beamsplitter, birkhoff, catalysis, cli, regions, vectors
 from bsmaj.beamsplitter import photon_chain_check, spectrum
-from bsmaj.birkhoff import bs_witness_matrix
+from bsmaj.birkhoff import DoublyStochasticMatrix, bs_witness_matrix
 from bsmaj.catalysis import (
     CatalystSpec,
     catalyst_spectrum,
@@ -35,11 +35,6 @@ README = SRC.parents[1] / "README.md"
 P_072, Q_062 = spectrum(3, 0.72), spectrum(3, 0.62)
 
 
-def _window_terms(p, q, r):
-    vals = catalysis._window_entries(p, q)[0]
-    return int(catalysis._window_steps(vals, math.tanh(r) ** 2, TOL)[0].sum())
-
-
 #: (module, cap, the count a call makes, the call) for every check_work site.
 SITES = [
     (beamsplitter, "MAX_PHOTONS", 5, lambda: spectrum(5, 0.3)),
@@ -53,11 +48,13 @@ SITES = [
      lambda: CatalystSpec.tmsv(1.38, truncation_dim=50)),
     (catalysis, "MAX_CATALYST_DIM", tmsv_dimension(1.38),
      lambda: catalyst_spectrum(CatalystSpec.tmsv(1.38))),
-    (catalysis, "MAX_CATALYST_DIM", _window_terms(P_072, Q_062, 1.38),
+    (catalysis, "MAX_CATALYST_DIM", (4 + 4) ** 2,
      lambda: check_catalysis(P_072, Q_062, CatalystSpec.tmsv(1.38))),
     (catalysis, "MAX_CANDIDATES", (math.pi / 4 + 1e-15) / 0.1,
      lambda: search_catalyst_all(P_072, Q_062, "single-photon", 0.1)),
     (cli, "MAX_STEPS", 5, lambda: cli._check_steps(5)),
+    (cli, "MAX_DECOMPOSITION_WORK", 4 * 2**2,
+     lambda: cli._check_decomposition(DoublyStochasticMatrix([[0.5, 0.5], [0.5, 0.5]]), TOL)),
     (vectors, "MAX_TENSOR_ENTRIES", 3 * 4,
      lambda: tensor(spectrum(2, 0.3), spectrum(3, 0.3))),
 ]

@@ -1,6 +1,5 @@
 import math
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -24,8 +23,15 @@ from bsmaj import (
     tensor,
     tmsv_dimension,
 )
+from bsmaj.majorization import gap_relation
 
-from conftest import exact_threshold_extremes, prob_vectors, reference_search
+from conftest import (
+    closed_form_extremes_mpmath,
+    exact_threshold_extremes,
+    prob_vectors,
+    reference_search,
+    sorted_threshold_gaps,
+)
 
 TOL = 1e-12
 P_072 = spectrum(3, 0.72)
@@ -228,23 +234,28 @@ def test_squeezed_vacuum_dimension_is_capped(monkeypatch):
     with pytest.raises(ValueError, match="limit") as err:
         catalyst_spectrum(CatalystSpec.tmsv(10.0))
     assert not isinstance(err.value, TruncationError)
-    # The untruncated check is capped by its window instead. At r = 6 the
-    # paper pair's window holds about 5.3e5 terms although a truncation
-    # would need about 1.1e6 components; at r = 6.5 the window holds about
-    # 1.4e6 terms and is refused before any term is built.
+    # The untruncated check is capped by its n^2 closed-form terms instead,
+    # whatever r: the paper pair's 8 entries take 64 at r = 6 and at r = 10,
+    # where a truncation would need about 1.1e6 and 3.4e9 components.
     assert tmsv_dimension(6.0) > cap
-    report = check_catalysis(P_072, Q_062, CatalystSpec.tmsv(6.0))
-    assert report.verdict_with.relation is Relation.MAJORIZED_BY
-    assert report.verdict_with.partial_sum_gaps == ()
-    assert 5 * 10**5 < _window_terms(P_072, Q_062, 6.0) <= cap
+    for r in (6.0, 10.0):
+        report = check_catalysis(P_072, Q_062, CatalystSpec.tmsv(r))
+        assert report.verdict_with.relation is Relation.MAJORIZED_BY
+        assert report.verdict_with.partial_sum_gaps == ()
 
-    def no_window(*args, **kwargs):
-        raise AssertionError("a window was built")
+    def no_closed_form(*args, **kwargs):
+        raise AssertionError("a closed form was evaluated")
 
-    monkeypatch.setattr(catalysis, "_threshold_gaps", no_window)
-    with pytest.raises(ValueError, match="threshold window of 14[0-9]{5} terms") as err:
-        check_catalysis(P_072, Q_062, CatalystSpec.tmsv(6.5))
+    # two k = 500 spectra have 1,002 nonzero entries: 1,004,004 terms at any
+    # r, refused before any is formed; k = 499 is the largest such pair taken
+    monkeypatch.setattr(catalysis, "_threshold_extremes", no_closed_form)
+    p, q = spectrum(500, 0.7), spectrum(500, 0.72)
+    with pytest.raises(ValueError, match="1004004 closed-form threshold terms") as err:
+        check_catalysis(p, q, CatalystSpec.tmsv(0.1))
     assert not isinstance(err.value, TruncationError)
+    vals = catalysis._gap_entries(spectrum(499, 0.7), spectrum(499, 0.72))[0]
+    assert vals.size**2 == cap
+    catalysis._check_closed_form(vals, 0.1)
 
 
 def test_search_rejects_oversized_squeezing_before_any_check(monkeypatch):
@@ -253,12 +264,63 @@ def test_search_rejects_oversized_squeezing_before_any_check(monkeypatch):
 
     monkeypatch.setattr(catalysis, "check_catalysis", no_checks)
     monkeypatch.setattr(catalysis, "compare", no_checks)
-    monkeypatch.setattr(catalysis, "_threshold_gaps", no_checks)
-    # 6.5 is refused for the paper pair's window (about 1.4e6 terms at the
-    # largest r); 10 for a far larger one; 25 has tanh^2 r = 1
-    for r_max in (6.5, 10.0, 25.0):
-        with pytest.raises(ValueError):
+    monkeypatch.setattr(catalysis, "_threshold_extremes", no_checks)
+    # at r = 19 the paper pair's entries lie 1.1e16 > 2^53 catalyst powers
+    # apart; 25 has tanh^2 r = 1
+    for r_max, message in ((19.0, "more than 2\\^53"), (25.0, "tanh")):
+        with pytest.raises(ValueError, match=message):
             search_catalyst_all(P_072, Q_062, "tmsv", 0.5, r_max=r_max)
+    # two k = 500 spectra take more closed-form terms than the cap at any r
+    with pytest.raises(ValueError, match="closed-form threshold terms"):
+        search_catalyst_all(spectrum(500, 0.7), spectrum(500, 0.72), "tmsv", 0.5)
+
+
+def test_squeezing_near_one_is_decided_up_to_the_whole_number_guard(monkeypatch):
+    # r = 18.5 puts the paper pair's entries 5.5e15 catalyst powers apart,
+    # within 2^53, and is decided; at r = 19 (1.1e16) the closed form would
+    # leave the whole numbers and is refused before it is evaluated.
+    report = check_catalysis(P_072, Q_062, CatalystSpec.tmsv(18.5))
+    assert report.verdict_with.relation is Relation.MAJORIZED_BY
+
+    def no_closed_form(*args, **kwargs):
+        raise AssertionError("a closed form was evaluated")
+
+    monkeypatch.setattr(catalysis, "_threshold_extremes", no_closed_form)
+    with pytest.raises(ValueError, match="more than 2\\^53") as err:
+        check_catalysis(P_072, Q_062, CatalystSpec.tmsv(19.0))
+    assert not isinstance(err.value, TruncationError)
+
+
+def test_closed_form_holds_its_allowance_up_to_the_whole_number_guard():
+    # The largest float r that the guard accepts for the paper pair puts its
+    # entries just within 2^53 catalyst powers apart, where S2 + j S3 passes
+    # 2^53. The float extremes still agree with the same segments evaluated
+    # at 60 digits with exact indices (to 5e-18 when this was written); the
+    # next float r is refused.
+    vals, weights = catalysis._gap_entries(P_072, Q_062)
+
+    def within(r):
+        try:
+            catalysis._check_closed_form(vals, r)
+        except ValueError:
+            return False
+        return True
+
+    lo, hi = 18.0, 19.0
+    assert within(lo) and not within(hi)
+    while math.nextafter(lo, hi) < hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if within(mid) else (lo, mid)
+    assert 18.5 < lo < 18.52
+    for r in (1.38, 6.5, 12.0, 18.0, lo):
+        rho = math.tanh(r) ** 2
+        got = catalysis._threshold_extremes(vals, weights, np.array([rho]))
+        want = closed_form_extremes_mpmath(vals, weights, rho)
+        assert abs(float(got[0][0]) - want[0]) <= WINDOW_ALLOWANCE
+        assert abs(float(got[1][0]) - want[1]) <= WINDOW_ALLOWANCE
+        assert float(want[0]) >= -TOL  # catalysis holds all the way up
+    with pytest.raises(ValueError, match="more than 2\\^53"):
+        check_catalysis(P_072, Q_062, CatalystSpec.tmsv(hi))
 
 
 def _catalyst_rows(specs):
@@ -326,6 +388,7 @@ def test_search_matches_per_candidate_reference(pair, family, grid):
 def test_batch_boundaries_do_not_change_the_result(monkeypatch):
     # batches of a few candidates each, split across many boundaries
     monkeypatch.setattr(catalysis, "BATCH_ENTRIES", 100)
+    monkeypatch.setattr(catalysis, "TMSV_BATCH_TERMS", 100)
     for family, grid in (("single-photon", 5e-3), ("tmsv", 0.05)):
         want = list(reference_search(P_072, Q_062, family, grid))
         assert search_catalyst_all(P_072, Q_062, family, grid) == want
@@ -340,8 +403,7 @@ def test_tmsv_search_builds_no_truncated_catalyst(monkeypatch, family, grid):
         raise AssertionError("a catalyst was built, a pair tensored or checked")
 
     refused = ["catalyst_spectrum", "tensor", "check_catalysis"]
-    if family == "tmsv":
-        refused.append("_majorized_by_rows")
+    refused.append("_majorized_by_rows" if family == "tmsv" else "_threshold_extremes")
     for name in refused:
         monkeypatch.setattr(catalysis, name, refuse)
     assert search_catalyst_all(P_072, Q_062, family, grid) == want
@@ -361,7 +423,8 @@ def _old_grid(grid, limit):
 def _scanned(monkeypatch, family, grid, r_max=3.0):
     """Every grid candidate a search decides, in order: each one is made a
     hit."""
-    monkeypatch.setattr(catalysis, "_threshold_gaps", lambda *args: (0.0, 1.0))
+    monkeypatch.setattr(catalysis, "_threshold_extremes",
+                        lambda vals, weights, rhos: (np.zeros(rhos.size), np.ones(rhos.size)))
     monkeypatch.setattr(catalysis, "_majorized_by_rows",
                         lambda p, q, cats, tol: np.ones(cats.shape[0], dtype=bool))
     hits = search_catalyst_all(P_072, Q_062, family, grid, r_max=r_max)
@@ -387,18 +450,18 @@ def test_scanned_grid_matches_the_per_candidate_loop(monkeypatch, family, grid, 
 
 def test_r_max_below_the_grid_scans_nothing(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("a window was checked or built")
+        raise AssertionError("a closed form was checked or evaluated")
 
-    monkeypatch.setattr(catalysis, "_check_window", refuse)
-    monkeypatch.setattr(catalysis, "_threshold_gaps", refuse)
+    monkeypatch.setattr(catalysis, "_check_closed_form", refuse)
+    monkeypatch.setattr(catalysis, "_threshold_extremes", refuse)
     assert search_catalyst_all(P_072, Q_062, "tmsv", 0.5, r_max=0.3) == []
     assert search_catalyst(P_072, Q_062, "tmsv", 0.5, r_max=0.3) is None
 
 
 #: Allowed distance between the float threshold extremes and the exact ones.
-#: The float gaps are prefix sums of up to about 2,000 products below one;
-#: over 1,500 random pairs drawn as below their extremes stayed within
-#: 1.2e-15 of the exact ones, so 1e-14 leaves a margin of about 9 and is 1%
+#: Each closed-form gap sums about 2n terms below one, for n nonzero
+#: entries; over 1,500 random pairs drawn as below the extremes stayed within
+#: 2.8e-16 of the exact ones, so 1e-14 leaves a margin of about 36 and is 1%
 #: of the tolerance.
 WINDOW_ALLOWANCE = 1e-14
 
@@ -407,21 +470,17 @@ WINDOW_ALLOWANCE = 1e-14
 def weight_vectors(draw):
     """Probability vectors from integer weights 0..20 over 1 to 6 entries:
     equal and unequal supports, and entries within a factor 20 of each other,
-    so that the exact windows stay small."""
+    so that the exact oracle's windows stay small."""
     weights = draw(st.lists(st.integers(0, 20), min_size=1, max_size=6))
     if not any(weights):
         weights[0] = 1
     return ProbVector(np.array(weights, dtype=float) / sum(weights))
 
 
-def _window_extremes(p, q, r, tol=TOL):
-    vals, weights = catalysis._window_entries(p, q)
-    return catalysis._threshold_gaps(vals, weights, math.tanh(r) ** 2, tol)
-
-
-def _window_terms(p, q, r, tol=TOL):
-    vals, _ = catalysis._window_entries(p, q)
-    return int(catalysis._window_steps(vals, math.tanh(r) ** 2, tol)[0].sum())
+def _extremes(p, q, r):
+    vals, weights = catalysis._gap_entries(p, q)
+    lo, hi = catalysis._threshold_extremes(vals, weights, np.array([math.tanh(r) ** 2]))
+    return float(lo[0]), float(hi[0])
 
 
 @settings(max_examples=60, deadline=None)
@@ -429,9 +488,9 @@ def _window_terms(p, q, r, tol=TOL):
 @example(p=P_072, q=Q_062, r=1.38)
 @example(p=ProbVector([0.7, 0.3]), q=ProbVector([0.8, 0.19, 0.01]), r=3.0)
 @example(p=ProbVector([0.5, 0.3, 0.2]), q=ProbVector([0.5, 0.3, 0.2]), r=2.0)
-def test_window_verdict_matches_exact_rationals(p, q, r):
+def test_closed_form_verdict_matches_exact_rationals(p, q, r):
     want_lo, want_hi = exact_threshold_extremes(p, q, r)
-    lo, hi = _window_extremes(p, q, r)
+    lo, hi = _extremes(p, q, r)
     assert abs(lo - want_lo) <= WINDOW_ALLOWANCE
     assert abs(hi - want_hi) <= WINDOW_ALLOWANCE
     verdict = check_catalysis(p, q, CatalystSpec.tmsv(r)).verdict_with
@@ -445,20 +504,47 @@ def test_window_verdict_matches_exact_rationals(p, q, r):
         assert verdict.relation is want[below, above]
 
 
-def test_violation_below_the_window_is_found_by_the_tail(monkeypatch):
-    # q has one entry more than p, 2e-11, far below the rest: every gap on
-    # the window is nonnegative, and the continuation below it, with its
-    # drift -m Delta t, is what rules MajorizedBy out (by about 4.5e-12)
+@pytest.mark.parametrize("r", [0.05, 0.5, 1.0, 1.12, 1.14, 2.0, 3.0])
+def test_paper_pair_verdict_matches_exact_rationals(r):
+    # The paper's pair across the onset of catalysis, which the exact oracle
+    # puts between r = 1.12 (least gap about -7.7e-4) and r = 1.14 (least gap 0)
+    want_lo, want_hi = exact_threshold_extremes(P_072, Q_062, r)
+    lo, hi = _extremes(P_072, Q_062, r)
+    assert abs(lo - want_lo) <= WINDOW_ALLOWANCE
+    assert abs(hi - want_hi) <= WINDOW_ALLOWANCE
+    want = gap_relation(float(want_lo), float(want_hi), TOL)
+    assert want is (Relation.MAJORIZED_BY if r >= 1.14 else Relation.INCOMPARABLE)
+    report = check_catalysis(P_072, Q_062, CatalystSpec.tmsv(r))
+    assert report.verdict_with.relation is want
+    assert report.catalysis_achieved == (r >= 1.14)
+
+
+def test_violation_below_every_first_product_is_found_by_the_last_segment():
+    # q has one entry more than p, 2e-11, far below the rest: every gap down
+    # to the smallest first product (1 - rho) a_min is nonnegative, and only
+    # below it, where every entry is switched on for every base entry (the
+    # last segment, with its drift -j Delta t), is MajorizedBy ruled out, by
+    # about 4.5e-12
     p = ProbVector([0.3, 0.7])
     q = ProbVector([0.95, 0.05 - 2e-11, 2e-11])
     verdict = check_catalysis(p, q, CatalystSpec.tmsv(1.5)).verdict_with
     assert verdict.relation is Relation.INCOMPARABLE
     want_lo, _ = exact_threshold_extremes(p, q, 1.5)
     assert want_lo < -4 * TOL
-    lo, _ = _window_extremes(p, q, 1.5)
-    assert abs(lo - want_lo) <= WINDOW_ALLOWANCE
-    monkeypatch.setattr(catalysis, "_tail_least", lambda *args: math.inf)
-    assert _window_extremes(p, q, 1.5)[0] >= 0.0
+    assert abs(_extremes(p, q, 1.5)[0] - want_lo) <= WINDOW_ALLOWANCE
+    rho = math.tanh(1.5) ** 2
+    assert sorted_threshold_gaps(p, q, 1.5, (1.0 - rho) * 2e-11).min() >= 0.0
+
+
+def test_pair_with_a_subnormal_entry_is_decided():
+    # 0.7 / 1e-320 overflows a float, but the entries' log distance does not:
+    # the pair is decided as the truncated test decides it, not refused.
+    p = ProbVector([0.6, 0.4 - 1e-320, 1e-320])
+    q = ProbVector([0.75, 0.25])
+    for r in (1.0, 2.0):
+        c = catalyst_spectrum(CatalystSpec.tmsv(r))
+        want = compare(tensor(p, c), tensor(q, c)).relation
+        assert check_catalysis(p, q, CatalystSpec.tmsv(r)).verdict_with.relation is want
 
 
 def test_catalyzed_pair_inside_the_tolerance_is_equal_both_ways():
@@ -480,36 +566,9 @@ def test_catalyzed_pair_inside_the_tolerance_is_equal_both_ways():
     assert [hit.r for hit in search_catalyst_all(p, q, "tmsv", 0.25)] == [0.75]
 
 
-@pytest.mark.parametrize("tol", [1e-12, 1e-6, 0.3])
-@pytest.mark.parametrize("r", [0.05, 0.5, 1.0, 3.0, 6.0])
-def test_window_floor_bounds_the_gaps_below_it(r, tol):
-    # Below the floor t0 every threshold gap lies within +-max G(t0), with
-    # G(t) = sum min(x, t) over the products (1 - rho) v rho^j of one side.
-    # Evaluate G(t0) exactly per entry, t0 K + v rho^K with K products at or
-    # above t0, on the sides that come closest to the bound: n equal entries,
-    # and one entry of mass one among n - 1 negligible ones.
-    rho = math.tanh(r) ** 2
-    with mpmath.workdps(40):
-        m_rho = mpmath.mpf(rho)
-        for n in (1, 2, 6, 200):
-            t0 = catalysis._window_floor(n, rho, tol)
-            assert t0 > 0.0
-            for side in (np.full(n, 1.0 / n), np.array([1.0] + [1e-300] * (n - 1))):
-                total = mpmath.mpf(0)
-                for v in side:
-                    k = max(0, math.floor(math.log((1 - rho) * v / t0) / -math.log(rho)) + 1)
-                    # make the count exact: the K-th product is the first below t0
-                    while k > 0 and (1 - m_rho) * v * m_rho ** (k - 1) < t0:
-                        k -= 1
-                    while (1 - m_rho) * v * m_rho**k >= t0:
-                        k += 1
-                    total += t0 * k + v * m_rho**k
-                assert total <= tol / 2
-
-
 #: Pairs whose nonzero entries span from about 1e-35 (k = 100 near pi/4) to
-#: 1e-261 (k = 100 at small angles): the self-similar window would hold
-#: millions of terms, so the window stops at the floor.
+#: 1e-261 (k = 100 at small angles); a window of their products would hold
+#: millions of terms at r = 3.
 WIDE_PAIRS = [
     (spectrum(100, 0.78), spectrum(100, 0.74)),
     (spectrum(100, 0.05), spectrum(100, 0.06)),
@@ -519,29 +578,78 @@ WIDE_PAIRS = [
 @pytest.mark.parametrize("p,q", WIDE_PAIRS)
 def test_wide_range_pair_is_decided_as_the_truncated_test_decides(p, q):
     # The truncated test tensors a 2,787-term catalyst onto both 101-vectors
-    # at r = 3; the floored window is smaller and the success set the same.
-    vals, _ = catalysis._window_entries(p, q)
-    assert not catalysis._window_steps(vals, math.tanh(3.0) ** 2, TOL)[1]
-    assert _window_terms(p, q, 3.0) < tmsv_dimension(3.0) * (p.dim + q.dim)
+    # at r = 3; the closed form takes 202^2 terms and the success set is the
+    # same.
     assert search_catalyst_all(p, q, "tmsv", 0.5) == list(reference_search(p, q, "tmsv", 0.5))
-    for r in (0.3, 2.5):
+    for r in (0.3, 2.5, 3.0):
         c = catalyst_spectrum(CatalystSpec.tmsv(r))
         want = compare(tensor(p, c), tensor(q, c)).relation
         assert check_catalysis(p, q, CatalystSpec.tmsv(r)).verdict_with.relation is want
 
 
-@pytest.mark.parametrize("p,q", WIDE_PAIRS)
-@pytest.mark.parametrize("r", [0.3, 0.6, 1.0])
-def test_floored_window_agrees_with_the_full_one(monkeypatch, p, q, r):
-    # Where the self-similar window of a wide pair is still affordable, the
-    # floored window's extremes are within tol / 2 of its exact ones and the
-    # verdict is the same.
-    floored = _window_extremes(p, q, r)
-    verdict = check_catalysis(p, q, CatalystSpec.tmsv(r)).verdict_with
-    monkeypatch.setattr(catalysis, "_window_floor", lambda *args: 0.0)
-    vals, _ = catalysis._window_entries(p, q)
-    assert catalysis._window_steps(vals, math.tanh(r) ** 2, TOL)[1]
-    full = _window_extremes(p, q, r)
-    assert abs(floored[0] - full[0]) <= TOL / 2
-    assert abs(floored[1] - full[1]) <= TOL / 2
-    assert check_catalysis(p, q, CatalystSpec.tmsv(r)).verdict_with == verdict
+@pytest.mark.parametrize("pair,r", [(0, 0.3), (0, 0.6), (0, 1.0), (0, 1.5), (1, 0.3), (1, 0.6)])
+def test_wide_range_pair_extremes_match_exact_rationals(pair, r):
+    # As far as the exact oracle's window of big integers is affordable (its
+    # terms grow as the decades spanned over |log rho|, and their bits with
+    # them); r up to 3 is compared with the truncated test above.
+    p, q = WIDE_PAIRS[pair]
+    want_lo, want_hi = exact_threshold_extremes(p, q, r)
+    lo, hi = _extremes(p, q, r)
+    assert abs(lo - want_lo) <= WINDOW_ALLOWANCE
+    assert abs(hi - want_hi) <= WINDOW_ALLOWANCE
+
+
+def test_single_and_batched_closed_forms_are_bit_identical(monkeypatch):
+    # Each ratio's extremes are the same bits alone, in one block of the
+    # whole grid, and in a search whose blocks split the grid mid-way.
+    for p, q, grid in ((P_072, Q_062, 0.06), (*SEARCH_PAIRS[-1], 0.06), (*WIDE_PAIRS[0], 0.5)):
+        vals, weights = catalysis._gap_entries(p, q)
+        rs = _old_grid(grid, 3.0)
+        rhos = np.array([math.tanh(r) ** 2 for r in rs])
+        lo, hi = catalysis._threshold_extremes(vals, weights, rhos)
+        for i in range(rhos.size):
+            one = catalysis._threshold_extremes(vals, weights, rhos[i:i + 1])
+            assert (one[0].tobytes(), one[1].tobytes()) == (lo[i:i + 1].tobytes(),
+                                                            hi[i:i + 1].tobytes())
+        blocks = []
+        kernel = catalysis._threshold_extremes
+
+        def spy(vals, weights, rhos):
+            blocks.append(kernel(vals, weights, rhos))
+            return blocks[-1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(catalysis, "TMSV_BATCH_TERMS", 4 * vals.size**2 + 1)
+            patch.setattr(catalysis, "_threshold_extremes", spy)
+            hits = search_catalyst_all(p, q, "tmsv", grid)
+        assert len(blocks) == -(-len(rs) // 4) > 1
+        assert np.concatenate([b[0] for b in blocks]).tobytes() == lo.tobytes()
+        assert np.concatenate([b[1] for b in blocks]).tobytes() == hi.tobytes()
+        assert hits == list(catalysis._search(p, q, "tmsv", grid, 3.0, TOL))
+
+
+def test_inputs_past_the_old_window_cap_are_decided():
+    # The paper pair at r = 6.5 needed a window of 1.44e6 products, and
+    # bs:100,0.78 against bs:100,0.74 at r = 4 one of 8.5e6: both were
+    # refused. The first is checked against every product of its
+    # self-similar window, sorted in float (D(rho t) = rho D(t) below it,
+    # since the supports are equal); the second against its 20,592-term
+    # truncation, compared by prefix sums.
+    rho = math.tanh(6.5) ** 2
+    a_min = min(P_072.components.min(), Q_062.components.min())
+    gaps = sorted_threshold_gaps(P_072, Q_062, 6.5, rho * (1.0 - rho) * a_min)
+    assert gaps.size > 1.4e6
+    lo, hi = _extremes(P_072, Q_062, 6.5)
+    assert abs(lo - gaps.min()) <= 1e-13 and abs(hi - gaps.max()) <= 1e-13
+    report = check_catalysis(P_072, Q_062, CatalystSpec.tmsv(6.5))
+    assert report.verdict_with.relation is Relation.MAJORIZED_BY
+    assert gap_relation(gaps.min(), gaps.max(), TOL) is Relation.MAJORIZED_BY
+
+    p, q = WIDE_PAIRS[0]
+    c = catalyst_spectrum(CatalystSpec.tmsv(4.0)).components
+    assert c.size == 20592
+    ps, qs = (np.sort(np.multiply.outer(v.components, c).ravel())[::-1] for v in (p, q))
+    prefix = np.cumsum(qs) - np.cumsum(ps)
+    want = gap_relation(prefix.min(), prefix.max(), TOL)
+    assert want is Relation.MAJORIZED_BY
+    assert check_catalysis(p, q, CatalystSpec.tmsv(4.0)).verdict_with.relation is want

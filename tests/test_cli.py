@@ -19,6 +19,7 @@ from bsmaj import (
     ProbVector,
     spectrum,
 )
+from bsmaj import cli
 from bsmaj.cli import main, parse_angle, parse_catalyst_arg, parse_vector_arg
 
 from conftest import CLI_BATTERY
@@ -270,6 +271,35 @@ def test_birkhoff_from_file(cli_runner, tmp_path):
     assert data["results"]["terms"] <= 2
 
 
+def _dense_matrix(d: int) -> list:
+    """A d x d doubly stochastic matrix with every entry positive: half a
+    mixture of 3d seeded permutations, half the uniform matrix."""
+    rng = np.random.default_rng(d)
+    m = np.full((d, d), 0.5 / d)
+    for w in rng.dirichlet(np.ones(3 * d)):
+        m[np.arange(d), rng.permutation(d)] += 0.5 * w
+    return m.tolist()
+
+
+def test_birkhoff_file_decomposition_is_bounded(cli_runner, tmp_path, monkeypatch):
+    # A dense d = 91 matrix takes 8281 x 91^2 entry steps, past the cap: it
+    # is refused before it is decomposed. Dense d = 90, and d = 80 (about
+    # 2.6 s to decompose), stay within it; the witness keeps its own bound.
+    path = tmp_path / "dense91.json"
+    path.write_text(json.dumps(_dense_matrix(91)))
+    result = invoke_within_contract(cli_runner, ["birkhoff", "--file", str(path)])
+    assert result.exit_code == 2
+    assert "8281 support entries takes about 68574961 entry steps" in result.output
+    for d in (80, 90):
+        cli._check_decomposition(DoublyStochasticMatrix(_dense_matrix(d)), 1e-12)
+
+    def refuse(*args):
+        raise AssertionError("the witness was bounded as a file")
+
+    monkeypatch.setattr(cli, "_check_decomposition", refuse)
+    assert cli_runner.invoke(main, ["birkhoff", "--witness", "20,0.3"]).exit_code == 0
+
+
 def test_birkhoff_requires_exactly_one_source(cli_runner):
     result = cli_runner.invoke(main, ["birkhoff"])
     assert result.exit_code == 2
@@ -315,11 +345,11 @@ CONTRACT_CASES = [
     (["--tol", "nan", "majorize", "--p", "bs:3,0.62", "--q", "bs:3,0.72"], 2),
     (["--tol", "inf", "majorize", "--p", "bs:3,0.62", "--q", "bs:3,0.72"], 2),
     (["catalysis", "check", "--p", "bs:3,0.72", "--q", "bs:3,0.62",
-      "--catalyst", "tmsv:10"], 2),
+      "--catalyst", "tmsv:10"], 0),
     (["catalysis", "check", "--p", "bs:3,0.72", "--q", "bs:3,0.62",
       "--catalyst", "tmsv:1.38,2000000"], 2),
     (["catalysis", "search", "--p", "bs:3,0.72", "--q", "bs:3,0.62",
-      "--family", "tmsv", "--grid", "0.1", "--r-max", "10"], 2),
+      "--family", "tmsv", "--grid", "0.1", "--r-max", "10"], 0),
     (["catalysis", "check", "--p", "bs:3,0.72", "--q", "bs:3,0.62",
       "--catalyst", "single-photon:0.7", "--tail-tol", "nan"], 2),
     (["catalysis", "search", "--p", "bs:3,0.72", "--q", "bs:3,0.62",
@@ -342,7 +372,15 @@ CONTRACT_CASES = [
     (["catalysis", "search", "--p", "bs:3,0.72", "--q", "bs:3,0.62",
       "--family", "tmsv", "--grid", "1e-170", "--r-max", "1e-165"], 2),
     (["catalysis", "check", "--p", "bs:3,0.72", "--q", "bs:3,0.62",
-      "--catalyst", "tmsv:6.5"], 2),
+      "--catalyst", "tmsv:6.5"], 0),
+    (["catalysis", "check", "--p", "bs:100,0.78", "--q", "bs:100,0.74",
+      "--catalyst", "tmsv:4"], 0),
+    (["catalysis", "check", "--p", "bs:3,0.72", "--q", "bs:3,0.62",
+      "--catalyst", "tmsv:19"], 2),
+    (["catalysis", "search", "--p", "bs:3,0.72", "--q", "bs:3,0.62",
+      "--family", "tmsv", "--grid", "0.5", "--r-max", "19"], 2),
+    (["catalysis", "check", "--p", "bs:500,0.7", "--q", "bs:500,0.72",
+      "--catalyst", "tmsv:0.1"], 2),
     (["catalysis", "check", "--p", "bs:100,0.05", "--q", "bs:100,0.06",
       "--catalyst", "tmsv:2.5"], 0),
     (["catalysis", "search", "--p", "bs:100,0.05", "--q", "bs:100,0.06",
