@@ -16,6 +16,10 @@ from .vectors import TOL, ProbVector, tensor
 #: prefactor is numerically unusable nearer than this.
 SHANNON_WINDOW = 1e-9
 
+#: Most power-sum terms (entries times orders) one log-sum-exp pass of
+#: ``renyi_orders`` forms; further orders are taken in turn.
+ORDER_ENTRIES = 2**16
+
 LN2 = math.log(2.0)
 
 
@@ -38,21 +42,41 @@ def renyi(p: ProbVector, order) -> float:
     Shannon entropy with 0*log(0) taken as 0, order inf is -log of the
     largest component, and otherwise log(sum p_i^alpha) / (1 - alpha).
     """
-    return float(_renyi_rows(p.components, parse_order(order)))
+    return float(renyi_orders(p.components, [parse_order(order)])[0])
 
 
-def _renyi_rows(x: np.ndarray, alpha: float) -> np.ndarray:
-    """``renyi`` of every row (last axis) of an array of probability vectors."""
-    if math.isinf(alpha):
-        return -np.log(x.max(axis=-1))
-    if alpha == 0.0:
-        return np.log((x > TOL).sum(axis=-1))
+def renyi_orders(x: np.ndarray, alphas) -> np.ndarray:
+    """``renyi`` of every row (last axis) of an array of probability vectors
+    at every order of ``alphas``, in one pass: shape ``x.shape[:-1] +
+    (len(alphas),)``, one column per order.
+
+    The logs are taken once. Orders 0, 1 (within ``SHANNON_WINDOW``) and inf
+    have their own reductions; every other order goes through one row-wise
+    log-sum-exp, ``ORDER_ENTRIES`` power-sum terms at a time. Each column is
+    bit for bit the value its order gives alone, since every reduction runs
+    along the last axis of its own row.
+    """
+    out = np.empty(x.shape[:-1] + (len(alphas),))
     pos = x > 0
     logs = np.log(np.where(pos, x, 1.0))
-    if abs(alpha - 1.0) <= SHANNON_WINDOW:
-        return -(x * logs).sum(axis=-1)
+    power = []
+    for j, alpha in enumerate(alphas):
+        if math.isinf(alpha):
+            out[..., j] = -np.log(x.max(axis=-1))
+        elif alpha == 0.0:
+            out[..., j] = np.log((x > TOL).sum(axis=-1))
+        elif abs(alpha - 1.0) <= SHANNON_WINDOW:
+            out[..., j] = -(x * logs).sum(axis=-1)
+        else:
+            power.append(j)
     # log-sum-exp keeps large orders from underflowing the power sum
-    return _logsumexp(np.where(pos, alpha * logs, -np.inf)) / (1.0 - alpha)
+    step = max(1, ORDER_ENTRIES // x.size)
+    for start in range(0, len(power), step):
+        cols = power[start:start + step]
+        a = np.array([alphas[j] for j in cols])
+        terms = np.where(pos[..., None, :], a[:, None] * logs[..., None, :], -np.inf)
+        out[..., cols] = _logsumexp(terms) / (1.0 - a)
+    return out
 
 
 def _logsumexp(a: np.ndarray) -> np.ndarray:
@@ -82,7 +106,10 @@ def entropy_curve(k: int, orders, theta_grid, *, bits: bool = False) -> np.ndarr
     """Entropies of the k-photon spectrum over an angle grid.
 
     Returns an array of shape (len(theta_grid), len(orders)), one row per
-    angle and one column per order, in nats (or bits when requested).
+    angle and one column per order, in nats (or bits when requested). Each
+    block of spectra from ``spectrum_rows`` takes every order in one
+    :func:`renyi_orders` pass, so each entry is bit for bit
+    ``renyi(spectrum(k, theta), order)``.
     """
     alphas = [parse_order(a) for a in orders]
     grid = np.asarray(theta_grid, dtype=float).ravel()
@@ -90,8 +117,7 @@ def entropy_curve(k: int, orders, theta_grid, *, bits: bool = False) -> np.ndarr
     start = 0
     for rows in spectrum_rows(k, grid):
         stop = start + len(rows)
-        for j, alpha in enumerate(alphas):
-            out[start:stop, j] = _renyi_rows(rows, alpha)
+        out[start:stop] = renyi_orders(rows, alphas)
         start = stop
     if bits:
         out /= LN2

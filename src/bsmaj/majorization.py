@@ -68,6 +68,12 @@ def gap_relation(lo: float, hi: float, tol: float) -> Relation:
     return Relation.INCOMPARABLE
 
 
+def majorized_by_mask(lo: np.ndarray, hi: np.ndarray, tol: float) -> np.ndarray:
+    """Elementwise ``gap_relation(lo, hi, tol) is Relation.MAJORIZED_BY``:
+    every gap at least -tol, and not every gap at most tol."""
+    return (lo >= -tol) & ~(hi <= tol)
+
+
 def compare(p: ProbVector, q: ProbVector, *, tol: float = TOL) -> MajorizationVerdict:
     """Decide the majorization relation between ``p`` and ``q``.
 

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -136,6 +137,42 @@ def test_necessary_conditions_fail_in_min_entropy_descent():
     assert compare(p, q).relation is Relation.INCOMPARABLE
     assert not necessary_conditions(p, q)
     assert search_catalyst(p, q, "single-photon", 0.05) is None
+
+
+def _renyi_mpmath(p, alpha):
+    """Renyi entropy of the float entries of p, at 40 digits."""
+    xs = [mpmath.mpf(float(x)) for x in p.components if x > 0]
+    if math.isinf(alpha):
+        return -mpmath.log(max(xs))
+    if alpha == 0.0:
+        return mpmath.log(sum(1 for x in p.components if x > TOL))
+    if alpha == 1.0:
+        return -mpmath.fsum(x * mpmath.log(x) for x in xs)
+    a = mpmath.mpf(alpha)
+    return mpmath.log(mpmath.fsum(x**a for x in xs)) / (1 - a)
+
+
+def test_screen_decisions_match_mpmath_renyi():
+    # k = 3..6 on a 0.03 angle grid, every ordered pair of distinct angles;
+    # a pair counts where its least margin S_a(p) - S_a(q) + tol over the
+    # orders is 0 exactly (equal supports at order 0) or exceeds 1e-9.
+    thetas = [0.03 * i for i in range(1, 27)]
+    decided = {True: 0, False: 0}
+    with mpmath.workdps(40):
+        for k in range(3, 7):
+            specs = [spectrum(k, t) for t in thetas]
+            ents = [[_renyi_mpmath(p, a) for a in catalysis.ALPHA_GRID] for p in specs]
+            for i, p in enumerate(specs):
+                for j, q in enumerate(specs):
+                    if i == j:
+                        continue
+                    margins = [sp - sq + TOL for sp, sq in zip(ents[i], ents[j])]
+                    if any(abs(m) <= 1e-9 and m != TOL for m in margins):
+                        continue
+                    want = all(m >= 0 for m in margins)
+                    assert necessary_conditions(p, q) is want, (k, thetas[i], thetas[j])
+                    decided[want] += 1
+    assert decided[True] > 500 and decided[False] > 500, decided
 
 
 def test_search_single_photon_success_set_contains_reference():

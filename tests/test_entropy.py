@@ -16,8 +16,9 @@ from bsmaj import (
     spectrum,
     tensor,
 )
-from bsmaj import beamsplitter
-from bsmaj.entropy import _logsumexp, parse_order
+from bsmaj import beamsplitter, entropy
+from bsmaj.catalysis import ALPHA_GRID
+from bsmaj.entropy import SHANNON_WINDOW, _logsumexp, parse_order, renyi_orders
 from bsmaj.regions import QUARTER_PI
 
 from conftest import entropy_curve_reference, prob_vectors
@@ -225,3 +226,74 @@ def test_logsumexp_rows_match_one_row_bit_for_bit():
     assert rows.shape == (12,)
     for row, want in zip(a, rows):
         assert _logsumexp(row) == want
+
+
+# ---------------------------------------------------------------------------
+# every order of a block of rows in one pass
+
+
+def _one_order(x, alpha):
+    """One order of ``renyi`` for every row, each order on its own path."""
+    if math.isinf(alpha):
+        return -np.log(x.max(axis=-1))
+    if alpha == 0.0:
+        return np.log((x > 1e-12).sum(axis=-1))
+    pos = x > 0
+    logs = np.log(np.where(pos, x, 1.0))
+    if abs(alpha - 1.0) <= SHANNON_WINDOW:
+        return -(x * logs).sum(axis=-1)
+    return _logsumexp(np.where(pos, alpha * logs, -np.inf)) / (1.0 - alpha)
+
+
+KERNEL_ORDERS = ALPHA_GRID + (1.0 - 1e-10, 1.0 + 1e-10, 1.0 - 2e-9, 1.0 + 2e-9,
+                              0.3, 3.75, 1e4, 1e-300)
+
+
+def _kernel_vectors():
+    rng = np.random.default_rng(17)
+    vecs = [np.array([1.0]), np.array([0.5, 0.5, 0.0]), np.array([0.0, 1.0, 0.0]),
+            np.array([0.3, 0.3, 0.2, 0.2]), np.full(7, 1 / 7),
+            np.array([0.4, 0.4, 1e-13, 0.2 - 1e-13])]
+    for k, theta in ((3, 0.62), (6, 0.03), (20, 0.3), (60, QUARTER_PI), (1000, 0.2)):
+        vecs.append(spectrum(k, theta).components)
+    for _ in range(30):
+        x = rng.dirichlet(np.full(int(rng.integers(2, 30)), 0.4))
+        x[rng.random(x.size) < 0.25] = 0.0
+        vecs.append(x / x.sum() if x.sum() > 0 else np.eye(x.size)[0])
+    return [ProbVector(x) for x in vecs]
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+def test_renyi_orders_columns_equal_one_order_renyi_bit_for_bit():
+    for p in _kernel_vectors():
+        got = renyi_orders(p.components, KERNEL_ORDERS)
+        assert got.shape == (len(KERNEL_ORDERS),)
+        for j, alpha in enumerate(KERNEL_ORDERS):
+            want = renyi(p, alpha)
+            assert _bits(got[j]) == _bits(want), (p, alpha)
+            assert _bits(want) == _bits(_one_order(p.components, alpha)), (p, alpha)
+
+
+@pytest.mark.parametrize("order_entries", [entropy.ORDER_ENTRIES, 1, 40])
+def test_renyi_orders_of_a_block_equal_each_row_and_order(monkeypatch, order_entries):
+    # a small ORDER_ENTRIES takes the power orders in turns
+    monkeypatch.setattr(entropy, "ORDER_ENTRIES", order_entries)
+    rows = np.stack([p.components for p in _kernel_vectors() if p.dim == 4]
+                    + [np.array([0.25, 0.25, 0.25, 0.25]), np.array([1.0, 0, 0, 0])])
+    got = renyi_orders(rows, KERNEL_ORDERS)
+    assert got.shape == (len(rows), len(KERNEL_ORDERS))
+    for j, alpha in enumerate(KERNEL_ORDERS):
+        assert _bits(got[:, j]) == _bits(_one_order(rows, alpha)), alpha
+    block = np.stack([spectrum(60, t).components for t in np.linspace(0.0, 1.5, 9)])
+    got = renyi_orders(block, KERNEL_ORDERS)
+    for i, row in enumerate(block):
+        assert _bits(got[i]) == _bits(renyi_orders(row, KERNEL_ORDERS))
+
+
+def test_renyi_orders_with_no_order_is_empty():
+    assert renyi_orders(np.array([0.5, 0.5]), []).shape == (0,)
+    assert renyi_orders(np.full((3, 4), 0.25), ()).shape == (3, 0)
+    assert entropy_curve(3, [], np.linspace(0.1, 0.5, 4)).shape == (4, 0)

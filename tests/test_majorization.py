@@ -17,6 +17,7 @@ from bsmaj import (
     spectrum,
 )
 from bsmaj.birkhoff import apply as ds_apply
+from bsmaj.majorization import gap_relation, majorized_by_mask
 
 from conftest import oracle_relation, prob_vectors, random_mixture_matrix
 
@@ -182,3 +183,16 @@ def test_verdict_serialization_round_trip():
     assert again.relation is v.relation
     assert again.first_violation == v.first_violation
     assert np.allclose(again.partial_sum_gaps, v.partial_sum_gaps, atol=0.0)
+
+
+def test_majorized_by_mask_is_gap_relation_elementwise():
+    tol = 1e-12
+    edges = [tol, -tol, 0.0, -0.0, math.nan, math.inf, -math.inf]
+    values = edges + [np.nextafter(e, d) for e in (tol, -tol) for d in (-1.0, 1.0)]
+    lo, hi = (a.ravel() for a in np.meshgrid(values, values))
+    got = majorized_by_mask(lo, hi, tol)
+    want = [gap_relation(a, b, tol) is Relation.MAJORIZED_BY
+            for a, b in zip(lo.tolist(), hi.tolist())]
+    assert got.dtype == bool
+    assert got.tolist() == want
+    assert any(want) and not all(want)
