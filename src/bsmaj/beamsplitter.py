@@ -11,6 +11,7 @@ with transmittance tau = cos^2(theta).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -114,19 +115,25 @@ def spectrum_rows(k: int, thetas):
         yield normalize_rows(rows)
 
 
+@functools.lru_cache(maxsize=DIRECT_K_LIMIT + 1)
 def _direct_coefficients(k: int) -> np.ndarray:
-    """C(k, j) for j = 0..k, each the running product of (k-j)/(j+1)."""
+    """C(k, j) for j = 0..k, each the running product of (k-j)/(j+1).
+
+    Built once per k and kept read-only, so every caller shares one row.
+    """
     ratios = map(operator.truediv, range(k, 0, -1), range(1, k + 1))
     products = itertools.accumulate(ratios, operator.mul, initial=1.0)
-    return np.fromiter(products, float, k + 1)
+    row = np.fromiter(products, float, k + 1)
+    row.flags.writeable = False
+    return row
 
 
 def _log_coefficients(k: int) -> np.ndarray:
-    """log C(k, j) for j = 0..k, from lgamma."""
-    lgk = math.lgamma(k + 1)
-    return np.array(
-        [lgk - math.lgamma(j + 1) - math.lgamma(k - j + 1) for j in range(k + 1)]
-    )
+    """log C(k, j) for j = 0..k, from one table of lgamma(j + 1)."""
+    lg = np.fromiter(map(math.lgamma, range(1, k + 2)), float, k + 1)
+    out = lg[k] - lg
+    out -= lg[::-1]
+    return out
 
 
 def photon_chain_check(

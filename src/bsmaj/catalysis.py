@@ -389,8 +389,10 @@ def _search(p, q, family, grid, r_max, tol):
     ``TMSV_BATCH_TERMS`` closed-form terms for squeezed vacua. Decisions are
     made per block: its least and greatest gaps give every verdict of the
     block as one array (:func:`~bsmaj.majorization.majorized_by_mask`), and
-    a ``CatalystSpec`` is built only for a hit. A squeezed-vacuum search
-    sorts the pair's entries once, for its ``r_max`` guard and its blocks.
+    a ``CatalystSpec`` is built only for a hit, by the dataclass itself: the
+    grid lies in the family's range, and ``r_max`` is validated once. A
+    squeezed-vacuum search sorts the pair's entries once, for its ``r_max``
+    guard and its blocks.
     """
     family = CatalystFamily(family)
     if family is CatalystFamily.EXPLICIT:
@@ -416,7 +418,10 @@ def _search(p, q, family, grid, r_max, tol):
         return
 
     if single:
-        per_block, make = BATCH_ENTRIES // (2 * max(p.dim, q.dim)), CatalystSpec.single_photon
+        per_block = BATCH_ENTRIES // (2 * max(p.dim, q.dim))
+
+        def make(theta):
+            return CatalystSpec(family, theta_c=theta)
 
         def hits(thetas):
             # the rows catalyst_spectrum builds, normalized as ProbVector does
@@ -424,7 +429,10 @@ def _search(p, q, family, grid, r_max, tol):
             cats = normalize_rows(np.stack([c2, 1.0 - c2], axis=1))
             return _majorized_by_rows(p, q, cats, tol)
     else:
-        per_block, make = TMSV_BATCH_TERMS // vals.size**2, CatalystSpec.tmsv
+        per_block = TMSV_BATCH_TERMS // vals.size**2
+
+        def make(r):
+            return CatalystSpec(family, r=r)
 
         def hits(rs):
             rhos = np.array([math.tanh(r) ** 2 for r in rs])

@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from .beamsplitter import spectrum_rows
-from .vectors import TOL, ProbVector, tensor
+from .vectors import TOL, ProbVector, check_work, tensor
 
 #: Orders this close to 1 are routed to the Shannon branch; the 1/(1-alpha)
 #: prefactor is numerically unusable nearer than this.
@@ -19,6 +19,11 @@ SHANNON_WINDOW = 1e-9
 #: Most power-sum terms (entries times orders) one log-sum-exp pass of
 #: ``renyi_orders`` forms; further orders are taken in turn.
 ORDER_ENTRIES = 2**16
+
+#: Most entropy values, angles times orders, one ``entropy_curve`` may
+#: return: the three default orders of ``entropy-curve`` at its largest
+#: angle grid. Larger sweeps are rejected before any spectrum is computed.
+MAX_CURVE_VALUES = 3 * 10**6
 
 LN2 = math.log(2.0)
 
@@ -109,10 +114,14 @@ def entropy_curve(k: int, orders, theta_grid, *, bits: bool = False) -> np.ndarr
     angle and one column per order, in nats (or bits when requested). Each
     block of spectra from ``spectrum_rows`` takes every order in one
     :func:`renyi_orders` pass, so each entry is bit for bit
-    ``renyi(spectrum(k, theta), order)``.
+    ``renyi(spectrum(k, theta), order)``. More than ``MAX_CURVE_VALUES``
+    values are refused before any spectrum is computed.
     """
     alphas = [parse_order(a) for a in orders]
     grid = np.asarray(theta_grid, dtype=float).ravel()
+    values = grid.size * len(alphas)
+    check_work(values, MAX_CURVE_VALUES,
+               f"{grid.size} angles at {len(alphas)} orders make {values} entropy values")
     out = np.empty((grid.size, len(alphas)))
     start = 0
     for rows in spectrum_rows(k, grid):

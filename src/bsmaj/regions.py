@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 import sys
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -31,6 +32,9 @@ MAX_REGION_ENTRIES = 2 * 10**7
 #: Most component pairs, k(k+1)/2, a crossing scan may test; larger photon
 #: numbers are rejected before any binomial is computed.
 MAX_CROSSING_PAIRS = 2**21
+
+#: Crossing pairs whose angles one pass of ``_angles`` takes in Python lists.
+CROSSING_BLOCK = 2**16
 
 
 class AmbiguousOrderingError(ValueError):
@@ -125,51 +129,99 @@ def find_crossovers(k: int) -> RegionPartition:
         k=k,
         crossovers=tuple(crossovers),
         orderings=tuple(_orderings(k, pairs)),
-        pairs=tuple(tuple(p) for p in pairs),
+        pairs=tuple(pairs),
     )
 
 
-def _crossings(k: int) -> tuple[list[float], list[list[tuple[int, int]]]]:
+def _crossings(k: int) -> tuple[list[float], list[tuple[tuple[int, int], ...]]]:
     """Sorted crossover angles in (0, pi/4) and the pairs meeting at each.
 
-    The binomial quotient C(k,n) / C(k,m) is the exact rational of the
-    crossing equation, rounded once to a float. Pairs with C(k,n) >= C(k,m)
-    cross at or beyond pi/4 and are skipped. A quotient below the smallest
-    normal float would lose its digits (or vanish), so its root is taken
-    from the logarithms of the two integers instead.
+    Only the pairs of :func:`_crossing_pairs` cross inside; their angles
+    come from :func:`_angles`, ``CROSSING_BLOCK`` pairs at a time. One
+    stable sort keeps the pair order among equal angles, and an angle within
+    ``TOL`` of its crossover's first angle joins that crossover.
     """
     n_pairs = k * (k + 1) // 2
     check_work(n_pairs, MAX_CROSSING_PAIRS, f"k={k} has {n_pairs} component pairs")
     binom = [math.comb(k, j) for j in range(k + 1)]
-    hits: list[tuple[float, tuple[int, int]]] = []
-    for n in range(1, k + 1):
-        cn = binom[n]
-        for m in range(n):
-            cm = binom[m]
-            if cn >= cm:
-                continue
-            ratio = cn / cm
-            if ratio >= sys.float_info.min:
-                t = ratio ** (1.0 / (2 * (n - m)))
-            else:
-                t = math.exp((math.log(cn) - math.log(cm)) / (2 * (n - m)))
-            theta = math.atan(t)
-            if TOL < theta < QUARTER_PI - TOL:
-                hits.append((theta, (n, m)))
-    hits.sort(key=lambda item: item[0])
-
-    crossovers: list[float] = []
-    pairs: list[list[tuple[int, int]]] = []
-    for theta, pair in hits:
-        if crossovers and abs(theta - crossovers[-1]) <= TOL:
-            pairs[-1].append(pair)
-        else:
-            crossovers.append(theta)
-            pairs.append([pair])
-    return crossovers, pairs
+    n, m = _crossing_pairs(k)
+    theta = np.empty(n.size)
+    for start in range(0, n.size, CROSSING_BLOCK):
+        block = slice(start, start + CROSSING_BLOCK)
+        theta[block] = _angles(binom, n[block], m[block])
+    order = np.argsort(theta, kind="stable")
+    theta = theta[order]
+    inside = slice(theta.searchsorted(TOL, "right"), theta.searchsorted(QUARTER_PI - TOL))
+    theta, order = theta[inside], order[inside]
+    first = _opens_crossover(theta)
+    ints = np.arange(k + 1).astype(object)  # the pairs share k + 1 int objects
+    pairs = zip(ints[n[order]].tolist(), ints[m[order]].tolist())
+    if first.all():
+        groups = list(zip(pairs))
+    else:
+        pairs = list(pairs)
+        cuts = [*np.flatnonzero(first).tolist(), len(pairs)]
+        groups = [tuple(pairs[a:b]) for a, b in zip(cuts, cuts[1:])]
+    return theta[first].tolist(), groups
 
 
-def _orderings(k: int, pairs: list[list[tuple[int, int]]]) -> list[tuple[int, ...]]:
+def _crossing_pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (n, m), n > m, with C(k,n) < C(k,m), ordered by n, then m.
+
+    C(k, j) is symmetric about k/2 and rises toward it, so C(k,n) < C(k,m)
+    exactly when |2n - k| > |2m - k|; for n > m that is n > k/2 and
+    k - n < m < n. The other pairs cross at or beyond pi/4. No binomial is
+    compared.
+    """
+    top = np.arange(k // 2 + 1, k + 1)
+    counts = 2 * top - k - 1  # m = k - n + 1 .. n - 1 for each n in top
+    n = np.repeat(top, counts)
+    m = np.arange(n.size) + np.repeat(k + 1 - top - (np.cumsum(counts) - counts), counts)
+    return n, m
+
+
+def _opens_crossover(theta: np.ndarray) -> np.ndarray:
+    """Which of the ascending angles open a crossover: those more than
+    ``TOL`` above the first angle of the crossover before them.
+
+    A gap above ``TOL`` always opens one. Only a gap within it needs the
+    first angle of its crossover, so only those angles are visited in turn.
+    """
+    first = np.diff(theta, prepend=-math.inf) > TOL
+    if first.all():
+        return first
+    lead = np.maximum.accumulate(np.where(first, np.arange(theta.size), 0)).tolist()
+    last = 0
+    for i in np.flatnonzero(~first).tolist():
+        last = max(last, lead[i])
+        if theta[i] - theta[last] > TOL:
+            first[i], last = True, i
+    return first
+
+
+def _angles(binom: list[int], n: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Crossing angle of each pair (n, m), n > m, with C(k,n) < C(k,m).
+
+    The binomial quotient C(k,n) / C(k,m) is the exact rational of the
+    crossing equation, rounded once to a float; its root is taken with
+    ``**`` and the angle with ``math.atan``, one builtin call per pair. A
+    quotient below the smallest normal float would lose its digits (or
+    vanish), so its root is taken from the logarithms of the two integers
+    instead.
+    """
+    ns, ms = n.tolist(), m.tolist()
+    ratios = list(map(operator.truediv, map(binom.__getitem__, ns), map(binom.__getitem__, ms)))
+    roots = map(pow, ratios, (1.0 / (2 * (n - m))).tolist())
+    theta = np.fromiter(map(math.atan, roots), float, len(ratios))
+    if min(ratios) < sys.float_info.min:  # from k = 1028
+        for i in np.flatnonzero(np.array(ratios) < sys.float_info.min).tolist():
+            a, b = ns[i], ms[i]
+            root = math.exp((math.log(binom[a]) - math.log(binom[b])) / (2 * (a - b)))
+            theta[i] = math.atan(root)
+    return theta
+
+
+def _orderings(k: int, pairs: list[tuple[tuple[int, int], ...]]) -> list[tuple[int, ...]]:
     """Sorting permutation of the spectrum in every region, from the crossings.
 
     For n > m, P_n / P_m = C(k,n) / C(k,m) * cot(theta)^(2(n-m)) falls

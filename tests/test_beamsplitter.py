@@ -1,4 +1,6 @@
+import itertools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -12,7 +14,8 @@ from bsmaj import (
     transmittance,
 )
 from bsmaj import beamsplitter
-from bsmaj.beamsplitter import MAX_PHOTONS, spectrum_rows
+from bsmaj.beamsplitter import DIRECT_K_LIMIT, MAX_PHOTONS, spectrum_rows
+from bsmaj.vectors import normalize_rows
 
 from conftest import oracle_relation, spectrum_recurrence
 
@@ -87,6 +90,40 @@ def test_spectrum_rows_checks_before_yielding():
         next(spectrum_rows(3, [0.2, 1.8]))
     with pytest.raises(ValueError, match="photon number"):
         next(spectrum_rows(-1, []))
+
+
+def test_pascal_rows_are_cached_read_only():
+    row = beamsplitter._direct_coefficients(5)
+    assert beamsplitter._direct_coefficients(5) is row
+    with pytest.raises(ValueError, match="read-only"):
+        row[0] = 2.0
+
+
+def test_photon_chain_builds_each_pascal_row_once(monkeypatch):
+    built = []
+
+    def counted(*args, **kwargs):
+        built.append(1)
+        return accumulate(*args, **kwargs)
+
+    accumulate = itertools.accumulate
+    beamsplitter._direct_coefficients.cache_clear()
+    monkeypatch.setattr(itertools, "accumulate", counted)
+    photon_chain_check(28, 0.6)
+    assert len(built) == 29  # rows k = 0 .. 28; rows 1 .. 27 are asked for twice
+    beamsplitter._direct_coefficients.cache_clear()
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 28, 59, DIRECT_K_LIMIT])
+def test_cached_pascal_row_spectra_equal_a_fresh_row(k):
+    ratios = map(operator.truediv, range(k, 0, -1), range(1, k + 1))
+    fresh = np.fromiter(itertools.accumulate(ratios, operator.mul, initial=1.0), float, k + 1)
+    n = np.arange(k + 1)
+    for theta in (0.0, 0.3, math.pi / 4, 1.2, math.pi / 2):
+        c2, s2 = math.cos(theta) ** 2, math.sin(theta) ** 2
+        (want,) = normalize_rows((fresh * c2**n * s2 ** n[::-1])[None, :])
+        for _ in range(2):  # the first call may build the row, the second reads it
+            assert np.array_equal(spectrum(k, theta).components, want), theta
 
 
 def test_recurrence_base_case():

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import bsmaj
-from bsmaj import beamsplitter, birkhoff, catalysis, cli, regions, vectors
+from bsmaj import beamsplitter, birkhoff, catalysis, cli, entropy, regions, vectors
 from bsmaj.beamsplitter import photon_chain_check, spectrum
 from bsmaj.birkhoff import DoublyStochasticMatrix, bs_witness_matrix
 from bsmaj.catalysis import (
@@ -41,6 +41,7 @@ SITES = [
     (beamsplitter, "MAX_SWEEP_ENTRIES", 3 * 4,
      lambda: entropy_curve(3, [1.0], [0.1, 0.2, 0.3])),
     (beamsplitter, "MAX_CHAIN_ENTRIES", 3 * 5, lambda: photon_chain_check(3, 0.5)),
+    (entropy, "MAX_CURVE_VALUES", 2 * 3, lambda: entropy_curve(2, [1, 10, "inf"], [0.1, 0.2])),
     (regions, "MAX_REGION_ENTRIES", 4 * 7, lambda: find_crossovers(3)),
     (regions, "MAX_CROSSING_PAIRS", 3 * 4 // 2, lambda: infinitesimal_verdict(3, 0.3)),
     (birkhoff, "MAX_WITNESS_ENTRIES", 4 * 4, lambda: bs_witness_matrix(2, 0.3)),

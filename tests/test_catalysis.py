@@ -447,6 +447,19 @@ def test_tmsv_search_builds_no_truncated_catalyst(monkeypatch, family, grid):
     assert search_catalyst(P_072, Q_062, family, grid) == want[0]
 
 
+@pytest.mark.parametrize("family,grid", [("tmsv", 0.1), ("single-photon", 0.02)])
+def test_search_builds_hits_without_revalidating(monkeypatch, family, grid):
+    want = list(reference_search(P_072, Q_062, family, grid))
+    calls = []
+    for name in ("tmsv", "single_photon"):
+        def counted(*args, _make=getattr(CatalystSpec, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _make(*args, **kwargs)
+        monkeypatch.setattr(CatalystSpec, name, counted)
+    assert search_catalyst_all(P_072, Q_062, family, grid) == want
+    assert calls == (["tmsv"] if family == "tmsv" else [])  # the r_max guard only
+
+
 def _old_grid(grid, limit):
     """The grid points of the per-candidate loop: i * grid while within
     limit + 1e-15."""

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import sys
@@ -24,7 +25,7 @@ from bsmaj import (
 )
 from bsmaj import beamsplitter, regions
 from bsmaj.cli import main
-from bsmaj.regions import QUARTER_PI
+from bsmaj.regions import QUARTER_PI, TOL
 
 from conftest import central_difference, descends_in_mpmath, reference_partition
 
@@ -186,6 +187,77 @@ def test_merged_crossover_swaps_each_pair():
         for r in (i, i + 1):  # the regions left and right of crossover i
             mid = 0.5 * (bounds[r] + bounds[r + 1])
             assert descends_in_mpmath(k, mid, orderings[r]), r
+
+
+def crossings_loop(k):
+    """The per-pair loop ``_crossings`` replaced, kept as its reference."""
+    binom = [math.comb(k, j) for j in range(k + 1)]
+    hits = []
+    for n in range(1, k + 1):
+        for m in range(n):
+            cn, cm = binom[n], binom[m]
+            if cn >= cm:
+                continue
+            ratio = cn / cm
+            if ratio >= sys.float_info.min:
+                t = ratio ** (1.0 / (2 * (n - m)))
+            else:
+                t = math.exp((math.log(cn) - math.log(cm)) / (2 * (n - m)))
+            theta = math.atan(t)
+            if TOL < theta < QUARTER_PI - TOL:
+                hits.append((theta, (n, m)))
+    hits.sort(key=lambda item: item[0])
+    crossovers, pairs = [], []
+    for theta, pair in hits:
+        if crossovers and abs(theta - crossovers[-1]) <= TOL:
+            pairs[-1].append(pair)
+        else:
+            crossovers.append(theta)
+            pairs.append([pair])
+    return crossovers, [tuple(group) for group in pairs]
+
+
+def test_crossings_equal_the_pair_loop():
+    for k in range(1, 121):
+        assert regions._crossings(k) == crossings_loop(k), k
+
+
+#: sha256 of the repr of ``crossings_loop(k)``: k = 326 holds a merged
+#: crossover and k = 1100 quotients below the smallest normal float.
+CROSSINGS_SHA256 = {
+    326: "75ba1f62cd10e6d8a341cd211994195e685bb29bdf82b5d36952dac9978927ed",
+    1100: "ad9420efed9ccc2b19884095fb7654a023043d61f0472be2d9f0e593bad170dc",
+}
+
+
+@pytest.mark.parametrize("k", sorted(CROSSINGS_SHA256))
+def test_crossings_equal_the_pair_loop_beyond_k_200(k):
+    crossovers, pairs = regions._crossings(k)
+    text = repr((crossovers, pairs))
+    assert hashlib.sha256(text.encode()).hexdigest() == CROSSINGS_SHA256[k]
+
+
+def test_crossing_pairs_are_the_pairs_with_the_smaller_binomial():
+    for k in range(301):
+        binom = [math.comb(k, j) for j in range(k + 1)]
+        rank = {c: r for r, c in enumerate(sorted(set(binom)))}
+        ranks = np.array([rank[c] for c in binom])
+        n, m = np.tril_indices(k + 1, -1)
+        smaller = ranks[n] < ranks[m]  # C(k,n) < C(k,m), compared as integers
+        got_n, got_m = regions._crossing_pairs(k)
+        assert got_n.tolist() == n[smaller].tolist(), k
+        assert got_m.tolist() == m[smaller].tolist(), k
+
+
+@given(gaps=st.lists(st.sampled_from([0.0, 3e-13, 5e-13, 1e-12, 1.5e-12, 1e-3]), max_size=30))
+def test_opens_crossover_follows_the_first_angle(gaps):
+    theta = np.cumsum([0.1, *gaps])
+    want, lead = [], None
+    for t in theta.tolist():
+        want.append(lead is None or t - lead > TOL)
+        if want[-1]:
+            lead = t
+    assert regions._opens_crossover(theta).tolist() == want
 
 
 @settings(max_examples=60, deadline=None)
