@@ -137,10 +137,19 @@ def birkhoff_decompose(
     subtract that entry times the matched permutation, and repeat until the
     residual is entrywise below ``tol``. Each step zeroes at least one
     support entry, which keeps the term count within (d-1)^2 + 1.
+
+    Entries that fall to ``tol`` or below leave the support without being
+    zeroed, so after many peels the support's row and column sums can
+    disagree by up to about d * tol, and a small entry can be left that lies
+    on no perfect matching. A pivot of at most d * tol that lies on none is
+    taken for that residue: it is zeroed, at the cost of one failed
+    matching, and the step retried. A larger one means the input is not
+    doubly stochastic, and the decomposition is refused.
     """
     res = D.entries.copy()
     d = D.d
     max_terms = (d - 1) ** 2 + 1
+    residue = d * tol
     rows_idx = np.arange(d)
     perms: list[tuple[int, ...]] = []
     weights: list[float] = []
@@ -151,10 +160,13 @@ def birkhoff_decompose(
         pivot = np.unravel_index(int(np.argmin(masked)), res.shape)
         perm = _perfect_matching(support, pivot)
         if perm is None:
-            raise ValueError(
-                "no perfect matching on the positive support; "
-                "the matrix violates the doubly stochastic invariant"
-            )
+            if res[pivot] > residue:
+                raise ValueError(
+                    "no perfect matching on the positive support; "
+                    "the matrix violates the doubly stochastic invariant"
+                )
+            res[pivot] = 0.0
+            continue
         cols = np.array(perm)
         weight = float(res[rows_idx, cols].min())
         perms.append(perm)

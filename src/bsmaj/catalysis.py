@@ -274,8 +274,12 @@ def _threshold_extremes(vals, weights, rhos):
     beta j) has one stationary point, j* = 1/lam - alpha/beta. So each
     segment's extremes lie at its two ends and at floor(j*) and ceil(j*);
     the last segment, with every entry on, runs on to j -> infinity, where D
-    tends to S0, which is 0 for unit-sum p and q. That is n^2 segments for n
-    entries, whatever rho and however many decades the entries span.
+    tends to S0, which is 0 for unit-sum p and q. Of the n^2 segments for n
+    entries only the nonempty ones are evaluated: entries within one catalyst
+    power of each other switch on together, so at small rho most segments
+    are empty. Each is evaluated at its ends, and at floor(j*) and ceil(j*)
+    only where S3 != 0 and j* lies strictly inside it; elsewhere those two
+    clamp to an end, whose value is already taken.
 
     S2 + j S3 is formed in whole numbers before it is scaled. It may pass
     2^53 (n terms of up to 1 + L/lam each, L = ln(v_max / v_min)), but its
@@ -290,31 +294,56 @@ def _threshold_extremes(vals, weights, rhos):
     extremes come out bit for bit the same whichever block of ratios it is
     decided in.
     """
-    lam = -np.log(rhos)[:, None, None]
-    rest = (1.0 - rhos)[:, None, None]
+    n = vals.size
+    lam, rest = -np.log(rhos), 1.0 - rhos
     logs = np.log(vals)
-    delta = (logs - logs[:, None]) / lam  # [ratio, y, x]
+    delta = (logs - logs[:, None]) / lam[:, None, None]  # [ratio, y, x]
     c = np.ceil(delta)
-    s0, s3 = np.cumsum(weights * vals), np.cumsum(weights)
-    s1 = np.cumsum(weights * np.exp(lam * (delta - c)), axis=-1)
-    s2 = np.cumsum(weights * c, axis=-1)
+    s1 = np.add.accumulate(weights * np.exp(lam[:, None, None] * (delta - c)), axis=-1)
+    del delta
+    s2 = np.add.accumulate(weights * c, axis=-1)
     # segment k runs from j = max(0, 1 - c_k) to -c_(k+1); the last one has no end
-    lower = np.maximum(1.0 - c, 0.0)
-    upper = np.concatenate([-c[..., 1:], np.full_like(c[..., :1], np.inf)], axis=-1)
-    valid = lower <= upper
+    ends = np.empty((2,) + c.shape)
+    np.maximum(1.0 - c, 0.0, out=ends[0])
+    np.negative(c[..., 1:], out=ends[1, ..., :-1])
+    ends[1, ..., -1] = np.inf
+    del c
+    # Gather the nonempty segments, ratio-major, freeing each n^2 array as it
+    # goes. Every ratio keeps at least its n last segments, so no reduceat
+    # group below is empty.
+    seg = np.flatnonzero(ends[0] <= ends[1])
+    s1 = s1.ravel()[seg]
+    s2 = s2.ravel()[seg]
+    ends = np.take(ends.reshape(2, -1), seg, axis=1)
+    lower, upper = ends
+    ratio, seg = np.divmod(seg, n * n)
+    y, x = np.divmod(seg, n)
+    del seg
+    starts = np.searchsorted(ratio, np.arange(rhos.size))
+    lam, rest, v = lam[ratio], rest[ratio], vals[y]
+    del ratio, y
+    s0, s3 = np.add.accumulate(weights * vals)[x], np.add.accumulate(weights)[x]
+    del x
     with np.errstate(divide="ignore", invalid="ignore"):
-        jstar = np.where(s3 != 0.0, 1.0 / lam - (s1 + rest * s2) / (rest * s3), lower)
-    upper = np.maximum(upper, lower)  # an empty segment is masked out below
-    lo = hi = np.zeros(rhos.size)
-    # the ends lie in [lower, upper] already; only the stationary points are clamped
-    for j in (lower, np.where(np.isinf(upper), lower, upper),
-              np.minimum(np.maximum(np.floor(jstar), lower), upper),
-              np.minimum(np.maximum(np.ceil(jstar), lower), upper)):
-        gap = s0 - vals[:, None] * np.exp(-lam * j) * (s1 + rest * (s2 + j * s3))
-        gap = np.where(valid, gap, 0.0)
-        lo = np.minimum(lo, gap.min(axis=(1, 2)))
-        hi = np.maximum(hi, gap.max(axis=(1, 2)))
-    return lo, hi
+        jstar = 1.0 / lam - (s1 + rest * s2) / (rest * s3)
+        inside = np.flatnonzero((s3 != 0.0) & (lower < jstar) & (jstar < upper))
+    np.copyto(upper, lower, where=np.isinf(upper))  # the last segment has one end
+    gap = _segment_gaps(ends, s0, v, lam, s1, rest, s2, s3)
+    lo, hi = np.minimum(*gap), np.maximum(*gap)
+    del gap
+    if inside.size:
+        jstar = jstar[inside]
+        gap = _segment_gaps(np.concatenate([np.floor(jstar), np.ceil(jstar)]).reshape(2, -1),
+                            *(a[inside] for a in (s0, v, lam, s1, rest, s2, s3)))
+        lo[inside] = np.minimum(lo[inside], np.minimum(*gap))
+        hi[inside] = np.maximum(hi[inside], np.maximum(*gap))
+    return (np.minimum(np.minimum.reduceat(lo, starts), 0.0),
+            np.maximum(np.maximum.reduceat(hi, starts), 0.0))
+
+
+def _segment_gaps(j, s0, v, lam, s1, rest, s2, s3):
+    """D at the points ``j`` (one row each) of segments given by their sums."""
+    return s0 - v * np.exp(-lam * j) * (s1 + rest * (s2 + j * s3))
 
 
 def necessary_conditions(p: ProbVector, q: ProbVector, *, tol: float = TOL) -> bool:

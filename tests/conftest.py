@@ -210,6 +210,38 @@ def closed_form_extremes_mpmath(vals, weights, rho, dps: int = 60):
         return least, greatest
 
 
+def dense_threshold_extremes(vals, weights, rhos):
+    """The four-point kernel that ``catalysis._threshold_extremes`` replaced:
+    D at both ends and the clamped floor(j*) and ceil(j*) of every one of
+    the n^2 segments for each ratio, empty ones masked to 0. The sparse
+    kernel must return the same bits."""
+    lam = -np.log(rhos)[:, None, None]
+    rest = (1.0 - rhos)[:, None, None]
+    logs = np.log(vals)
+    delta = (logs - logs[:, None]) / lam  # [ratio, y, x]
+    c = np.ceil(delta)
+    s0, s3 = np.cumsum(weights * vals), np.cumsum(weights)
+    s1 = np.cumsum(weights * np.exp(lam * (delta - c)), axis=-1)
+    s2 = np.cumsum(weights * c, axis=-1)
+    # segment k runs from j = max(0, 1 - c_k) to -c_(k+1); the last one has no end
+    lower = np.maximum(1.0 - c, 0.0)
+    upper = np.concatenate([-c[..., 1:], np.full_like(c[..., :1], np.inf)], axis=-1)
+    valid = lower <= upper
+    with np.errstate(divide="ignore", invalid="ignore"):
+        jstar = np.where(s3 != 0.0, 1.0 / lam - (s1 + rest * s2) / (rest * s3), lower)
+    upper = np.maximum(upper, lower)  # an empty segment is masked out below
+    lo = hi = np.zeros(rhos.size)
+    # the ends lie in [lower, upper] already; only the stationary points are clamped
+    for j in (lower, np.where(np.isinf(upper), lower, upper),
+              np.minimum(np.maximum(np.floor(jstar), lower), upper),
+              np.minimum(np.maximum(np.ceil(jstar), lower), upper)):
+        gap = s0 - vals[:, None] * np.exp(-lam * j) * (s1 + rest * (s2 + j * s3))
+        gap = np.where(valid, gap, 0.0)
+        lo = np.minimum(lo, gap.min(axis=(1, 2)))
+        hi = np.maximum(hi, gap.max(axis=(1, 2)))
+    return lo, hi
+
+
 def sorted_threshold_gaps(p, q, r, floor):
     """D(t) = F_q(t) - F_p(t) at every product (1 - rho) v rho^j, rho =
     tanh^2 r, of the nonzero entries v of p and q down to ``floor``, in float.

@@ -157,6 +157,21 @@ def test_decompose_flags_non_stochastic_residual():
         birkhoff_decompose(D)
 
 
+@pytest.mark.parametrize("d", [30, 40])
+def test_decompose_drops_rounding_residue_off_every_matching(d):
+    # Weight (s+1)/(d(d+1)/2) on cyclic shift s. Peeling leaves pivots of a
+    # few 1e-12 that lie on no perfect matching (the first after 441 terms
+    # at d = 30); each is zeroed as residue instead of refusing the matrix.
+    m = np.zeros((d, d))
+    for s in range(d):
+        m[np.arange(d), (np.arange(d) + s) % d] = (s + 1) / (d * (d + 1) / 2)
+    D = DoublyStochasticMatrix(m)
+    dec = birkhoff_decompose(D)
+    assert len(dec) <= (d - 1) ** 2 + 1
+    assert np.max(np.abs(dec.reconstruct() - D.entries)) < 1e-9
+    assert sum(dec.weights) == pytest.approx(1.0, abs=1e-9)
+
+
 def test_decompose_random_mixture_corpus():
     rng = np.random.default_rng(17)
     for trial in range(60):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -28,6 +29,7 @@ from bsmaj.majorization import gap_relation
 
 from conftest import (
     closed_form_extremes_mpmath,
+    dense_threshold_extremes,
     exact_threshold_extremes,
     prob_vectors,
     reference_search,
@@ -676,6 +678,54 @@ def test_single_and_batched_closed_forms_are_bit_identical(monkeypatch):
         assert np.concatenate([b[0] for b in blocks]).tobytes() == lo.tobytes()
         assert np.concatenate([b[1] for b in blocks]).tobytes() == hi.tobytes()
         assert hits == list(catalysis._search(p, q, "tmsv", grid, 3.0, TOL))
+
+
+def _matches_dense_kernel(vals, weights, rhos):
+    lo, hi = catalysis._threshold_extremes(vals, weights, rhos)
+    want_lo, want_hi = dense_threshold_extremes(vals, weights, rhos)
+    return np.array_equal(lo, want_lo) and np.array_equal(hi, want_hi)
+
+
+def test_extremes_match_the_dense_kernel_bit_for_bit():
+    # Pairs of beam-splitter spectra and Dirichlet vectors of up to 11
+    # entries each, decided in blocks of 1 to 40 ratios
+    rng = np.random.default_rng(14)
+
+    def draw():
+        k = int(rng.integers(0, 11))
+        if rng.random() < 0.5:
+            return spectrum(k, float(rng.uniform(0.01, 1.5)))
+        return ProbVector(rng.dirichlet(np.ones(k + 1)))
+
+    for _ in range(2000):
+        vals, weights = catalysis._gap_entries(draw(), draw())
+        rhos = np.tanh(rng.uniform(0.001, 5.0, int(rng.integers(1, 41)))) ** 2
+        assert _matches_dense_kernel(vals, weights, rhos)
+
+
+@pytest.mark.parametrize("p,q", [*WIDE_PAIRS, (spectrum(200, 0.78), spectrum(200, 0.74)),
+                                 (spectrum(499, 0.7), spectrum(499, 0.72))])
+def test_wide_pair_extremes_match_the_dense_kernel_bit_for_bit(p, q):
+    # From r = 0.01, where most segments are empty, to r = 12
+    vals, weights = catalysis._gap_entries(p, q)
+    for r in (0.01, 0.06, 1.0, 3.0, 12.0):
+        assert _matches_dense_kernel(vals, weights, np.array([math.tanh(r) ** 2]))
+
+
+@pytest.mark.parametrize("r", [0.06, 1.0, 3.0, 12.0])
+def test_check_at_the_closed_form_cap_allocates_at_most_80_mib(r):
+    # n = 1,000 entries, n^2 = MAX_CATALYST_DIM terms. The dense kernel
+    # peaked at 107.8 MiB at every r; the nonempty segments peak at 46 MiB
+    # (r = 0.06) to 61 MiB (r >= 6). numpy reports its buffers to tracemalloc.
+    p, q, spec = spectrum(499, 0.7), spectrum(499, 0.72), CatalystSpec.tmsv(r)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        check_catalysis(p, q, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 80 * 2**20
 
 
 def test_inputs_past_the_old_window_cap_are_decided():
