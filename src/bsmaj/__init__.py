@@ -26,7 +26,6 @@ from .catalysis import (
     CatalysisReport,
     CatalystFamily,
     CatalystSpec,
-    TruncationError,
     catalyst_spectrum,
     check_catalysis,
     necessary_conditions,
@@ -107,7 +106,6 @@ __all__ = [
     "CatalystFamily",
     "CatalystSpec",
     "CatalysisReport",
-    "TruncationError",
     "tmsv_dimension",
     "catalyst_spectrum",
     "check_catalysis",

@@ -27,9 +27,14 @@ class DoublyStochasticMatrix:
     __slots__ = ("_entries",)
 
     def __init__(self, entries):
-        arr = np.array(entries, dtype=float)
+        try:
+            arr = np.array(entries, dtype=float)
+        except TypeError as exc:  # a JSON object, or one among the entries
+            raise ValueError(f"expected a square matrix of numbers: {exc}") from exc
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.size == 0:
             raise ValueError("expected a non-empty square matrix")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("entries must be finite")
         lowest = float(arr.min())
         if lowest < -TOL:
             raise ValueError(f"negative entry beyond tolerance: {lowest}")
@@ -57,10 +62,6 @@ class DoublyStochasticMatrix:
     def to_rows(self) -> list[list[float]]:
         """JSON-friendly array-of-rows form."""
         return [[float(x) for x in row] for row in self._entries]
-
-    @classmethod
-    def from_rows(cls, rows) -> "DoublyStochasticMatrix":
-        return cls(rows)
 
 
 @dataclass(frozen=True)

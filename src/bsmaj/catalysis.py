@@ -5,8 +5,7 @@ shared catalyst spectrum c so that the product p (x) c is majorized by
 q (x) c; the catalyst is returned intact by the conversion. Supported
 catalyst families: the two-outcome spectrum of a single photon split at an
 angle, two-mode squeezed vacuum (a geometric spectrum with ratio tanh^2 r,
-decided for the untruncated state unless a truncation is given), and
-explicit user-supplied vectors.
+decided for the untruncated state), and explicit user-supplied vectors.
 """
 
 from __future__ import annotations
@@ -23,17 +22,16 @@ from .majorization import (MajorizationVerdict, Relation, compare, gap_relation,
                            majorized_by_mask)
 from .vectors import TOL, ProbVector, check_work, normalize_rows, tensor
 
-#: Allowed spectral mass beyond the truncation point of a squeezed-vacuum
-#: catalyst, before renormalization. Only a truncated catalyst (an explicit
-#: ``tmsv:R,N``, or ``catalyst_spectrum``) uses it; checks and searches with an
-#: automatic squeezed-vacuum catalyst decide for the untruncated state.
+#: Spectral mass beyond the truncation point of a squeezed-vacuum catalyst
+#: that ``catalyst_spectrum`` materializes, before renormalization. Checks and
+#: searches decide for the untruncated state and do not use it.
 TAIL_TOL = 1e-12
 
 #: Most grid candidates one search may scan; finer grids are rejected
 #: before any candidate is checked.
 MAX_CANDIDATES = 10**6
 
-#: Most components a truncated squeezed-vacuum catalyst may have, and most
+#: Most components a materialized squeezed-vacuum catalyst may have, and most
 #: closed-form threshold terms (n^2 for n nonzero entries of the pair) the
 #: check of an untruncated one may take.
 MAX_CATALYST_DIM = 10**6
@@ -59,14 +57,6 @@ class CatalystFamily(str, enum.Enum):
     EXPLICIT = "explicit"
 
 
-class TruncationError(ValueError):
-    """The requested truncation keeps too much spectral mass in the tail."""
-
-    def __init__(self, message: str, required_dim: int):
-        super().__init__(message)
-        self.required_dim = required_dim
-
-
 @dataclass(frozen=True)
 class CatalystSpec:
     """One catalyst candidate: a family plus its parameter."""
@@ -75,14 +65,13 @@ class CatalystSpec:
     theta_c: float | None = None
     r: float | None = None
     vector: ProbVector | None = None
-    truncation_dim: int | None = None
 
     @classmethod
     def single_photon(cls, theta_c: float) -> "CatalystSpec":
         return cls(family=CatalystFamily.SINGLE_PHOTON, theta_c=check_angle(theta_c))
 
     @classmethod
-    def tmsv(cls, r: float, truncation_dim: int | None = None) -> "CatalystSpec":
+    def tmsv(cls, r: float) -> "CatalystSpec":
         r = float(r)
         if not r > 0.0:
             raise ValueError(f"squeezing parameter must be positive, got {r!r}")
@@ -91,12 +80,7 @@ class CatalystSpec:
                 f"squeezing parameter {r!r} is too large: tanh^2 r rounds to 1, "
                 "so the geometric spectrum has no normalizable truncation"
             )
-        if truncation_dim is not None:
-            if truncation_dim < 1:
-                raise ValueError("truncation_dim must be positive")
-            check_work(truncation_dim, MAX_CATALYST_DIM,
-                       f"truncation_dim {truncation_dim}")
-        return cls(family=CatalystFamily.TMSV, r=r, truncation_dim=truncation_dim)
+        return cls(family=CatalystFamily.TMSV, r=r)
 
     @classmethod
     def explicit(cls, vector: ProbVector) -> "CatalystSpec":
@@ -108,15 +92,13 @@ class CatalystSpec:
             out["theta_c"] = float(self.theta_c)
         if self.r is not None:
             out["r"] = float(self.r)
-        if self.truncation_dim is not None:
-            out["truncation_dim"] = int(self.truncation_dim)
         if self.vector is not None:
             out["components"] = [float(x) for x in self.vector.components]
         return out
 
 
-def tmsv_dimension(r: float, tail_tol: float = TAIL_TOL) -> int:
-    """Smallest truncation keeping the discarded geometric mass below tail_tol.
+def tmsv_dimension(r: float) -> int:
+    """Smallest truncation keeping the discarded geometric mass below TAIL_TOL.
 
     The untruncated spectrum is (1 - q) q^n with q = tanh^2 r, so the mass
     beyond the first N terms is exactly q^N. When q underflows to zero
@@ -125,31 +107,21 @@ def tmsv_dimension(r: float, tail_tol: float = TAIL_TOL) -> int:
     q = math.tanh(r) ** 2
     if q == 0.0:
         return 1
-    return max(1, math.ceil(math.log(tail_tol) / math.log(q)))
+    return max(1, math.ceil(math.log(TAIL_TOL) / math.log(q)))
 
 
-def catalyst_spectrum(spec: CatalystSpec, *, tail_tol: float = TAIL_TOL) -> ProbVector:
+def catalyst_spectrum(spec: CatalystSpec) -> ProbVector:
     """Materialize the probability vector of a catalyst candidate."""
     if spec.family is CatalystFamily.SINGLE_PHOTON:
         c2 = math.cos(spec.theta_c) ** 2
         return ProbVector([c2, 1.0 - c2])
     if spec.family is CatalystFamily.EXPLICIT:
         return spec.vector
-    # Truncated squeezed vacuum: geometric with ratio tanh^2 r.
+    # Squeezed vacuum truncated at TAIL_TOL: geometric with ratio tanh^2 r.
     q = math.tanh(spec.r) ** 2
-    needed = n_terms = tmsv_dimension(spec.r, tail_tol)
-    if spec.truncation_dim is None:
-        check_work(needed, MAX_CATALYST_DIM, f"squeezing parameter {spec.r!r} needs "
-                   f"{needed} components for tail mass {tail_tol:.3g}")
-    else:
-        n_terms = spec.truncation_dim
-    tail = q**n_terms
-    if tail >= tail_tol:
-        raise TruncationError(
-            f"truncation at {n_terms} terms leaves tail mass {tail!r} "
-            f">= {tail_tol!r}; need at least {needed} terms",
-            required_dim=needed,
-        )
+    n_terms = tmsv_dimension(spec.r)
+    check_work(n_terms, MAX_CATALYST_DIM, f"squeezing parameter {spec.r!r} needs "
+               f"{n_terms} components for tail mass {TAIL_TOL:.3g}")
     weights = (1.0 - q) * q ** np.arange(n_terms)
     return ProbVector(weights / weights.sum())
 
@@ -188,27 +160,24 @@ def check_catalysis(
     c: CatalystSpec,
     *,
     tol: float = TOL,
-    tail_tol: float = TAIL_TOL,
 ) -> CatalysisReport:
     """Compare p against q bare and with the catalyst tensored onto both.
 
-    A squeezed-vacuum catalyst without an explicit truncation is the
-    untruncated geometric spectrum c_j = (1 - rho) rho^j, rho = tanh^2 r.
-    Its verdict comes from the threshold form of majorization: p (x) c is
-    majorized by q (x) c exactly when D(t) = F_q(t) - F_p(t) >= 0 for every
-    t > 0, where F(t) = sum over entries x of (x - t)_+. The verdict is
+    A squeezed-vacuum catalyst is the untruncated geometric spectrum
+    c_j = (1 - rho) rho^j, rho = tanh^2 r. Its verdict comes from the
+    threshold form of majorization: p (x) c is majorized by q (x) c exactly
+    when D(t) = F_q(t) - F_p(t) >= 0 for every t > 0, where F(t) = sum over
+    entries x of (x - t)_+. The verdict is
     :func:`~bsmaj.majorization.gap_relation` of the least and greatest D,
     which :func:`_threshold_extremes` finds in closed form; it carries no
     prefix-sum gaps. Pairs whose closed form needs more than
     ``MAX_CATALYST_DIM`` terms are refused before any is formed, and so are
     squeezings too close to tanh^2 r = 1 for it (:func:`_check_closed_form`).
 
-    Every other catalyst, including an explicit ``tmsv:R,N`` truncated at
-    ``tail_tol``, is materialized and compared by prefix sums.
+    Every other catalyst is materialized and compared by prefix sums.
     """
     verdict_without = compare(p, q, tol=tol)
-    untruncated = c.family is CatalystFamily.TMSV and c.truncation_dim is None
-    rho = math.tanh(c.r) ** 2 if untruncated else 0.0
+    rho = math.tanh(c.r) ** 2 if c.family is CatalystFamily.TMSV else 0.0
     # tanh^2 r = 0 is the vacuum, which catalyst_spectrum builds exactly
     if rho > 0.0:
         vals, weights = _gap_entries(p, q)
@@ -217,7 +186,7 @@ def check_catalysis(
         verdict_with = MajorizationVerdict(gap_relation(float(lo[0]), float(hi[0]), tol),
                                            (), None)
     else:
-        cvec = catalyst_spectrum(c, tail_tol=tail_tol)
+        cvec = catalyst_spectrum(c)
         verdict_with = compare(tensor(p, cvec), tensor(q, cvec), tol=tol)
     return CatalysisReport(verdict_without, verdict_with, c)
 
@@ -429,7 +398,7 @@ def _search(p, q, family, grid, r_max, tol):
     if not grid > 0:
         raise ValueError("grid step must be positive")
     single = family is CatalystFamily.SINGLE_PHOTON
-    limit = math.pi / 4 if single else r_max
+    limit = math.pi / 4 if single else CatalystSpec.tmsv(r_max).r
     span = limit + 1e-15
     check_work(span / grid, MAX_CANDIDATES,
                f"grid step {grid!r} would scan about {span / grid:.3g} candidates")
@@ -437,7 +406,7 @@ def _search(p, q, family, grid, r_max, tol):
         vals, weights = _gap_entries(p, q)
         if limit >= grid:
             # The largest candidate has the largest switch-on indices.
-            _check_closed_form(vals, CatalystSpec.tmsv(limit).r)
+            _check_closed_form(vals, limit)
 
     base = compare(p, q, tol=tol).relation
     if base in (Relation.MAJORIZED_BY, Relation.EQUAL):

@@ -27,7 +27,6 @@ from .catalysis import (
     CatalystFamily,
     CatalystSpec,
     TAIL_TOL,
-    TruncationError,
     catalyst_spectrum,
     check_catalysis,
     search_catalyst,
@@ -38,7 +37,6 @@ from .entropy import entropy_curve, parse_order
 from .locc import run_protocol, verify_nielsen
 from .majorization import compare
 from .regions import (
-    AmbiguousOrderingError,
     InfinitesimalStatus,
     QUARTER_PI,
     find_crossovers,
@@ -148,16 +146,12 @@ def parse_vector_arg(text: str) -> ProbVector:
 
 
 def parse_catalyst_arg(text: str) -> CatalystSpec:
-    """Parse single-photon:THETA, tmsv:R[,N], file:PATH, or an inline array."""
+    """Parse single-photon:THETA, tmsv:R, file:PATH, or an inline array."""
     s = str(text).strip()
     if s.startswith("single-photon:"):
         return CatalystSpec.single_photon(parse_angle(s.partition(":")[2]))
     if s.startswith("tmsv:"):
-        body = s.partition(":")[2]
-        r_str, sep, n_str = body.partition(",")
-        if sep:
-            return CatalystSpec.tmsv(float(r_str), int(n_str))
-        return CatalystSpec.tmsv(float(r_str))
+        return CatalystSpec.tmsv(float(s.partition(":")[2]))
     if s.startswith("["):
         return CatalystSpec.explicit(ProbVector.from_json(s))
     path = s[5:] if s.startswith("file:") else s
@@ -200,15 +194,13 @@ def _finite(ctx, param, value):
 
 
 def _domain_guard(fn):
-    """Map library errors onto exit codes: domain failures exit 1 and
-    malformed or out-of-range parameters exit 2."""
+    """Map library ValueErrors, raised on malformed or out-of-range
+    parameters, onto usage errors: exit 2."""
 
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except (AmbiguousOrderingError, TruncationError) as exc:
-            raise click.ClickException(str(exc)) from exc
         except ValueError as exc:
             raise click.UsageError(str(exc)) from exc
 
@@ -448,27 +440,22 @@ def catalysis_group():
               help="Conversion source spectrum (bs:K,THETA, JSON, or file).")
 @click.option("--q", type=VECTOR, required=True, help="Conversion target spectrum.")
 @click.option("--catalyst", type=CATALYST, required=True,
-              help="single-photon:THETA, tmsv:R[,N], file:PATH, or inline JSON.")
-@click.option("--tail-tol", type=click.FloatRange(0, 1, min_open=True, max_open=True),
-              default=TAIL_TOL, show_default=True, callback=_finite,
-              help="Spectral mass allowed beyond an explicit tmsv:R,N truncation. "
-                   "For tmsv:R it sets only the reported catalyst_dim: that "
-                   "verdict is for the untruncated state.")
+              help="single-photon:THETA, tmsv:R, file:PATH, or inline JSON.")
 @click.pass_obj
 @_domain_guard
-def catalysis_check_cmd(obj, p, q, catalyst, tail_tol):
+def catalysis_check_cmd(obj, p, q, catalyst):
     """Verdicts for p against q, bare and with the catalyst attached."""
     _require_json(obj, "catalysis check")
-    report = check_catalysis(p, q, catalyst, tol=obj["tol"], tail_tol=tail_tol)
+    report = check_catalysis(p, q, catalyst, tol=obj["tol"])
     results = report.to_dict()
-    if catalyst.family is CatalystFamily.TMSV and catalyst.truncation_dim is None:
-        results["catalyst_dim"] = tmsv_dimension(catalyst.r, tail_tol)
+    if catalyst.family is CatalystFamily.TMSV:
+        results["catalyst_dim"] = tmsv_dimension(catalyst.r)
     else:
-        results["catalyst_dim"] = catalyst_spectrum(catalyst, tail_tol=tail_tol).dim
+        results["catalyst_dim"] = catalyst_spectrum(catalyst).dim
     _emit_json(obj, "catalysis check",
                {"p": [float(x) for x in p.components],
                 "q": [float(x) for x in q.components],
-                "tail_tol": tail_tol},
+                "tail_tol": TAIL_TOL},
                results)
 
 
@@ -517,7 +504,7 @@ def birkhoff_cmd(obj, witness, path):
         matrix = bs_witness_matrix(int(k_str), parse_angle(theta_str))
         params = {"witness": witness}
     else:
-        matrix = DoublyStochasticMatrix.from_rows(json.loads(Path(path).read_text()))
+        matrix = DoublyStochasticMatrix(json.loads(Path(path).read_text()))
         _check_decomposition(matrix, obj["tol"])
         params = {"file": str(path)}
     decomp = birkhoff_decompose(matrix, tol=obj["tol"])

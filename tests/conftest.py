@@ -101,7 +101,7 @@ def reference_search(p, q, family, grid, r_max=3.0, tol=TOL):
     i = 1
     while i * grid <= limit + 1e-15:
         spec = CatalystSpec.single_photon(i * grid) if single else CatalystSpec.tmsv(i * grid)
-        c = catalyst_spectrum(spec, tail_tol=1e-12)
+        c = catalyst_spectrum(spec)
         if compare(tensor(p, c), tensor(q, c), tol=tol).relation is Relation.MAJORIZED_BY:
             yield spec
         i += 1

@@ -90,7 +90,7 @@ def test_criterion_2_incomparability_and_catalysis():
     assert single.verdict_with.relation is Relation.MAJORIZED_BY
     assert single.catalysis_achieved
 
-    squeezed = check_catalysis(p, q, CatalystSpec.tmsv(1.38), tail_tol=1e-12)
+    squeezed = check_catalysis(p, q, CatalystSpec.tmsv(1.38))
     assert squeezed.verdict_with.relation is Relation.MAJORIZED_BY
     assert squeezed.catalysis_achieved
     assert time.perf_counter() - start < 1.0

@@ -125,6 +125,19 @@ def test_matrix_validation():
     assert clamped.entries[0, 1] == 0.0
 
 
+@pytest.mark.parametrize("entries,message", [
+    ([[math.nan]], "must be finite"),
+    ([[None]], "must be finite"),
+    ([[math.nan, 1.0], [1.0, math.nan]], "must be finite"),
+    ([[math.inf]], "must be finite"),
+    ({"a": 1}, "square matrix of numbers"),
+    ([[{}]], "square matrix of numbers"),
+])
+def test_matrix_rejects_non_numbers(entries, message):
+    with pytest.raises(ValueError, match=message):
+        DoublyStochasticMatrix(entries)
+
+
 def test_decompose_identity():
     dec = birkhoff_decompose(DoublyStochasticMatrix(np.eye(4)))
     assert len(dec) == 1
@@ -198,7 +211,7 @@ def test_decomposition_serialization_round_trip():
 
 def test_matrix_rows_round_trip():
     D = bs_witness_matrix(1, 0.4)
-    again = DoublyStochasticMatrix.from_rows(D.to_rows())
+    again = DoublyStochasticMatrix(D.to_rows())
     assert np.allclose(again.entries, D.entries, atol=0.0)
 
 

@@ -45,8 +45,6 @@ SITES = [
     (regions, "MAX_REGION_ENTRIES", 4 * 7, lambda: find_crossovers(3)),
     (regions, "MAX_CROSSING_PAIRS", 3 * 4 // 2, lambda: infinitesimal_verdict(3, 0.3)),
     (birkhoff, "MAX_WITNESS_ENTRIES", 4 * 4, lambda: bs_witness_matrix(2, 0.3)),
-    (catalysis, "MAX_CATALYST_DIM", 50,
-     lambda: CatalystSpec.tmsv(1.38, truncation_dim=50)),
     (catalysis, "MAX_CATALYST_DIM", tmsv_dimension(1.38),
      lambda: catalyst_spectrum(CatalystSpec.tmsv(1.38))),
     (catalysis, "MAX_CATALYST_DIM", (4 + 4) ** 2,

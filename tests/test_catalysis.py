@@ -13,7 +13,6 @@ from bsmaj import (
     CatalystSpec,
     ProbVector,
     Relation,
-    TruncationError,
     catalyst_spectrum,
     check_catalysis,
     compare,
@@ -65,19 +64,11 @@ def test_tmsv_geometric_structure():
     assert ratio ** vec.dim < 1e-12
 
 
-def test_tmsv_truncation_error_reports_requirement():
-    with pytest.raises(TruncationError) as err:
-        catalyst_spectrum(CatalystSpec.tmsv(1.38, truncation_dim=20))
-    assert err.value.required_dim == tmsv_dimension(1.38)
-
-
 def test_catalyst_spec_validation():
     with pytest.raises(ValueError):
         CatalystSpec.tmsv(-1.0)
     with pytest.raises(ValueError):
         CatalystSpec.single_photon(2.0)
-    with pytest.raises(ValueError):
-        CatalystSpec.tmsv(1.0, truncation_dim=0)
     # tanh^2 r rounds to 1 in double precision: no truncation normalizes
     with pytest.raises(ValueError, match="tanh"):
         CatalystSpec.tmsv(25.0)
@@ -99,7 +90,7 @@ def test_reference_pair_is_incomparable_and_single_photon_catalyzes():
 
 
 def test_reference_pair_tmsv_catalyzes():
-    report = check_catalysis(P_072, Q_062, CatalystSpec.tmsv(1.38), tail_tol=1e-12)
+    report = check_catalysis(P_072, Q_062, CatalystSpec.tmsv(1.38))
     assert report.verdict_without.relation is Relation.INCOMPARABLE
     assert report.verdict_with.relation is Relation.MAJORIZED_BY
     assert report.to_dict()["marginal"] is False
@@ -224,13 +215,20 @@ def test_search_rejects_unbounded_grid(monkeypatch):
             search_catalyst_all(P_072, Q_062, family, grid)
 
 
+def _truncated_tmsv(r, dim):
+    """The squeezed vacuum cut to its first ``dim`` components and
+    renormalized, as an explicit catalyst."""
+    q = math.tanh(r) ** 2
+    weights = (1.0 - q) * q ** np.arange(dim)
+    return CatalystSpec.explicit(ProbVector(weights / weights.sum()))
+
+
 def test_tmsv_truncation_stability():
+    # deeper truncations, compared by prefix sums, agree with the closed form
     base_dim = tmsv_dimension(1.38)
     baseline = check_catalysis(P_072, Q_062, CatalystSpec.tmsv(1.38))
     for extra in (10, 40, 90):
-        deeper = check_catalysis(
-            P_072, Q_062, CatalystSpec.tmsv(1.38, truncation_dim=base_dim + extra)
-        )
+        deeper = check_catalysis(P_072, Q_062, _truncated_tmsv(1.38, base_dim + extra))
         assert (
             deeper.verdict_with.relation is baseline.verdict_with.relation
         )
@@ -266,13 +264,9 @@ def test_tensor_of_catalyzed_pair_has_expected_dimension():
 
 def test_squeezed_vacuum_dimension_is_capped(monkeypatch):
     cap = catalysis.MAX_CATALYST_DIM
+    # r = 10 would need about 3.4e9 components
     with pytest.raises(ValueError, match="limit"):
-        CatalystSpec.tmsv(1.38, truncation_dim=cap + 1)
-    assert CatalystSpec.tmsv(1.38, truncation_dim=cap).truncation_dim == cap
-    # r = 10 would need about 3.4e9 components; refused, not a TruncationError
-    with pytest.raises(ValueError, match="limit") as err:
         catalyst_spectrum(CatalystSpec.tmsv(10.0))
-    assert not isinstance(err.value, TruncationError)
     # The untruncated check is capped by its n^2 closed-form terms instead,
     # whatever r: the paper pair's 8 entries take 64 at r = 6 and at r = 10,
     # where a truncation would need about 1.1e6 and 3.4e9 components.
@@ -289,9 +283,8 @@ def test_squeezed_vacuum_dimension_is_capped(monkeypatch):
     # r, refused before any is formed; k = 499 is the largest such pair taken
     monkeypatch.setattr(catalysis, "_threshold_extremes", no_closed_form)
     p, q = spectrum(500, 0.7), spectrum(500, 0.72)
-    with pytest.raises(ValueError, match="1004004 closed-form threshold terms") as err:
+    with pytest.raises(ValueError, match="1004004 closed-form threshold terms"):
         check_catalysis(p, q, CatalystSpec.tmsv(0.1))
-    assert not isinstance(err.value, TruncationError)
     vals = catalysis._gap_entries(spectrum(499, 0.7), spectrum(499, 0.72))[0]
     assert vals.size**2 == cap
     catalysis._check_closed_form(vals, 0.1)
@@ -325,9 +318,8 @@ def test_squeezing_near_one_is_decided_up_to_the_whole_number_guard(monkeypatch)
         raise AssertionError("a closed form was evaluated")
 
     monkeypatch.setattr(catalysis, "_threshold_extremes", no_closed_form)
-    with pytest.raises(ValueError, match="more than 2\\^53") as err:
+    with pytest.raises(ValueError, match="more than 2\\^53"):
         check_catalysis(P_072, Q_062, CatalystSpec.tmsv(19.0))
-    assert not isinstance(err.value, TruncationError)
 
 
 def test_closed_form_holds_its_allowance_up_to_the_whole_number_guard():
@@ -380,7 +372,7 @@ def test_survivor_mask_matches_compare(p, q, thetas, rs):
     dim = tmsv_dimension(max(rs))
     for specs in (
         [CatalystSpec.single_photon(t) for t in thetas],
-        [CatalystSpec.tmsv(r, truncation_dim=dim) for r in rs],
+        [_truncated_tmsv(r, dim) for r in rs],
     ):
         rows = _catalyst_rows(specs)
         mask = catalysis._majorized_by_rows(p, q, rows, 1e-12)

@@ -70,8 +70,8 @@ def test_parse_vector_arg_forms(tmp_path):
 def test_parse_catalyst_arg_forms(tmp_path):
     sp = parse_catalyst_arg("single-photon:0.7")
     assert sp.theta_c == 0.7
-    tm = parse_catalyst_arg("tmsv:1.38,120")
-    assert tm.r == 1.38 and tm.truncation_dim == 120
+    tm = parse_catalyst_arg("tmsv:1.38")
+    assert tm.r == 1.38
     inline = parse_catalyst_arg("[0.9, 0.1]")
     assert np.allclose(inline.vector.components, [0.9, 0.1])
 
@@ -234,16 +234,6 @@ def test_catalysis_check(cli_runner):
     assert data["results"]["achieved"] is True
 
 
-def test_catalysis_check_truncation_error_exits_one(cli_runner):
-    result = cli_runner.invoke(
-        main,
-        ["catalysis", "check", "--p", "bs:3,0.72", "--q", "bs:3,0.62",
-         "--catalyst", "tmsv:1.38,10"],
-    )
-    assert result.exit_code == 1
-    assert "tail mass" in result.output
-
-
 def test_catalysis_search_first_hit(cli_runner):
     result = invoke(
         cli_runner,
@@ -258,7 +248,7 @@ def test_birkhoff_witness(cli_runner):
     result = invoke(cli_runner, ["birkhoff", "--witness", "2,0.5"])
     data = payload(result)
     decomp = BirkhoffDecomposition.from_dict(data["results"])
-    matrix = DoublyStochasticMatrix.from_rows(data["results"]["matrix"])
+    matrix = DoublyStochasticMatrix(data["results"]["matrix"])
     assert np.max(np.abs(decomp.reconstruct() - matrix.entries)) < 1e-9
     assert data["results"]["terms"] <= 10
 
@@ -269,6 +259,15 @@ def test_birkhoff_from_file(cli_runner, tmp_path):
     result = invoke(cli_runner, ["birkhoff", "--file", str(path)])
     data = payload(result)
     assert data["results"]["terms"] <= 2
+
+
+@pytest.mark.parametrize("text", ["[[NaN]]", "[[null]]", "[[NaN, 1], [1, NaN]]",
+                                  '{"a": 1}'])
+def test_birkhoff_file_refuses_non_matrices(cli_runner, tmp_path, text):
+    path = tmp_path / "m.json"
+    path.write_text(text)
+    result = invoke_within_contract(cli_runner, ["birkhoff", "--file", str(path)])
+    assert result.exit_code == 2
 
 
 def _dense_matrix(d: int) -> list:
@@ -336,22 +335,14 @@ CONTRACT_CASES = [
     (["catalysis", "check", "--p", "bs:3,0.72", "--q", "bs:3,0.62",
       "--catalyst", "tmsv:1e-200"], 0),
     (["--tol", "-1", "majorize", "--p", "bs:3,0.62", "--q", "bs:3,0.62"], 2),
-    (["catalysis", "check", "--p", "bs:3,0.72", "--q", "bs:3,0.62",
-      "--catalyst", "tmsv:1.38", "--tail-tol", "0"], 2),
-    (["catalysis", "check", "--p", "bs:3,0.72", "--q", "bs:3,0.62",
-      "--catalyst", "tmsv:1.38", "--tail-tol", "1"], 2),
     (["catalysis", "search", "--p", "bs:3,0.72", "--q", "bs:3,0.62",
       "--family", "single-photon", "--grid", "1e-12"], 2),
     (["--tol", "nan", "majorize", "--p", "bs:3,0.62", "--q", "bs:3,0.72"], 2),
     (["--tol", "inf", "majorize", "--p", "bs:3,0.62", "--q", "bs:3,0.72"], 2),
     (["catalysis", "check", "--p", "bs:3,0.72", "--q", "bs:3,0.62",
       "--catalyst", "tmsv:10"], 0),
-    (["catalysis", "check", "--p", "bs:3,0.72", "--q", "bs:3,0.62",
-      "--catalyst", "tmsv:1.38,2000000"], 2),
     (["catalysis", "search", "--p", "bs:3,0.72", "--q", "bs:3,0.62",
       "--family", "tmsv", "--grid", "0.1", "--r-max", "10"], 0),
-    (["catalysis", "check", "--p", "bs:3,0.72", "--q", "bs:3,0.62",
-      "--catalyst", "single-photon:0.7", "--tail-tol", "nan"], 2),
     (["catalysis", "search", "--p", "bs:3,0.72", "--q", "bs:3,0.62",
       "--family", "tmsv", "--grid", "0.1", "--r-max", "nan"], 2),
     (["catalysis", "search", "--p", "bs:3,0.72", "--q", "bs:3,0.62",
@@ -392,10 +383,14 @@ CONTRACT_CASES = [
     (["infinitesimal", "--k", "20000", "--theta", "0.3"], 2),
     (["infinitesimal", "--k", "100000000", "--theta", "0.3"], 2),
     (["entropy-curve", "--k", "1000000", "--steps", "1000000"], 2),
-    (["catalysis", "check", "--p", "bs:1000000,0.3", "--q", "bs:1000000,0.31",
-      "--catalyst", "tmsv:1,1000000"], 2),
     (["catalysis", "check", "--p", "bs:3,0.72", "--q", "bs:3,0.62",
-      "--catalyst", "tmsv:1.38,1000000"], 0),
+      "--catalyst", "tmsv:1.38,10"], 2),
+    (["catalysis", "search", "--p", "bs:3,0.72", "--q", "bs:3,0.62",
+      "--family", "tmsv", "--grid", "0.1", "--r-max", "-1"], 2),
+    (["catalysis", "search", "--p", "bs:3,0.72", "--q", "bs:3,0.62",
+      "--family", "tmsv", "--grid", "0.1", "--r-max", "0"], 2),
+    (["catalysis", "search", "--p", "bs:3,0.72", "--q", "bs:3,0.62",
+      "--family", "tmsv", "--grid", "30", "--r-max", "25"], 2),
 ]
 
 #: Seconds within which a refused input must exit: refusals come before the
