@@ -27,10 +27,7 @@ class DoublyStochasticMatrix:
     __slots__ = ("_entries",)
 
     def __init__(self, entries):
-        try:
-            arr = np.array(entries, dtype=float)
-        except TypeError as exc:  # a JSON object, or one among the entries
-            raise ValueError(f"expected a square matrix of numbers: {exc}") from exc
+        arr = np.array(entries, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.size == 0:
             raise ValueError("expected a non-empty square matrix")
         if not np.all(np.isfinite(arr)):

@@ -42,7 +42,7 @@ from .regions import (
     find_crossovers,
     infinitesimal_verdict,
 )
-from .vectors import TOL, ProbVector, check_work, sort_desc
+from .vectors import TOL, ProbVector, check_work, json_array, sort_desc
 
 
 #: Most angles an entropy sweep may sample.
@@ -488,7 +488,7 @@ def catalysis_search_cmd(obj, p, q, family, grid, r_max, all_):
 @main.command("birkhoff")
 @click.option("--witness", default=None, metavar="K,THETA",
               help="Decompose the photon-chain witness matrix for K at THETA.")
-@click.option("--file", "path", default=None, type=click.Path(exists=True),
+@click.option("--file", "path", default=None, type=click.Path(exists=True, dir_okay=False),
               help="Decompose a matrix read as a JSON array of rows.")
 @click.pass_obj
 @_domain_guard
@@ -504,7 +504,7 @@ def birkhoff_cmd(obj, witness, path):
         matrix = bs_witness_matrix(int(k_str), parse_angle(theta_str))
         params = {"witness": witness}
     else:
-        matrix = DoublyStochasticMatrix(json.loads(Path(path).read_text()))
+        matrix = DoublyStochasticMatrix(json_array(Path(path).read_text(), 2))
         _check_decomposition(matrix, obj["tol"])
         params = {"file": str(path)}
     decomp = birkhoff_decompose(matrix, tol=obj["tol"])

@@ -34,6 +34,44 @@ def check_work(count, limit, what: str) -> None:
         raise ValueError(f"{what}, more than the limit of {limit}")
 
 
+#: JSON names of the Python types ``json.loads`` returns, for error messages.
+_JSON_KINDS = {bool: "a boolean", str: "a string", type(None): "null",
+               dict: "an object", list: "an array"}
+
+
+def json_array(text: str, ndim: int) -> np.ndarray:
+    """Parse ``text`` as JSON holding a finite float array of rank ``ndim``.
+
+    Only nested JSON arrays, ``ndim`` deep, of JSON numbers are accepted:
+    a boolean, string, null or object anywhere, an array nested too deep or
+    not deep enough, a ragged array, an integer too large for a float and a
+    non-finite number (Python's ``json`` reads ``NaN`` and ``Infinity``) all
+    raise ValueError, and so does nesting too deep for the parser itself.
+    """
+    try:
+        data = json.loads(text)
+    except RecursionError as exc:
+        raise ValueError("JSON nested too deeply") from exc
+    level = [data]
+    for depth in range(ndim + 1):
+        types = (int, float) if depth == ndim else (list,)
+        bad = [x for x in level if type(x) not in types]
+        if bad:
+            found = _JSON_KINDS.get(type(bad[0]), "a number")
+            raise ValueError(f"expected a {ndim}-D JSON array of numbers, found {found}")
+        if depth < ndim:
+            level = [x for row in level for x in row]
+    try:
+        arr = np.array(data, dtype=float)
+    except OverflowError as exc:
+        raise ValueError(f"a JSON number is too large for a float: {exc}") from exc
+    if arr.ndim != ndim:  # an empty array at an outer level
+        raise ValueError(f"expected a {ndim}-D JSON array of numbers")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("JSON numbers must be finite")
+    return arr
+
+
 def normalize_rows(arr: np.ndarray) -> np.ndarray:
     """Clip each row (last axis) at zero and divide it by its sum, in place.
 
@@ -122,10 +160,7 @@ class ProbVector:
 
     @classmethod
     def from_json(cls, text: str) -> "ProbVector":
-        data = json.loads(text)
-        if not isinstance(data, list):
-            raise ValueError("expected a JSON array of numbers")
-        return cls(data)
+        return cls(json_array(text, 1))
 
     @classmethod
     def from_csv(cls, text: str) -> "ProbVector":

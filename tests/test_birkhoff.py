@@ -130,8 +130,6 @@ def test_matrix_validation():
     ([[None]], "must be finite"),
     ([[math.nan, 1.0], [1.0, math.nan]], "must be finite"),
     ([[math.inf]], "must be finite"),
-    ({"a": 1}, "square matrix of numbers"),
-    ([[{}]], "square matrix of numbers"),
 ])
 def test_matrix_rejects_non_numbers(entries, message):
     with pytest.raises(ValueError, match=message):

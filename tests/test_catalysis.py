@@ -24,7 +24,7 @@ from bsmaj import (
     tensor,
     tmsv_dimension,
 )
-from bsmaj.majorization import gap_relation
+from bsmaj.majorization import gap_relation, majorized_by_mask
 
 from conftest import (
     closed_form_extremes_mpmath,
@@ -670,6 +670,53 @@ def test_single_and_batched_closed_forms_are_bit_identical(monkeypatch):
         assert np.concatenate([b[0] for b in blocks]).tobytes() == lo.tobytes()
         assert np.concatenate([b[1] for b in blocks]).tobytes() == hi.tobytes()
         assert hits == list(catalysis._search(p, q, "tmsv", grid, 3.0, TOL))
+
+
+def _scan_corpus():
+    """The paper's pair and two seeded pairs for each k = 3 ... 6, incomparable
+    and passing the entropy screen, at angles drawn as the catalyst-scan
+    benchmark draws them."""
+    pairs = [(P_072, Q_062)]
+    rng = np.random.default_rng(16)
+    for k in (3, 3, 4, 4, 5, 5, 6, 6):
+        while True:
+            p, q = (spectrum(k, t) for t in rng.uniform(0.2, math.pi / 4 - 0.02, size=2))
+            if compare(p, q).relation is Relation.INCOMPARABLE and necessary_conditions(p, q):
+                break
+        pairs.append((p, q))
+    return pairs
+
+
+SCAN_CORPUS = _scan_corpus()
+
+
+@pytest.mark.parametrize("terms", [2**6, 2**10, 2**11, 2**14])
+def test_block_size_changes_nothing_on_the_scan_corpus(monkeypatch, terms):
+    # Blocks of 1 candidate (2^6) up to the whole 50-point grid in one (2^14)
+    rs = _old_grid(0.06, 3.0)
+    found = 0
+    for p, q in SCAN_CORPUS:
+        vals, weights = catalysis._gap_entries(p, q)
+        lo, hi = catalysis._threshold_extremes(vals, weights,
+                                               np.array([math.tanh(r) ** 2 for r in rs]))
+        want = [rs[i] for i in np.flatnonzero(majorized_by_mask(lo, hi, TOL))]
+        blocks = []
+        kernel = catalysis._threshold_extremes
+
+        def spy(vals, weights, rhos):
+            blocks.append(kernel(vals, weights, rhos))
+            return blocks[-1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(catalysis, "TMSV_BATCH_TERMS", terms)
+            patch.setattr(catalysis, "_threshold_extremes", spy)
+            hits = search_catalyst_all(p, q, "tmsv", 0.06)
+        assert len(blocks) == -(-len(rs) // max(1, terms // vals.size**2))
+        assert np.concatenate([b[0] for b in blocks]).tobytes() == lo.tobytes()
+        assert np.concatenate([b[1] for b in blocks]).tobytes() == hi.tobytes()
+        assert [hit.r for hit in hits] == want
+        found += bool(want)
+    assert found >= len(SCAN_CORPUS) // 2
 
 
 def _matches_dense_kernel(vals, weights, rhos):

@@ -391,7 +391,17 @@ CONTRACT_CASES = [
       "--family", "tmsv", "--grid", "0.1", "--r-max", "0"], 2),
     (["catalysis", "search", "--p", "bs:3,0.72", "--q", "bs:3,0.62",
       "--family", "tmsv", "--grid", "30", "--r-max", "25"], 2),
+    (["majorize", "--p", "[{}]", "--q", "[1]"], 2),
+    (["catalysis", "check", "--p", "bs:3,0.72", "--q", "bs:3,0.62",
+      "--catalyst", "file:object.json"], 2),
+    (["majorize", "--p", "[true, false]", "--q", "[1]"], 2),
+    (["majorize", "--p", '["0.5", "0.5"]', "--q", "[1]"], 2),
+    (["birkhoff", "--file", "booleans.json"], 2),
+    (["birkhoff", "--file", "."], 2),
 ]
+
+#: Files that contract cases name, written into the directory each case runs in.
+CONTRACT_FILES = {"object.json": "[{}]", "booleans.json": "[[true, false], [false, true]]"}
 
 #: Seconds within which a refused input must exit: refusals come before the
 #: work they bound.
@@ -411,8 +421,11 @@ def invoke_within_contract(runner, args):
 
 @pytest.mark.parametrize("args,code", CONTRACT_CASES,
                          ids=[" ".join(args) for args, _ in CONTRACT_CASES])
-def test_exit_code_contract(cli_runner, args, code):
-    result = invoke_within_contract(cli_runner, args)
+def test_exit_code_contract(cli_runner, tmp_path, args, code):
+    with cli_runner.isolated_filesystem(temp_dir=tmp_path):
+        for name, text in CONTRACT_FILES.items():
+            Path(name).write_text(text)
+        result = invoke_within_contract(cli_runner, args)
     assert result.exit_code == code, result.output
 
 
@@ -462,6 +475,45 @@ def cli_arguments(draw):
 def test_exit_code_contract_fuzz(args):
     result = invoke_within_contract(CliRunner(), args)
     assert result.exit_code in (0, 1, 2), result.output
+
+
+#: JSON values of every kind: null, booleans, strings, integers past the
+#: float range, negative and non-finite floats, and arrays and objects of them,
+#: nested; plus a few valid vectors and matrices.
+JSON_VALUES = st.one_of(
+    st.sampled_from([[1], [0.5, 0.5], [0.25, 0.75, 0], [[1, 0], [0, 1]],
+                     [[0.5, 0.5], [0.5, 0.5]]]),
+    st.recursive(
+        st.one_of(st.none(), st.booleans(), st.text(max_size=4), st.floats(),
+                  st.integers(min_value=-10**400, max_value=10**400),
+                  st.sampled_from([0, 1, 0.5, 0.25])),
+        lambda inner: (st.lists(inner, max_size=4)
+                       | st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+        max_leaves=16,
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=JSON_VALUES, inline=st.booleans(),
+       slot=st.sampled_from(["--p", "--q", "--catalyst", "birkhoff"]))
+def test_json_inputs_exit_within_contract_fuzz(value, inline, slot):
+    # Inline text that does not open an array is read as a path, and fails
+    # to open: only arrays reach the JSON reader inline. A matrix is read
+    # from its file only.
+    text = json.dumps(value)
+    if slot == "birkhoff":
+        args = ["birkhoff", "--file", "v.json"]
+    else:
+        options = {"--p": "bs:3,0.72", "--q": "bs:3,0.62",
+                   slot: text if inline else "file:v.json"}
+        args = ["catalysis", "check"] if slot == "--catalyst" else ["majorize"]
+        args += [x for option in options.items() for x in option]
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        Path("v.json").write_text(text)
+        result = invoke_within_contract(runner, args)
+    assert result.exit_code in (0, 2), result.output
 
 
 @pytest.mark.parametrize("flags,value", [

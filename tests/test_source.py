@@ -1,7 +1,9 @@
-"""Source checks on the package surface: every exported name resolves, and
-no module imports a name it never uses."""
+"""Source checks on the package surface: every exported name resolves, no
+module imports a name it never uses, and the README's limits table names
+every MAX_* constant with its value."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -38,3 +40,30 @@ def _unused_imports(tree):
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(ast.parse(path.read_text())) == []
+
+
+def _limits_table():
+    """``module.NAME`` and value of each row of the README's limits table."""
+    readme = (SRC.parents[1] / "README.md").read_text()
+    return [tuple(cell.strip().strip("`") for cell in line.split("|")[1:3])
+            for line in readme.splitlines() if line.startswith("| `")]
+
+
+def _max_constants():
+    """``module.NAME`` of every module-level ``MAX_*`` constant in the package."""
+    names = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.Assign):
+                names.update(f"{path.stem}.{t.id}" for t in node.targets
+                             if isinstance(t, ast.Name) and t.id.startswith("MAX_"))
+    return names
+
+
+def test_readme_limits_table_matches_the_constants():
+    rows = _limits_table()
+    assert sorted(name for name, _ in rows) == sorted(_max_constants())
+    for name, value in rows:
+        module, _, constant = name.partition(".")
+        current = getattr(importlib.import_module(f"bsmaj.{module}"), constant)
+        assert value == str(current), name

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 
 from bsmaj import ProbVector, compare, pad_to, sort_desc, spectrum, tensor
 from bsmaj.majorization import Relation
+from bsmaj.vectors import json_array
 
 from conftest import prob_vectors, sorted_prefix
 
@@ -130,6 +131,46 @@ def test_json_round_trip():
     p = ProbVector([0.25, 0.5, 0.25])
     again = ProbVector.from_json(p.to_json())
     assert p.allclose(again, tol=0.0)
+
+
+@pytest.mark.parametrize("text,ndim,want", [
+    ("[0.5, 0.5]", 1, [0.5, 0.5]),
+    ("[1, 0]", 1, [1.0, 0.0]),
+    ("[-2, 1e300]", 1, [-2.0, 1e300]),
+    ("[[1, 0], [0.5, 0.5]]", 2, [[1.0, 0.0], [0.5, 0.5]]),
+    ("[]", 1, []),
+    ("[[]]", 2, [[]]),
+])
+def test_json_array_reads_numbers(text, ndim, want):
+    arr = json_array(text, ndim)
+    assert arr.dtype == float and arr.ndim == ndim
+    assert arr.tolist() == want
+
+
+@pytest.mark.parametrize("text,ndim,message", [
+    ("[true, false]", 1, "found a boolean"),
+    ('["0.5", "0.5"]', 1, "found a string"),
+    ("[null]", 1, "found null"),
+    ("[{}]", 1, "found an object"),
+    ('{"a": 1}', 2, "found an object"),
+    ("[[{}]]", 2, "found an object"),
+    ("[[true, false], [false, true]]", 2, "found a boolean"),
+    ("[[1]]", 1, "found an array"),
+    ("[1, 0]", 2, "found a number"),
+    ("[[1], 0]", 2, "found a number"),
+    ("0.5", 1, "found a number"),
+    ("[]", 2, "2-D JSON array"),
+    ("[[1, 0], [1]]", 2, "inhomogeneous"),
+    ("[1" + "0" * 400 + "]", 1, "too large for a float"),
+    ("[NaN]", 1, "must be finite"),
+    ("[[Infinity]]", 2, "must be finite"),
+    ("[1e400]", 1, "must be finite"),
+    ("[" * 100_000, 1, "nested too deeply"),
+    ("[0.5, 0.5", 1, "Expecting"),
+])
+def test_json_array_refuses_anything_but_finite_numbers(text, ndim, message):
+    with pytest.raises(ValueError, match=message):
+        json_array(text, ndim)
 
 
 def test_csv_round_trip():
