@@ -10,11 +10,7 @@ protocol, and entanglement catalysis for incomparable spectra.
 
 __version__ = "0.1.0"
 
-from .beamsplitter import (
-    photon_chain_check,
-    spectrum,
-    transmittance,
-)
+from .beamsplitter import photon_chain_check, spectrum
 from .birkhoff import (
     BirkhoffDecomposition,
     DoublyStochasticMatrix,
@@ -23,7 +19,6 @@ from .birkhoff import (
     bs_witness_matrix,
 )
 from .catalysis import (
-    CatalysisReport,
     CatalystFamily,
     CatalystSpec,
     catalyst_spectrum,
@@ -33,11 +28,9 @@ from .catalysis import (
     search_catalyst_all,
     tmsv_dimension,
 )
-from .entropy import additivity_check, entropy_curve, min_entropy, renyi, shannon
+from .entropy import entropy_curve, renyi
 from .locc import (
     BobCorrection,
-    KrausPair,
-    LoccOutcomeReport,
     bob_permutation,
     build_kraus,
     run_protocol,
@@ -45,10 +38,8 @@ from .locc import (
 )
 from .majorization import MajorizationVerdict, Relation, compare, random_majorized
 from .regions import (
-    AccumulationDerivatives,
     AmbiguousOrderingError,
     InfinitesimalStatus,
-    InfinitesimalVerdict,
     RegionPartition,
     accumulation_derivatives,
     component_derivatives,
@@ -57,14 +48,13 @@ from .regions import (
     positivity_bound,
     region1_closed_form,
 )
-from .vectors import NORM_TOL, TOL, OscVector, ProbVector, pad_to, sort_desc, tensor
+from .vectors import NORM_TOL, TOL, ProbVector, pad_to, sort_desc, tensor
 
 __all__ = [
     "__version__",
     "TOL",
     "NORM_TOL",
     "ProbVector",
-    "OscVector",
     "sort_desc",
     "pad_to",
     "tensor",
@@ -79,12 +69,9 @@ __all__ = [
     "birkhoff_decompose",
     "spectrum",
     "photon_chain_check",
-    "transmittance",
     "RegionPartition",
-    "AccumulationDerivatives",
     "AmbiguousOrderingError",
     "InfinitesimalStatus",
-    "InfinitesimalVerdict",
     "find_crossovers",
     "component_derivatives",
     "accumulation_derivatives",
@@ -92,20 +79,14 @@ __all__ = [
     "infinitesimal_verdict",
     "positivity_bound",
     "renyi",
-    "shannon",
-    "min_entropy",
     "entropy_curve",
-    "additivity_check",
-    "KrausPair",
     "BobCorrection",
-    "LoccOutcomeReport",
     "build_kraus",
     "bob_permutation",
     "run_protocol",
     "verify_nielsen",
     "CatalystFamily",
     "CatalystSpec",
-    "CatalysisReport",
     "tmsv_dimension",
     "catalyst_spectrum",
     "check_catalysis",

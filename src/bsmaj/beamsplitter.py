@@ -60,11 +60,6 @@ def check_angle(theta: float) -> float:
     return theta
 
 
-def transmittance(theta: float) -> float:
-    """Fraction of incident photons transmitted, cos^2(theta)."""
-    return math.cos(check_angle(theta)) ** 2
-
-
 def spectrum(k: int, theta: float) -> ProbVector:
     """Transmitted-photon distribution for k incident photons at angle theta.
 

@@ -88,13 +88,6 @@ class BirkhoffDecomposition:
             "perms": [list(p) for p in self.permutations],
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "BirkhoffDecomposition":
-        return cls(
-            permutations=tuple(tuple(int(i) for i in p) for p in data["perms"]),
-            weights=tuple(float(w) for w in data["weights"]),
-        )
-
 
 def bs_witness_matrix(k: int, theta: float) -> DoublyStochasticMatrix:
     """Banded transfer matrix between consecutive photon-number spectra.

@@ -22,19 +22,18 @@ from .majorization import (MajorizationVerdict, Relation, compare, gap_relation,
                            majorized_by_mask)
 from .vectors import TOL, ProbVector, check_work, normalize_rows, tensor
 
-#: Spectral mass beyond the truncation point of a squeezed-vacuum catalyst
-#: that ``catalyst_spectrum`` materializes, before renormalization. Checks and
-#: searches decide for the untruncated state and do not use it.
+#: Spectral mass of a squeezed vacuum beyond the truncation that
+#: :func:`tmsv_dimension` counts. Only ``catalysis check`` uses it, and prints
+#: it as ``tail_tol``; checks and searches decide for the untruncated state.
 TAIL_TOL = 1e-12
 
 #: Most grid candidates one search may scan; finer grids are rejected
 #: before any candidate is checked.
 MAX_CANDIDATES = 10**6
 
-#: Most components a materialized squeezed-vacuum catalyst may have, and most
-#: closed-form threshold terms (n^2 for n nonzero entries of the pair) the
-#: check of an untruncated one may take.
-MAX_CATALYST_DIM = 10**6
+#: Most closed-form threshold terms (n^2 for n nonzero entries of the pair)
+#: the check of a squeezed-vacuum catalyst may take.
+MAX_CLOSED_FORM_TERMS = 10**6
 
 #: Most tensored entries (candidates times dimension) a single-photon search
 #: compares in one numpy pass.
@@ -106,7 +105,8 @@ def tmsv_dimension(r: float) -> int:
 
     The untruncated spectrum is (1 - q) q^n with q = tanh^2 r, so the mass
     beyond the first N terms is exactly q^N. When q underflows to zero
-    the spectrum is the vacuum alone and one term holds all of it.
+    the spectrum is the vacuum alone and one term holds all of it. Only
+    ``catalysis check`` uses it, and prints it as ``catalyst_dim``.
     """
     q = math.tanh(r) ** 2
     if q == 0.0:
@@ -115,19 +115,17 @@ def tmsv_dimension(r: float) -> int:
 
 
 def catalyst_spectrum(spec: CatalystSpec) -> ProbVector:
-    """Materialize the probability vector of a catalyst candidate."""
+    """The probability vector of a single-photon or explicit catalyst.
+
+    A squeezed vacuum is decided in closed form (:func:`check_catalysis`)
+    and is never materialized, so its spec raises ValueError.
+    """
     if spec.family is CatalystFamily.SINGLE_PHOTON:
         c2 = math.cos(spec.theta_c) ** 2
         return ProbVector([c2, 1.0 - c2])
     if spec.family is CatalystFamily.EXPLICIT:
         return spec.vector
-    # Squeezed vacuum truncated at TAIL_TOL: geometric with ratio tanh^2 r.
-    q = math.tanh(spec.r) ** 2
-    n_terms = tmsv_dimension(spec.r)
-    check_work(n_terms, MAX_CATALYST_DIM, f"squeezing parameter {spec.r!r} needs "
-               f"{n_terms} components for tail mass {TAIL_TOL:.3g}")
-    weights = (1.0 - q) * q ** np.arange(n_terms)
-    return ProbVector(weights / weights.sum())
+    raise ValueError("a squeezed-vacuum catalyst has no materialized spectrum")
 
 
 @dataclass(frozen=True)
@@ -175,14 +173,15 @@ def check_catalysis(
     :func:`~bsmaj.majorization.gap_relation` of the least and greatest D,
     which :func:`_threshold_extremes` finds in closed form; it carries no
     prefix-sum gaps. Pairs whose closed form needs more than
-    ``MAX_CATALYST_DIM`` terms are refused before any is formed, and so are
-    squeezings too close to tanh^2 r = 1 for it (:func:`_check_closed_form`).
+    ``MAX_CLOSED_FORM_TERMS`` terms are refused before any is formed, and so
+    are squeezings too close to tanh^2 r = 1 for it (:func:`_check_closed_form`).
 
-    Every other catalyst is materialized and compared by prefix sums.
+    Every other catalyst, and the vacuum (a squeezing whose tanh^2 r
+    underflows to 0, the one-entry catalyst [1]), is materialized and
+    compared by prefix sums.
     """
     verdict_without = compare(p, q, tol=tol)
     rho = math.tanh(c.r) ** 2 if c.family is CatalystFamily.TMSV else 0.0
-    # tanh^2 r = 0 is the vacuum, which catalyst_spectrum builds exactly
     if rho > 0.0:
         vals, weights = _gap_entries(p, q)
         _check_closed_form(vals, c.r)
@@ -190,7 +189,7 @@ def check_catalysis(
         verdict_with = MajorizationVerdict(gap_relation(float(lo[0]), float(hi[0]), tol),
                                            (), None)
     else:
-        cvec = catalyst_spectrum(c)
+        cvec = ProbVector([1.0]) if c.family is CatalystFamily.TMSV else catalyst_spectrum(c)
         verdict_with = compare(tensor(p, cvec), tensor(q, cvec), tol=tol)
     return CatalysisReport(verdict_without, verdict_with, c)
 
@@ -205,13 +204,13 @@ def _gap_entries(p, q):
 
 
 def _check_closed_form(vals, r) -> None:
-    """Refuse, before any term is formed, more than ``MAX_CATALYST_DIM``
+    """Refuse, before any term is formed, more than ``MAX_CLOSED_FORM_TERMS``
     closed-form terms (n^2 for n entries), or a squeezing at which a switch-on
     index c_yx of :func:`_threshold_extremes` would pass 2^53, beyond which
     neighbouring catalyst powers are no longer distinct floats. The largest
     c_yx is that of the largest entry seen from the smallest."""
     n = vals.size
-    check_work(n * n, MAX_CATALYST_DIM,
+    check_work(n * n, MAX_CLOSED_FORM_TERMS,
                f"{n} nonzero entries need {n * n} closed-form threshold terms")
     reach = (math.log(vals[0]) - math.log(vals[-1])) / -math.log(math.tanh(r) ** 2)
     if not reach <= 2.0**53:

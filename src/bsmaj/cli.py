@@ -85,6 +85,8 @@ def parse_angle(text) -> float:
             div = float(tail[1:])
             if div == 0.0:
                 raise ValueError(f"angle {text!r} divides by zero")
+            if math.isinf(div):
+                raise ValueError(f"angle {text!r} divides by infinity")
         value = coeff * math.pi / div
     if not math.isfinite(value):
         raise ValueError(f"angle {text!r} is not finite")
@@ -139,10 +141,7 @@ def parse_vector_arg(text: str) -> ProbVector:
         if not sep:
             raise ValueError(f"expected bs:K,THETA, got {text!r}")
         return spectrum(int(k_str), parse_angle(theta_str))
-    if s.startswith("["):
-        return ProbVector.from_json(s)
-    path = s[5:] if s.startswith("file:") else s
-    return ProbVector.parse(Path(path).read_text())
+    return _read_vector(s)
 
 
 def parse_catalyst_arg(text: str) -> CatalystSpec:
@@ -152,38 +151,35 @@ def parse_catalyst_arg(text: str) -> CatalystSpec:
         return CatalystSpec.single_photon(parse_angle(s.partition(":")[2]))
     if s.startswith("tmsv:"):
         return CatalystSpec.tmsv(float(s.partition(":")[2]))
+    return CatalystSpec.explicit(_read_vector(s))
+
+
+def _read_vector(s: str) -> ProbVector:
+    """Read an inline JSON array, or a file named as file:PATH or PATH."""
     if s.startswith("["):
-        return CatalystSpec.explicit(ProbVector.from_json(s))
+        return ProbVector.from_json(s)
     path = s[5:] if s.startswith("file:") else s
-    return CatalystSpec.explicit(ProbVector.parse(Path(path).read_text()))
+    return ProbVector.parse(Path(path).read_text())
 
 
-class VectorType(click.ParamType):
-    name = "vector"
+class ParsedType(click.ParamType):
+    """A click type that reads text with ``parse`` and passes through values
+    that are already of type ``kind``; parse errors exit 2."""
 
-    def convert(self, value, param, ctx):
-        if isinstance(value, ProbVector):
-            return value
-        try:
-            return parse_vector_arg(value)
-        except (ValueError, OSError) as exc:
-            self.fail(f"cannot parse vector {value!r}: {exc}", param, ctx)
-
-
-class CatalystType(click.ParamType):
-    name = "catalyst"
+    def __init__(self, name: str, parse, kind: type):
+        self.name, self.parse, self.kind = name, parse, kind
 
     def convert(self, value, param, ctx):
-        if isinstance(value, CatalystSpec):
+        if isinstance(value, self.kind):
             return value
         try:
-            return parse_catalyst_arg(value)
+            return self.parse(value)
         except (ValueError, OSError) as exc:
-            self.fail(f"cannot parse catalyst {value!r}: {exc}", param, ctx)
+            self.fail(f"cannot parse {self.name} {value!r}: {exc}", param, ctx)
 
 
-VECTOR = VectorType()
-CATALYST = CatalystType()
+VECTOR = ParsedType("vector", parse_vector_arg, ProbVector)
+CATALYST = ParsedType("catalyst", parse_catalyst_arg, CatalystSpec)
 
 
 def _finite(ctx, param, value):

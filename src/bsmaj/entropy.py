@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from .beamsplitter import spectrum_rows
-from .vectors import TOL, ProbVector, check_work, tensor
+from .vectors import TOL, ProbVector, check_work
 
 #: Orders this close to 1 are routed to the Shannon branch; the 1/(1-alpha)
 #: prefactor is numerically unusable nearer than this.
@@ -99,14 +99,6 @@ def _logsumexp(a: np.ndarray) -> np.ndarray:
     return np.log1p(s) + np.log(m) + a_max[..., 0]
 
 
-def shannon(p: ProbVector) -> float:
-    return renyi(p, 1.0)
-
-
-def min_entropy(p: ProbVector) -> float:
-    return renyi(p, math.inf)
-
-
 def entropy_curve(k: int, orders, theta_grid, *, bits: bool = False) -> np.ndarray:
     """Entropies of the k-photon spectrum over an angle grid.
 
@@ -131,13 +123,3 @@ def entropy_curve(k: int, orders, theta_grid, *, bits: bool = False) -> np.ndarr
     if bits:
         out /= LN2
     return out
-
-
-def additivity_check(p: ProbVector, q: ProbVector, order) -> float:
-    """Entropy of the product distribution minus the sum of entropies.
-
-    Zero (up to roundoff) for every order: these entropies are additive
-    over tensor products.
-    """
-    alpha = parse_order(order)
-    return renyi(tensor(p, q), alpha) - renyi(p, alpha) - renyi(q, alpha)

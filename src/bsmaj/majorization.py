@@ -42,14 +42,6 @@ class MajorizationVerdict:
             "first_violation": self.first_violation,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "MajorizationVerdict":
-        return cls(
-            relation=Relation(data["relation"]),
-            partial_sum_gaps=tuple(float(g) for g in data["gaps"]),
-            first_violation=data["first_violation"],
-        )
-
 
 def gap_relation(lo: float, hi: float, tol: float) -> Relation:
     """The relation of p to q from the least and greatest gap, q minus p.

@@ -131,15 +131,6 @@ class ProbVector:
     def dim(self) -> int:
         return self._components.size
 
-    def __len__(self) -> int:
-        return self.dim
-
-    def __iter__(self):
-        return iter(self._components)
-
-    def __getitem__(self, idx):
-        return self._components[idx]
-
     def __repr__(self) -> str:
         inner = ", ".join(repr(float(x)) for x in self._components)
         return f"ProbVector([{inner}])"
@@ -149,14 +140,6 @@ class ProbVector:
         if self.dim != other.dim:
             return False
         return bool(np.max(np.abs(self._components - other._components)) <= tol)
-
-    def to_json(self) -> str:
-        """Serialize as a JSON array of numbers."""
-        return json.dumps([float(x) for x in self._components])
-
-    def to_csv(self) -> str:
-        """Serialize as a single-column CSV (one component per line)."""
-        return "\n".join(repr(float(x)) for x in self._components) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "ProbVector":
@@ -169,7 +152,7 @@ class ProbVector:
 
     @classmethod
     def parse(cls, text: str) -> "ProbVector":
-        """Parse either serialized form (JSON array or single-column CSV)."""
+        """Parse either text form (JSON array or single-column CSV)."""
         stripped = text.strip()
         if stripped.startswith("["):
             return cls.from_json(stripped)

@@ -23,6 +23,7 @@ from bsmaj import (
     sort_desc,
     spectrum,
     tensor,
+    tmsv_dimension,
 )
 from bsmaj.regions import QUARTER_PI
 
@@ -78,6 +79,16 @@ def prob_vectors(draw, min_dim=1, max_dim=8):
     return ProbVector([x / total for x in raw])
 
 
+def truncated_tmsv(r, dim=None):
+    """The squeezed vacuum, the geometric spectrum (1 - rho) rho^j with
+    rho = tanh^2 r, cut to its first ``dim`` components and renormalized, as
+    an explicit catalyst. ``dim`` defaults to ``tmsv_dimension(r)``, the
+    truncation whose discarded mass rho^dim is at most ``TAIL_TOL``."""
+    q = math.tanh(r) ** 2
+    weights = (1.0 - q) * q ** np.arange(tmsv_dimension(r) if dim is None else dim)
+    return CatalystSpec.explicit(ProbVector(weights / weights.sum()))
+
+
 def reference_search(p, q, family, grid, r_max=3.0, tol=TOL):
     """Catalyst search oracle: ``compare`` of the tensored pair for every grid
     candidate, one at a time.
@@ -86,7 +97,7 @@ def reference_search(p, q, family, grid, r_max=3.0, tol=TOL):
     when the bare verdict or the entropy screen rules catalysis out, and
     otherwise every grid candidate whose tensored pair is MajorizedBy, in
     scan order. A squeezed-vacuum catalyst is the geometric spectrum
-    truncated at tail mass 1e-12 and renormalized (``catalyst_spectrum``),
+    truncated at tail mass 1e-12 and renormalized (:func:`truncated_tmsv`),
     so for that family this is the truncated test that the search used
     before it decided for the untruncated state.
     """
@@ -101,7 +112,7 @@ def reference_search(p, q, family, grid, r_max=3.0, tol=TOL):
     i = 1
     while i * grid <= limit + 1e-15:
         spec = CatalystSpec.single_photon(i * grid) if single else CatalystSpec.tmsv(i * grid)
-        c = catalyst_spectrum(spec)
+        c = catalyst_spectrum(spec) if single else truncated_tmsv(spec.r).vector
         if compare(tensor(p, c), tensor(q, c), tol=tol).relation is Relation.MAJORIZED_BY:
             yield spec
         i += 1

@@ -22,14 +22,18 @@ from conftest import CLI_BATTERY  # noqa: E402
 
 PAIR = ["--p", "bs:3,0.72", "--q", "bs:3,0.62"]
 
-#: Invocations beyond ``CLI_BATTERY``: searches and a check whose outputs
-#: depend on the catalyst search and squeezed-vacuum truncation.
+#: Invocations beyond ``CLI_BATTERY``: searches, and checks with a catalyst
+#: of each kind: a squeezed vacuum, a single photon, an explicit vector and
+#: the vacuum (a squeezing whose tanh^2 r underflows to zero).
 EXTRA_CASES = [
     ["catalysis", "search", *PAIR, "--family", "tmsv", "--grid", "0.02", "--all"],
     ["catalysis", "search", *PAIR, "--family", "single-photon", "--grid", "0.001"],
     ["catalysis", "search", "--p", "bs:3,0.62", "--q", "bs:3,0.72",
      "--family", "tmsv", "--grid", "0.05", "--all"],
     ["catalysis", "check", *PAIR, "--catalyst", "tmsv:0.5"],
+    ["catalysis", "check", *PAIR, "--catalyst", "single-photon:0.7"],
+    ["catalysis", "check", *PAIR, "--catalyst", "[0.6, 0.4]"],
+    ["catalysis", "check", *PAIR, "--catalyst", "tmsv:1e-200"],
 ]
 
 GOLDEN_PATH = HERE / "cli.json"

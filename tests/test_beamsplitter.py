@@ -11,7 +11,6 @@ from bsmaj import (
     renyi,
     sort_desc,
     spectrum,
-    transmittance,
 )
 from bsmaj import beamsplitter
 from bsmaj.beamsplitter import DIRECT_K_LIMIT, MAX_PHOTONS, spectrum_rows
@@ -50,11 +49,6 @@ def test_point_mass_limits():
         assert spectrum(k, math.pi / 2).components[0] == pytest.approx(1.0, abs=1e-15)
         rows = np.concatenate(list(spectrum_rows(k, [0.0, 0.3, 0.0])))
         assert np.array_equal(rows[[0, 2]], [want, want])
-
-
-def test_transmittance():
-    assert transmittance(0.0) == 1.0
-    assert transmittance(math.pi / 4) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_validation():

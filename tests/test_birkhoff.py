@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from bsmaj import (
-    BirkhoffDecomposition,
     DoublyStochasticMatrix,
     ProbVector,
     Relation,
@@ -198,13 +197,6 @@ def test_decompose_random_mixture_corpus():
             Relation.MAJORIZED_BY,
             Relation.EQUAL,
         )
-
-
-def test_decomposition_serialization_round_trip():
-    dec = birkhoff_decompose(bs_witness_matrix(3, 0.8))
-    again = BirkhoffDecomposition.from_dict(dec.to_dict())
-    assert again.permutations == dec.permutations
-    assert np.allclose(again.weights, dec.weights, atol=0.0)
 
 
 def test_matrix_rows_round_trip():

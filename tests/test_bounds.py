@@ -18,13 +18,7 @@ import bsmaj
 from bsmaj import beamsplitter, birkhoff, catalysis, cli, entropy, regions, vectors
 from bsmaj.beamsplitter import photon_chain_check, spectrum
 from bsmaj.birkhoff import DoublyStochasticMatrix, bs_witness_matrix
-from bsmaj.catalysis import (
-    CatalystSpec,
-    catalyst_spectrum,
-    check_catalysis,
-    search_catalyst_all,
-    tmsv_dimension,
-)
+from bsmaj.catalysis import CatalystSpec, check_catalysis, search_catalyst_all
 from bsmaj.entropy import entropy_curve
 from bsmaj.regions import find_crossovers, infinitesimal_verdict
 from bsmaj.vectors import TOL, check_work, tensor
@@ -45,9 +39,7 @@ SITES = [
     (regions, "MAX_REGION_ENTRIES", 4 * 7, lambda: find_crossovers(3)),
     (regions, "MAX_CROSSING_PAIRS", 3 * 4 // 2, lambda: infinitesimal_verdict(3, 0.3)),
     (birkhoff, "MAX_WITNESS_ENTRIES", 4 * 4, lambda: bs_witness_matrix(2, 0.3)),
-    (catalysis, "MAX_CATALYST_DIM", tmsv_dimension(1.38),
-     lambda: catalyst_spectrum(CatalystSpec.tmsv(1.38))),
-    (catalysis, "MAX_CATALYST_DIM", (4 + 4) ** 2,
+    (catalysis, "MAX_CLOSED_FORM_TERMS", (4 + 4) ** 2,
      lambda: check_catalysis(P_072, Q_062, CatalystSpec.tmsv(1.38))),
     (catalysis, "MAX_CANDIDATES", (math.pi / 4 + 1e-15) / 0.1,
      lambda: search_catalyst_all(P_072, Q_062, "single-photon", 0.1)),

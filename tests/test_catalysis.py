@@ -33,6 +33,7 @@ from conftest import (
     prob_vectors,
     reference_search,
     sorted_threshold_gaps,
+    truncated_tmsv,
 )
 
 TOL = 1e-12
@@ -50,10 +51,10 @@ def test_single_photon_balanced():
     assert np.allclose(vec.components, [0.5, 0.5], atol=1e-15)
 
 
-def test_tmsv_geometric_structure():
+def test_truncated_tmsv_geometric_structure():
     r = 1.38
     ratio = math.tanh(r) ** 2
-    vec = catalyst_spectrum(CatalystSpec.tmsv(r))
+    vec = truncated_tmsv(r).vector
     assert vec.dim == tmsv_dimension(r)
     # geometric ratio between consecutive components
     ratios = vec.components[1:] / vec.components[:-1]
@@ -62,6 +63,14 @@ def test_tmsv_geometric_structure():
     assert vec.components[0] == pytest.approx(1.0 - ratio, abs=1e-11)
     # pre-renormalization tail mass is below the tolerance
     assert ratio ** vec.dim < 1e-12
+
+
+@pytest.mark.parametrize("r", [1e-200, 0.05, 0.5, 1.38, 3.0, 6.0])
+def test_tmsv_dimension_is_the_least_truncation_within_the_tail_tolerance(r):
+    # the mass beyond N terms is rho^N: at most TAIL_TOL at N, above it at
+    # N - 1; at r = 1e-200 rho underflows to 0 and N = 1
+    rho, n = math.tanh(r) ** 2, tmsv_dimension(r)
+    assert rho**n <= catalysis.TAIL_TOL < rho ** (n - 1)
 
 
 def test_catalyst_spec_validation():
@@ -75,10 +84,20 @@ def test_catalyst_spec_validation():
 
 
 def test_tmsv_vanishing_squeezing_is_the_vacuum():
-    # tanh^2 r underflows to 0: one term carries all of the mass
+    # tanh^2 r underflows to 0: one term carries all of the mass, and the
+    # check tensors the one-entry vacuum onto the pair, which changes nothing
     assert tmsv_dimension(1e-200) == 1
-    vec = catalyst_spectrum(CatalystSpec.tmsv(1e-200))
-    assert vec.components.tolist() == [1.0]
+    assert truncated_tmsv(1e-200).vector.components.tolist() == [1.0]
+    bare = compare(P_072, Q_062)
+    verdict = check_catalysis(P_072, Q_062, CatalystSpec.tmsv(1e-200)).verdict_with
+    assert verdict.relation is bare.relation is Relation.INCOMPARABLE
+    assert np.allclose(verdict.partial_sum_gaps, bare.partial_sum_gaps, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("r", [1e-200, 1.38])
+def test_squeezed_vacuum_is_never_materialized(r):
+    with pytest.raises(ValueError, match="squeezed-vacuum"):
+        catalyst_spectrum(CatalystSpec.tmsv(r))
 
 
 def test_reference_pair_is_incomparable_and_single_photon_catalyzes():
@@ -215,20 +234,12 @@ def test_search_rejects_unbounded_grid(monkeypatch):
             search_catalyst_all(P_072, Q_062, family, grid)
 
 
-def _truncated_tmsv(r, dim):
-    """The squeezed vacuum cut to its first ``dim`` components and
-    renormalized, as an explicit catalyst."""
-    q = math.tanh(r) ** 2
-    weights = (1.0 - q) * q ** np.arange(dim)
-    return CatalystSpec.explicit(ProbVector(weights / weights.sum()))
-
-
 def test_tmsv_truncation_stability():
     # deeper truncations, compared by prefix sums, agree with the closed form
     base_dim = tmsv_dimension(1.38)
     baseline = check_catalysis(P_072, Q_062, CatalystSpec.tmsv(1.38))
     for extra in (10, 40, 90):
-        deeper = check_catalysis(P_072, Q_062, _truncated_tmsv(1.38, base_dim + extra))
+        deeper = check_catalysis(P_072, Q_062, truncated_tmsv(1.38, base_dim + extra))
         assert (
             deeper.verdict_with.relation is baseline.verdict_with.relation
         )
@@ -262,14 +273,11 @@ def test_tensor_of_catalyzed_pair_has_expected_dimension():
     assert tensor(P_072, c).dim == 8
 
 
-def test_squeezed_vacuum_dimension_is_capped(monkeypatch):
-    cap = catalysis.MAX_CATALYST_DIM
-    # r = 10 would need about 3.4e9 components
-    with pytest.raises(ValueError, match="limit"):
-        catalyst_spectrum(CatalystSpec.tmsv(10.0))
-    # The untruncated check is capped by its n^2 closed-form terms instead,
-    # whatever r: the paper pair's 8 entries take 64 at r = 6 and at r = 10,
-    # where a truncation would need about 1.1e6 and 3.4e9 components.
+def test_squeezed_vacuum_check_is_capped_by_its_closed_form_terms(monkeypatch):
+    cap = catalysis.MAX_CLOSED_FORM_TERMS
+    # The untruncated check is capped by its n^2 closed-form terms, whatever
+    # r: the paper pair's 8 entries take 64 at r = 6 and at r = 10, where a
+    # truncation would need about 1.1e6 and 3.4e9 components.
     assert tmsv_dimension(6.0) > cap
     for r in (6.0, 10.0):
         report = check_catalysis(P_072, Q_062, CatalystSpec.tmsv(r))
@@ -372,7 +380,7 @@ def test_survivor_mask_matches_compare(p, q, thetas, rs):
     dim = tmsv_dimension(max(rs))
     for specs in (
         [CatalystSpec.single_photon(t) for t in thetas],
-        [_truncated_tmsv(r, dim) for r in rs],
+        [truncated_tmsv(r, dim) for r in rs],
     ):
         rows = _catalyst_rows(specs)
         mask = catalysis._majorized_by_rows(p, q, rows, 1e-12)
@@ -586,7 +594,7 @@ def test_pair_with_a_subnormal_entry_is_decided():
     p = ProbVector([0.6, 0.4 - 1e-320, 1e-320])
     q = ProbVector([0.75, 0.25])
     for r in (1.0, 2.0):
-        c = catalyst_spectrum(CatalystSpec.tmsv(r))
+        c = truncated_tmsv(r).vector
         want = compare(tensor(p, c), tensor(q, c)).relation
         assert check_catalysis(p, q, CatalystSpec.tmsv(r)).verdict_with.relation is want
 
@@ -626,7 +634,7 @@ def test_wide_range_pair_is_decided_as_the_truncated_test_decides(p, q):
     # same.
     assert search_catalyst_all(p, q, "tmsv", 0.5) == list(reference_search(p, q, "tmsv", 0.5))
     for r in (0.3, 2.5, 3.0):
-        c = catalyst_spectrum(CatalystSpec.tmsv(r))
+        c = truncated_tmsv(r).vector
         want = compare(tensor(p, c), tensor(q, c)).relation
         assert check_catalysis(p, q, CatalystSpec.tmsv(r)).verdict_with.relation is want
 
@@ -753,7 +761,7 @@ def test_wide_pair_extremes_match_the_dense_kernel_bit_for_bit(p, q):
 
 @pytest.mark.parametrize("r", [0.06, 1.0, 3.0, 12.0])
 def test_check_at_the_closed_form_cap_allocates_at_most_80_mib(r):
-    # n = 1,000 entries, n^2 = MAX_CATALYST_DIM terms. The dense kernel
+    # n = 1,000 entries, n^2 = MAX_CLOSED_FORM_TERMS terms. The dense kernel
     # peaked at 107.8 MiB at every r; the nonempty segments peak at 46 MiB
     # (r = 0.06) to 61 MiB (r >= 6). numpy reports its buffers to tracemalloc.
     p, q, spec = spectrum(499, 0.7), spectrum(499, 0.72), CatalystSpec.tmsv(r)
@@ -785,7 +793,7 @@ def test_inputs_past_the_old_window_cap_are_decided():
     assert gap_relation(gaps.min(), gaps.max(), TOL) is Relation.MAJORIZED_BY
 
     p, q = WIDE_PAIRS[0]
-    c = catalyst_spectrum(CatalystSpec.tmsv(4.0)).components
+    c = truncated_tmsv(4.0).vector.components
     assert c.size == 20592
     ps, qs = (np.sort(np.multiply.outer(v.components, c).ravel())[::-1] for v in (p, q))
     prefix = np.cumsum(qs) - np.cumsum(ps)

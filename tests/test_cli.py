@@ -17,6 +17,8 @@ from bsmaj import (
     DoublyStochasticMatrix,
     MajorizationVerdict,
     ProbVector,
+    Relation,
+    compare,
     spectrum,
 )
 from bsmaj import cli
@@ -49,7 +51,8 @@ def test_parse_angle_forms():
         parse_angle("four")
     with pytest.raises(ValueError):
         parse_angle("pi*3")
-    for bad in ("pi/0", "2*pi/0.0", "inf", "-inf", "nan", "1e400", "1e308*pi"):
+    for bad in ("pi/0", "2*pi/0.0", "inf", "-inf", "nan", "1e400", "1e308*pi",
+                "pi/inf", "pi/-inf", "pi/1e999", "2*pi/infinity"):
         with pytest.raises(ValueError):
             parse_angle(bad)
 
@@ -104,10 +107,13 @@ def test_spectrum_csv_single_column(cli_runner):
 
 def test_majorize_round_trip(cli_runner):
     result = invoke(cli_runner, ["majorize", "--p", "bs:3,0.72", "--q", "bs:3,0.62"])
-    data = payload(result)
-    verdict = MajorizationVerdict.from_dict(data["results"])
-    assert verdict.relation.value == "Incomparable"
-    assert len(verdict.partial_sum_gaps) == 4
+    results = payload(result)["results"]
+    verdict = MajorizationVerdict(Relation(results["relation"]), tuple(results["gaps"]),
+                                  results["first_violation"])
+    want = compare(spectrum(3, 0.72), spectrum(3, 0.62))
+    assert verdict.relation is want.relation is Relation.INCOMPARABLE
+    assert verdict.first_violation == want.first_violation
+    assert np.allclose(verdict.partial_sum_gaps, want.partial_sum_gaps, rtol=0, atol=1e-11)
 
 
 def test_majorize_pair_within_tolerance_is_equal_both_ways(cli_runner):
@@ -246,11 +252,12 @@ def test_catalysis_search_first_hit(cli_runner):
 
 def test_birkhoff_witness(cli_runner):
     result = invoke(cli_runner, ["birkhoff", "--witness", "2,0.5"])
-    data = payload(result)
-    decomp = BirkhoffDecomposition.from_dict(data["results"])
-    matrix = DoublyStochasticMatrix(data["results"]["matrix"])
+    results = payload(result)["results"]
+    decomp = BirkhoffDecomposition(tuple(map(tuple, results["perms"])),
+                                   tuple(results["weights"]))
+    matrix = DoublyStochasticMatrix(results["matrix"])
     assert np.max(np.abs(decomp.reconstruct() - matrix.entries)) < 1e-9
-    assert data["results"]["terms"] <= 10
+    assert results["terms"] <= 10
 
 
 def test_birkhoff_from_file(cli_runner, tmp_path):
@@ -329,6 +336,9 @@ def test_battery_deterministic(cli_runner):
 #: NaN or Infinity into the JSON output, with the exit code each must give now.
 CONTRACT_CASES = [
     (["spectrum", "--k", "3", "--theta", "pi/0"], 2),
+    (["spectrum", "--k", "3", "--theta", "pi/inf"], 2),
+    (["spectrum", "--k", "3", "--theta", "pi/-inf"], 2),
+    (["majorize", "--p", "bs:3,pi/1e999", "--q", "bs:3,0.62"], 2),
     (["birkhoff", "--witness", "2,pi/0"], 2),
     (["catalysis", "check", "--p", "bs:3,0.72", "--q", "bs:3,0.62",
       "--catalyst", "tmsv:25"], 2),

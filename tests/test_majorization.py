@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from bsmaj import (
     DoublyStochasticMatrix,
-    MajorizationVerdict,
     ProbVector,
     Relation,
     compare,
@@ -175,14 +174,6 @@ def test_mixture_matrix_round_trip():
         verdict = compare(ds_apply(D, q), q)
         assert verdict.relation is not Relation.INCOMPARABLE
         assert verdict.relation in (Relation.MAJORIZED_BY, Relation.EQUAL)
-
-
-def test_verdict_serialization_round_trip():
-    v = compare(spectrum(3, 0.72), spectrum(3, 0.62))
-    again = MajorizationVerdict.from_dict(v.to_dict())
-    assert again.relation is v.relation
-    assert again.first_violation == v.first_violation
-    assert np.allclose(again.partial_sum_gaps, v.partial_sum_gaps, atol=0.0)
 
 
 def test_majorized_by_mask_is_gap_relation_elementwise():

@@ -1,9 +1,11 @@
-"""Source checks on the package surface: every exported name resolves, no
-module imports a name it never uses, and the README's limits table names
-every MAX_* constant with its value."""
+"""Source checks on the package surface: every exported name resolves and
+has a user, no module imports a name it never uses, and the README's limits
+table names every MAX_* constant with its value."""
 
 import ast
 import importlib
+import inspect
+import re
 from pathlib import Path
 
 import pytest
@@ -16,6 +18,34 @@ SRC = Path(bsmaj.__file__).parent
 def test_every_exported_name_resolves():
     missing = [name for name in bsmaj.__all__ if not hasattr(bsmaj, name)]
     assert missing == []
+
+
+def _identifiers(path):
+    """Every identifier a Python file names in its code or its strings:
+    names, attributes, imported names, and the words of string constants
+    (the benchmark names traced functions as ``"module.function"``)."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.update(re.findall(r"\w+", node.value))
+    return names
+
+
+def test_every_exported_function_and_class_has_a_user():
+    # A user is the CLI, a test or the benchmark; anything else stays
+    # importable from its module but leaves __all__.
+    root = SRC.parents[1]
+    files = [SRC / "cli.py", *(root / "tests").rglob("*.py"), *(root / "perfbench").rglob("*.py")]
+    used = set().union(*(_identifiers(path) for path in files if path != Path(__file__)))
+    exported = [name for name in bsmaj.__all__
+                if inspect.isfunction(getattr(bsmaj, name)) or inspect.isclass(getattr(bsmaj, name))]
+    assert [name for name in exported if name not in used] == []
 
 
 def _unused_imports(tree):
