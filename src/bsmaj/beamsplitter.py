@@ -26,8 +26,9 @@ from .vectors import TOL, ProbVector, check_work, normalize_rows
 DIRECT_K_LIMIT = 60
 
 #: Largest photon number a spectrum may have; larger ones are rejected
-#: before any component is allocated.
-MAX_PHOTONS = 10**6
+#: before any component is allocated. Past k of about 6.7e5 the rounding of
+#: lgamma(k+1) > 2^23 (ulp 1.9e-9) can push a sum past ``NORM_TOL``.
+MAX_PHOTONS = 5 * 10**5
 
 #: Most spectrum entries (angles times k+1) one block of rows may hold.
 ROW_ENTRIES = 2**12

@@ -56,10 +56,6 @@ class DoublyStochasticMatrix:
     def __repr__(self) -> str:
         return f"DoublyStochasticMatrix(d={self.d})"
 
-    def to_rows(self) -> list[list[float]]:
-        """JSON-friendly array-of-rows form."""
-        return [[float(x) for x in row] for row in self._entries]
-
 
 @dataclass(frozen=True)
 class BirkhoffDecomposition:

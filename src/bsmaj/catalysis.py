@@ -187,7 +187,7 @@ def check_catalysis(
         _check_closed_form(vals, c.r)
         lo, hi = _threshold_extremes(vals, weights, np.array([rho]))
         verdict_with = MajorizationVerdict(gap_relation(float(lo[0]), float(hi[0]), tol),
-                                           (), None)
+                                           np.empty(0), None)
     else:
         cvec = ProbVector([1.0]) if c.family is CatalystFamily.TMSV else catalyst_spectrum(c)
         verdict_with = compare(tensor(p, cvec), tensor(q, cvec), tol=tol)

@@ -1,6 +1,7 @@
 """Command-line front end: scriptable, deterministic JSON/CSV output.
 
-Every JSON payload is wrapped in a stable envelope
+Every command returns its ``(params, results)`` and :func:`_emits` writes
+them. Every JSON payload is wrapped in a stable envelope
 ``{command, params, results, tool_version}`` and all floats are emitted
 with 12 significant digits, so identical invocations produce byte-identical
 output.
@@ -101,20 +102,18 @@ def _fmt(x: float) -> str:
 
 
 def _round12(obj):
+    """``obj`` with every float at 12 significant digits, and every array
+    and tuple as a list."""
     if isinstance(obj, float):
-        if obj == 0.0:
-            return 0.0
         return float(_fmt(obj))
     if isinstance(obj, (int, str, bool)) or obj is None:
         return obj
+    if isinstance(obj, np.ndarray):
+        return _round12(obj.tolist())
     if isinstance(obj, dict):
         return {k: _round12(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_round12(v) for v in obj]
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return _round12(float(obj))
     return obj
 
 
@@ -189,46 +188,63 @@ def _finite(ctx, param, value):
     return value
 
 
-def _domain_guard(fn):
-    """Map library ValueErrors, raised on malformed or out-of-range
-    parameters, onto usage errors: exit 2."""
+def _emits(command: str, *, csv: bool = False):
+    """Make a body, which takes ``tol`` and its options and returns
+    ``(params, results)``, into a command that writes the results.
 
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except ValueError as exc:
-            raise click.UsageError(str(exc)) from exc
+    ``--out csv`` is refused before the body runs unless ``csv`` is set. A
+    library ValueError, raised on malformed or out-of-range parameters, is
+    a usage error (exit 2). CSV holds a 1-D array as one column, or a table
+    ``{columns, rows[, crossovers]}`` as header, rows and annotations.
+    """
 
-    return wrapper
+    def decorate(fn):
+        @click.pass_obj
+        @functools.wraps(fn)
+        def run(obj, **options):
+            if obj["out"] == "csv" and not csv:
+                raise click.UsageError(f"{command} only supports --out json")
+            try:
+                params, results = fn(obj["tol"], **options)
+            except ValueError as exc:
+                raise click.UsageError(str(exc)) from exc
+            if obj["out"] == "csv":
+                click.echo(_csv_text(results))
+            else:
+                envelope = {"command": command, "params": {**obj, **params},
+                            "results": results, "tool_version": __version__}
+                click.echo(json.dumps(_round12(envelope), indent=2))
 
+        return run
 
-def _emit_json(obj, command: str, params: dict, results) -> None:
-    envelope = {
-        "command": command,
-        "params": {"out": obj["out"], "tol": obj["tol"], "seed": obj["seed"], **params},
-        "results": results,
-        "tool_version": __version__,
-    }
-    click.echo(json.dumps(_round12(envelope), indent=2))
-
-
-def _emit_column_csv(values) -> None:
-    click.echo("\n".join(_fmt(v) for v in values))
-
-
-def _emit_table_csv(header: list[str], rows, annotations: list[str] = ()) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    lines.extend(annotations)
-    click.echo("\n".join(lines))
+    return decorate
 
 
-def _check_steps(steps: int) -> None:
-    """Reject angle-grid sizes outside [2, MAX_STEPS] before any allocation."""
+def _csv_text(results) -> str:
+    if not isinstance(results, dict):
+        return "\n".join(map(_fmt, results.tolist()))
+    lines = [",".join(results["columns"])]
+    lines.extend(",".join(map(_fmt, row)) for row in results["rows"].tolist())
+    if "crossovers" in results:
+        lines.append("# region-boundaries")
+        lines.extend(f"# crossover,{_fmt(c)}" for c in results["crossovers"])
+    return "\n".join(lines)
+
+
+def _sweep(k: int, orders, steps: int, theta_min: float = 0.0,
+           theta_max: float = QUARTER_PI, *, bits: bool = False) -> np.ndarray:
+    """Rows (theta, entropies...) over ``steps`` evenly spaced angles. The
+    grid is checked against [2, ``MAX_STEPS``] and [0, pi/2] before any
+    allocation."""
     if steps < 2:
         raise click.UsageError("steps must be at least 2")
     check_work(steps, MAX_STEPS, f"{steps} angle steps")
+    check_angle(theta_min)
+    check_angle(theta_max)
+    if not theta_min < theta_max:
+        raise click.UsageError("need 0 <= theta-min < theta-max")
+    grid = np.linspace(theta_min, theta_max, steps)
+    return np.column_stack([grid, entropy_curve(k, orders, grid, bits=bits)])
 
 
 def _check_decomposition(matrix: DoublyStochasticMatrix, tol: float) -> None:
@@ -238,11 +254,6 @@ def _check_decomposition(matrix: DoublyStochasticMatrix, tol: float) -> None:
     work = support * matrix.d**2
     check_work(work, MAX_DECOMPOSITION_WORK, f"decomposing a {matrix.d}x{matrix.d} matrix "
                f"with {support} support entries takes about {work} entry steps")
-
-
-def _require_json(obj, command: str) -> None:
-    if obj["out"] != "json":
-        raise click.UsageError(f"{command} only supports --out json")
 
 
 # --------------------------------------------------------------------------
@@ -268,74 +279,53 @@ def main(ctx, out, tol, seed):
 @click.option("--k", type=int, required=True, help="Incident photon number.")
 @click.option("--theta", type=ANGLE, required=True, help="Coupling angle in radians.")
 @click.option("--sorted", "sorted_", is_flag=True, help="Emit in non-increasing order.")
-@click.pass_obj
-@_domain_guard
-def spectrum_cmd(obj, k, theta, sorted_):
+@_emits("spectrum", csv=True)
+def spectrum_cmd(tol, k, theta, sorted_):
     """Transmitted-photon Schmidt spectrum for |k> and vacuum inputs."""
     vec = spectrum(k, theta)
     if sorted_:
         vec = sort_desc(vec).sorted
-    values = [float(x) for x in vec.components]
-    if obj["out"] == "csv":
-        _emit_column_csv(values)
-    else:
-        _emit_json(obj, "spectrum", {"k": k, "theta": theta, "sorted": sorted_}, values)
+    return {"k": k, "theta": theta, "sorted": sorted_}, vec.components
 
 
 @main.command("majorize")
 @click.option("--p", "p", type=VECTOR, required=True,
               help="First vector (bs:K,THETA, inline JSON, or a file).")
 @click.option("--q", "q", type=VECTOR, required=True, help="Second vector.")
-@click.pass_obj
-@_domain_guard
-def majorize_cmd(obj, p, q):
+@_emits("majorize")
+def majorize_cmd(tol, p, q):
     """Majorization verdict for p against q with prefix-sum gaps."""
-    _require_json(obj, "majorize")
-    verdict = compare(p, q, tol=obj["tol"])
-    _emit_json(obj, "majorize",
-               {"p": [float(x) for x in p.components],
-                "q": [float(x) for x in q.components]},
-               verdict.to_dict())
+    return {"p": p.components, "q": q.components}, compare(p, q, tol=tol).to_dict()
 
 
 @main.command("photon-chain")
 @click.option("--k-max", type=int, required=True, help="Largest photon number checked.")
 @click.option("--theta", type=ANGLE, required=True)
-@click.pass_obj
-@_domain_guard
-def photon_chain_cmd(obj, k_max, theta):
+@_emits("photon-chain")
+def photon_chain_cmd(tol, k_max, theta):
     """Verdicts for every consecutive photon-number pair at a fixed angle."""
-    _require_json(obj, "photon-chain")
-    verdicts = photon_chain_check(k_max, theta, tol=obj["tol"])
+    verdicts = photon_chain_check(k_max, theta, tol=tol)
     results = [{"k": k, "relation": v.relation.value} for k, v in enumerate(verdicts)]
-    _emit_json(obj, "photon-chain", {"k_max": k_max, "theta": theta}, results)
+    return {"k_max": k_max, "theta": theta}, results
 
 
 @main.command("regions")
 @click.option("--k", type=int, required=True)
-@click.pass_obj
-@_domain_guard
-def regions_cmd(obj, k):
+@_emits("regions")
+def regions_cmd(tol, k):
     """Crossover angles and per-region sorting permutations for photon number k."""
-    _require_json(obj, "regions")
     part = find_crossovers(k)
-    results = {
-        "crossovers": [float(c) for c in part.crossovers],
-        "orderings": [list(o) for o in part.orderings],
-        "pairs": [[list(pair) for pair in group] for group in part.pairs],
-    }
-    _emit_json(obj, "regions", {"k": k}, results)
+    return {"k": k}, {"crossovers": part.crossovers, "orderings": part.orderings,
+                      "pairs": part.pairs}
 
 
 @main.command("infinitesimal")
 @click.option("--k", type=int, required=True)
 @click.option("--theta", type=ANGLE, required=True)
-@click.pass_obj
-@_domain_guard
-def infinitesimal_cmd(obj, k, theta):
+@_emits("infinitesimal")
+def infinitesimal_cmd(tol, k, theta):
     """Infinitesimal parametric-majorization verdict at one angle."""
-    _require_json(obj, "infinitesimal")
-    verdict = infinitesimal_verdict(k, theta, tol=obj["tol"])
+    verdict = infinitesimal_verdict(k, theta, tol=tol)
     if verdict.status is InfinitesimalStatus.BOUNDARY:
         raise click.ClickException(
             f"theta={theta!r} sits on a crossover; pick a side of the boundary"
@@ -343,9 +333,9 @@ def infinitesimal_cmd(obj, k, theta):
     results = {
         "status": verdict.status.value,
         "first_violation": verdict.first_violation,
-        "accumulation_derivatives": [float(a) for a in verdict.derivatives.values],
+        "accumulation_derivatives": verdict.derivatives.values,
     }
-    _emit_json(obj, "infinitesimal", {"k": k, "theta": theta}, results)
+    return {"k": k, "theta": theta}, results
 
 
 @main.command("entropy-curve")
@@ -357,73 +347,50 @@ def infinitesimal_cmd(obj, k, theta):
               help="Defaults to pi/4.")
 @click.option("--steps", type=int, default=100, show_default=True)
 @click.option("--bits", is_flag=True, help="Report entropies in bits, not nats.")
-@click.pass_obj
-@_domain_guard
-def entropy_curve_cmd(obj, k, alphas, theta_min, theta_max, steps, bits):
+@_emits("entropy-curve", csv=True)
+def entropy_curve_cmd(tol, k, alphas, theta_min, theta_max, steps, bits):
     """Entropies of the k-photon spectrum over an angle grid."""
     tokens = [t.strip() for t in alphas.split(",") if t.strip()]
     if not tokens:
         raise click.UsageError("at least one entropy order is required")
-    orders = [parse_order(t) for t in tokens]
-    _check_steps(steps)
-    check_angle(theta_min)
-    check_angle(theta_max)
-    if not theta_min < theta_max:
-        raise click.UsageError("need 0 <= theta-min < theta-max")
-    grid = np.linspace(theta_min, theta_max, steps)
-    values = entropy_curve(k, orders, grid, bits=bits)
-    header = ["theta"] + [f"S_{t}" for t in tokens]
-    rows = [[float(t), *map(float, row)] for t, row in zip(grid, values)]
-    if obj["out"] == "csv":
-        _emit_table_csv(header, rows)
-    else:
-        _emit_json(obj, "entropy-curve",
-                   {"k": k, "alphas": tokens, "theta_min": theta_min,
-                    "theta_max": theta_max, "steps": steps, "bits": bits},
-                   {"columns": header, "rows": rows})
+    rows = _sweep(k, [parse_order(t) for t in tokens], steps, theta_min, theta_max,
+                  bits=bits)
+    params = {"k": k, "alphas": tokens, "theta_min": theta_min,
+              "theta_max": theta_max, "steps": steps, "bits": bits}
+    return params, {"columns": ["theta"] + [f"S_{t}" for t in tokens], "rows": rows}
 
 
 @main.command("figure-data")
 @click.option("--figure", type=click.Choice(["fig4", "fig5"]), required=True,
               help="fig4 is the 2-photon sweep, fig5 the 3-photon sweep.")
 @click.option("--steps", type=int, default=500, show_default=True)
-@click.pass_obj
-@_domain_guard
-def figure_data_cmd(obj, figure, steps):
+@_emits("figure-data", csv=True)
+def figure_data_cmd(tol, figure, steps):
     """Entropy sweep data behind the 2- and 3-photon figures."""
-    _check_steps(steps)
     k = {"fig4": 2, "fig5": 3}[figure]
-    grid = np.linspace(0.0, QUARTER_PI, steps)
-    values = entropy_curve(k, [1.0, 10.0, math.inf], grid)
-    crossings = [float(c) for c in find_crossovers(k).crossovers]
-    header = ["theta", "S_1", "S_10", "S_inf"]
-    rows = [[float(t), *map(float, row)] for t, row in zip(grid, values)]
-    if obj["out"] == "csv":
-        annotations = ["# region-boundaries"]
-        annotations.extend(f"# crossover,{_fmt(c)}" for c in crossings)
-        _emit_table_csv(header, rows, annotations)
-    else:
-        _emit_json(obj, "figure-data", {"figure": figure, "steps": steps},
-                   {"columns": header, "rows": rows, "crossovers": crossings})
+    rows = _sweep(k, [1.0, 10.0, math.inf], steps)
+    return {"figure": figure, "steps": steps}, {
+        "columns": ["theta", "S_1", "S_10", "S_inf"],
+        "rows": rows,
+        "crossovers": find_crossovers(k).crossovers,
+    }
 
 
 @main.command("locc-verify")
 @click.option("--k", type=int, required=True,
               help="Target photon number; the input state carries k+1 photons.")
 @click.option("--theta", type=ANGLE, required=True)
-@click.pass_obj
-@_domain_guard
-def locc_verify_cmd(obj, k, theta):
+@_emits("locc-verify")
+def locc_verify_cmd(tol, k, theta):
     """Run both measurement branches and check agreement with majorization."""
-    _require_json(obj, "locc-verify")
     branch1, branch2 = run_protocol(k, theta)
-    agreement = verify_nielsen(k, theta, tol=obj["tol"])
+    agreement = verify_nielsen(k, theta, tol=tol)
     results = {
         "branches": [branch1.to_dict(), branch2.to_dict()],
-        "target_spectrum": [float(x) for x in spectrum(k, theta).components],
+        "target_spectrum": spectrum(k, theta).components,
         "nielsen_agreement": agreement,
     }
-    _emit_json(obj, "locc-verify", {"k": k, "theta": theta}, results)
+    return {"k": k, "theta": theta}, results
 
 
 @main.group("catalysis")
@@ -437,22 +404,16 @@ def catalysis_group():
 @click.option("--q", type=VECTOR, required=True, help="Conversion target spectrum.")
 @click.option("--catalyst", type=CATALYST, required=True,
               help="single-photon:THETA, tmsv:R, file:PATH, or inline JSON.")
-@click.pass_obj
-@_domain_guard
-def catalysis_check_cmd(obj, p, q, catalyst):
+@_emits("catalysis check")
+def catalysis_check_cmd(tol, p, q, catalyst):
     """Verdicts for p against q, bare and with the catalyst attached."""
-    _require_json(obj, "catalysis check")
-    report = check_catalysis(p, q, catalyst, tol=obj["tol"])
-    results = report.to_dict()
+    report = check_catalysis(p, q, catalyst, tol=tol)
     if catalyst.family is CatalystFamily.TMSV:
-        results["catalyst_dim"] = tmsv_dimension(catalyst.r)
+        dim = tmsv_dimension(catalyst.r)
     else:
-        results["catalyst_dim"] = catalyst_spectrum(catalyst).dim
-    _emit_json(obj, "catalysis check",
-               {"p": [float(x) for x in p.components],
-                "q": [float(x) for x in q.components],
-                "tail_tol": TAIL_TOL},
-               results)
+        dim = catalyst_spectrum(catalyst).dim
+    params = {"p": p.components, "q": q.components, "tail_tol": TAIL_TOL}
+    return params, {**report.to_dict(), "catalyst_dim": dim}
 
 
 @catalysis_group.command("search")
@@ -464,21 +425,16 @@ def catalysis_check_cmd(obj, p, q, catalyst):
 @click.option("--r-max", type=float, default=3.0, show_default=True, callback=_finite,
               help="Upper end of the squeezing-parameter scan.")
 @click.option("--all", "all_", is_flag=True, help="Report the whole success set.")
-@click.pass_obj
-@_domain_guard
-def catalysis_search_cmd(obj, p, q, family, grid, r_max, all_):
+@_emits("catalysis search")
+def catalysis_search_cmd(tol, p, q, family, grid, r_max, all_):
     """Scan a catalyst family for parameters that achieve catalysis."""
-    _require_json(obj, "catalysis search")
-    params = {"p": [float(x) for x in p.components],
-              "q": [float(x) for x in q.components],
+    params = {"p": p.components, "q": q.components,
               "family": family, "grid": grid, "r_max": r_max, "all": all_}
     if all_:
-        hits = search_catalyst_all(p, q, family, grid, r_max=r_max, tol=obj["tol"])
-        results = {"success_set": [h.describe() for h in hits], "count": len(hits)}
-    else:
-        hit = search_catalyst(p, q, family, grid, r_max=r_max, tol=obj["tol"])
-        results = {"found": hit.describe() if hit is not None else None}
-    _emit_json(obj, "catalysis search", params, results)
+        hits = search_catalyst_all(p, q, family, grid, r_max=r_max, tol=tol)
+        return params, {"success_set": [h.describe() for h in hits], "count": len(hits)}
+    hit = search_catalyst(p, q, family, grid, r_max=r_max, tol=tol)
+    return params, {"found": hit.describe() if hit is not None else None}
 
 
 @main.command("birkhoff")
@@ -486,11 +442,9 @@ def catalysis_search_cmd(obj, p, q, family, grid, r_max, all_):
               help="Decompose the photon-chain witness matrix for K at THETA.")
 @click.option("--file", "path", default=None, type=click.Path(exists=True, dir_okay=False),
               help="Decompose a matrix read as a JSON array of rows.")
-@click.pass_obj
-@_domain_guard
-def birkhoff_cmd(obj, witness, path):
+@_emits("birkhoff")
+def birkhoff_cmd(tol, witness, path):
     """Decompose a doubly stochastic matrix into a permutation mixture."""
-    _require_json(obj, "birkhoff")
     if (witness is None) == (path is None):
         raise click.UsageError("provide exactly one of --witness or --file")
     if witness is not None:
@@ -501,17 +455,16 @@ def birkhoff_cmd(obj, witness, path):
         params = {"witness": witness}
     else:
         matrix = DoublyStochasticMatrix(json_array(Path(path).read_text(), 2))
-        _check_decomposition(matrix, obj["tol"])
+        _check_decomposition(matrix, tol)
         params = {"file": str(path)}
-    decomp = birkhoff_decompose(matrix, tol=obj["tol"])
-    error = float(np.max(np.abs(decomp.reconstruct() - matrix.entries)))
+    decomp = birkhoff_decompose(matrix, tol=tol)
     results = {
-        "matrix": matrix.to_rows(),
+        "matrix": matrix.entries,
         **decomp.to_dict(),
         "terms": len(decomp),
-        "reconstruction_error": error,
+        "reconstruction_error": np.max(np.abs(decomp.reconstruct() - matrix.entries)),
     }
-    _emit_json(obj, "birkhoff", params, results)
+    return params, results
 
 
 if __name__ == "__main__":

@@ -17,28 +17,29 @@ class Relation(str, enum.Enum):
     INCOMPARABLE = "Incomparable"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MajorizationVerdict:
     """Outcome of a prefix-sum comparison of two sorted spectra.
 
     ``partial_sum_gaps[i]`` is the difference between the (i+1)-term prefix
     sums, second argument minus first; the first argument is majorized by
     the second exactly when every gap is nonnegative (within tolerance).
+    The gaps are a read-only float64 array, so verdicts compare by identity.
     The relation follows :func:`gap_relation`: Equal when both directions
     hold, so swapping the arguments mirrors it. ``first_violation`` is the
     first prefix index where the first direction fails, if any. A verdict
     decided without prefix sums (a pair catalyzed by an untruncated squeezed
-    vacuum) has no gaps and no first violation.
+    vacuum) has an empty gap array and no first violation.
     """
 
     relation: Relation
-    partial_sum_gaps: tuple[float, ...]
+    partial_sum_gaps: np.ndarray
     first_violation: int | None
 
     def to_dict(self) -> dict:
         return {
             "relation": self.relation.value,
-            "gaps": [float(g) for g in self.partial_sum_gaps],
+            "gaps": self.partial_sum_gaps.tolist(),
             "first_violation": self.first_violation,
         }
 
@@ -80,10 +81,11 @@ def compare(p: ProbVector, q: ProbVector, *, tol: float = TOL) -> MajorizationVe
     ps = np.sort(pad_to(p, d).components)[::-1]
     qs = np.sort(pad_to(q, d).components)[::-1]
     gaps = np.cumsum(qs) - np.cumsum(ps)
+    gaps.flags.writeable = False
     lo = gaps.min()
     return MajorizationVerdict(
         relation=gap_relation(lo, gaps.max(), tol),
-        partial_sum_gaps=tuple(gaps.tolist()),
+        partial_sum_gaps=gaps,
         first_violation=None if lo >= -tol else int(np.argmax(gaps < -tol)),
     )
 

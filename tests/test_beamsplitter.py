@@ -61,10 +61,20 @@ def test_validation():
 
 
 def test_photon_number_bound():
-    with pytest.raises(ValueError, match="limit of 1000000"):
+    with pytest.raises(ValueError, match="limit of 500000"):
         spectrum(MAX_PHOTONS + 1, 0.5)
     with pytest.raises(ValueError, match="limit"):
         spectrum(10**8, 0.5)
+
+
+def test_spectra_at_the_photon_cap_normalize_at_small_angles():
+    # At k = 10^6 these angles sum further than NORM_TOL from 1 (0.004932
+    # sums to 1 - 1.09e-9), because lgamma(k+1) past 2^23 rounds to an ulp
+    # of 1.9e-9; at the cap every row is accepted.
+    angles = [0.001, 0.003, 0.004932, 0.01, 0.02363, 0.05]
+    rows = np.concatenate(list(spectrum_rows(MAX_PHOTONS, angles)))
+    assert rows.shape == (len(angles), MAX_PHOTONS + 1)
+    assert np.allclose(rows.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
 
 def test_spectrum_rows_blocks(monkeypatch):

@@ -201,7 +201,7 @@ def test_decompose_random_mixture_corpus():
 
 def test_matrix_rows_round_trip():
     D = bs_witness_matrix(1, 0.4)
-    again = DoublyStochasticMatrix(D.to_rows())
+    again = DoublyStochasticMatrix(D.entries.tolist())
     assert np.allclose(again.entries, D.entries, atol=0.0)
 
 

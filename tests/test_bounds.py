@@ -43,7 +43,7 @@ SITES = [
      lambda: check_catalysis(P_072, Q_062, CatalystSpec.tmsv(1.38))),
     (catalysis, "MAX_CANDIDATES", (math.pi / 4 + 1e-15) / 0.1,
      lambda: search_catalyst_all(P_072, Q_062, "single-photon", 0.1)),
-    (cli, "MAX_STEPS", 5, lambda: cli._check_steps(5)),
+    (cli, "MAX_STEPS", 5, lambda: cli._sweep(2, [1.0], 5)),
     (cli, "MAX_DECOMPOSITION_WORK", 4 * 2**2,
      lambda: cli._check_decomposition(DoublyStochasticMatrix([[0.5, 0.5], [0.5, 0.5]]), TOL)),
     (vectors, "MAX_TENSOR_ENTRIES", 3 * 4,

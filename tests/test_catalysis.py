@@ -282,7 +282,7 @@ def test_squeezed_vacuum_check_is_capped_by_its_closed_form_terms(monkeypatch):
     for r in (6.0, 10.0):
         report = check_catalysis(P_072, Q_062, CatalystSpec.tmsv(r))
         assert report.verdict_with.relation is Relation.MAJORIZED_BY
-        assert report.verdict_with.partial_sum_gaps == ()
+        assert report.verdict_with.partial_sum_gaps.size == 0
 
     def no_closed_form(*args, **kwargs):
         raise AssertionError("a closed form was evaluated")
@@ -546,7 +546,7 @@ def test_closed_form_verdict_matches_exact_rationals(p, q, r):
     assert abs(lo - want_lo) <= WINDOW_ALLOWANCE
     assert abs(hi - want_hi) <= WINDOW_ALLOWANCE
     verdict = check_catalysis(p, q, CatalystSpec.tmsv(r)).verdict_with
-    assert verdict.partial_sum_gaps == () and verdict.first_violation is None
+    assert verdict.partial_sum_gaps.size == 0 and verdict.first_violation is None
     majorized = verdict.relation in (Relation.MAJORIZED_BY, Relation.EQUAL)
     assert majorized == (lo >= -TOL)
     if abs(want_lo + TOL) > WINDOW_ALLOWANCE and abs(want_hi - TOL) > WINDOW_ALLOWANCE:

@@ -311,11 +311,28 @@ def test_birkhoff_requires_exactly_one_source(cli_runner):
     assert result.exit_code == 2
 
 
-def test_csv_unsupported_commands_exit_two(cli_runner):
-    result = cli_runner.invoke(
-        main, ["--out", "csv", "majorize", "--p", "bs:1,0.3", "--q", "bs:1,0.4"]
-    )
+#: The options of one valid invocation of each command that writes JSON only.
+JSON_ONLY = {
+    "majorize": ["--p", "bs:1,0.3", "--q", "bs:1,0.4"],
+    "photon-chain": ["--k-max", "2", "--theta", "0.3"],
+    "regions": ["--k", "3"],
+    "infinitesimal": ["--k", "3", "--theta", "0.7"],
+    "locc-verify": ["--k", "2", "--theta", "0.62"],
+    "catalysis check": ["--p", "bs:3,0.72", "--q", "bs:3,0.62",
+                        "--catalyst", "single-photon:0.7"],
+    "catalysis search": ["--p", "bs:3,0.72", "--q", "bs:3,0.62",
+                         "--family", "single-photon", "--grid", "0.01"],
+    "birkhoff": ["--witness", "2,0.5"],
+}
+
+
+@pytest.mark.parametrize("command", JSON_ONLY)
+def test_csv_unsupported_commands_exit_two(cli_runner, command):
+    args = [*command.split(), *JSON_ONLY[command]]
+    assert invoke(cli_runner, args).exit_code == 0
+    result = invoke(cli_runner, ["--out", "csv", *args])
     assert result.exit_code == 2
+    assert f"{command} only supports --out json" in result.output
 
 
 def test_battery_runs_clean(cli_runner):
@@ -366,7 +383,8 @@ CONTRACT_CASES = [
     (["entropy-curve", "--k", "2", "--theta-min", "2", "--theta-max", "3"], 2),
     (["spectrum", "--k", "100000000", "--theta", "0.5"], 2),
     (["spectrum", "--k", "3000000", "--theta", "0.5"], 2),
-    (["spectrum", "--k", "1000000", "--theta", "0.5"], 0),
+    (["spectrum", "--k", "1000000", "--theta", "0.5"], 2),
+    (["spectrum", "--k", "500000", "--theta", "0.004932"], 0),
     (["birkhoff", "--witness", "20000,0.3"], 2),
     (["birkhoff", "--witness", "100000,0.3"], 2),
     (["photon-chain", "--k-max", "100000", "--theta", "0.5"], 2),

@@ -1,6 +1,7 @@
 """Source checks on the package surface: every exported name resolves and
-has a user, no module imports a name it never uses, and the README's limits
-table names every MAX_* constant with its value."""
+has a user, no module imports a name it never uses, the README's limits
+table names every MAX_* constant with its value, and every CLI command
+writes its output through one decorator."""
 
 import ast
 import importlib
@@ -97,3 +98,30 @@ def test_readme_limits_table_matches_the_constants():
         module, _, constant = name.partition(".")
         current = getattr(importlib.import_module(f"bsmaj.{module}"), constant)
         assert value == str(current), name
+
+
+def _decorator_names(node):
+    """The called attribute or name of each decorator, as ``command`` for
+    ``@main.command("x")`` and ``_emits`` for ``@_emits("x")``."""
+    for dec in node.decorator_list:
+        func = dec.func if isinstance(dec, ast.Call) else dec
+        yield func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+
+def test_cli_commands_write_only_through_emits():
+    # Output policy (the --out refusal, the envelope, the CSV writer and
+    # the error mapping) lives in cli._emits alone: every command carries
+    # it, and nothing else writes to stdout or serializes JSON.
+    tree = ast.parse((SRC / "cli.py").read_text())
+    functions = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+    commands = [f for f in functions if "command" in _decorator_names(f)]
+    assert len(commands) == 11
+    assert [f.name for f in commands if "_emits" not in _decorator_names(f)] == []
+    (emits,) = [f for f in functions if f.name == "_emits"]
+    inside = {id(n) for n in ast.walk(emits)}
+    writers = [n for n in ast.walk(tree)
+               if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+               and isinstance(n.func.value, ast.Name)
+               and (n.func.value.id, n.func.attr) in {("click", "echo"), ("json", "dumps")}]
+    assert writers
+    assert [n.lineno for n in writers if id(n) not in inside] == []
