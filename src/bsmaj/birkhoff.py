@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .beamsplitter import as_photon_number, check_angle
-from .vectors import NORM_TOL, TOL, ProbVector, check_work
+from .vectors import NORM_TOL, TOL, ProbVector, check_work, checked_entries
 
 #: Most entries, (k+2)^2, a photon-chain witness matrix may have; larger
 #: photon numbers are rejected before the matrix is allocated.
@@ -30,12 +30,7 @@ class DoublyStochasticMatrix:
         arr = np.array(entries, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.size == 0:
             raise ValueError("expected a non-empty square matrix")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("entries must be finite")
-        lowest = float(arr.min())
-        if lowest < -TOL:
-            raise ValueError(f"negative entry beyond tolerance: {lowest}")
-        np.clip(arr, 0.0, None, out=arr)
+        checked_entries(arr)
         row_err = float(np.max(np.abs(arr.sum(axis=1) - 1.0)))
         col_err = float(np.max(np.abs(arr.sum(axis=0) - 1.0)))
         if row_err > NORM_TOL or col_err > NORM_TOL:

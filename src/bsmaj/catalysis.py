@@ -19,8 +19,8 @@ import numpy as np
 from .beamsplitter import check_angle
 from .entropy import renyi_orders
 from .majorization import (MajorizationVerdict, Relation, compare, gap_relation,
-                           majorized_by_mask)
-from .vectors import TOL, ProbVector, check_work, normalize_rows, tensor
+                           majorized_by_mask, prefix_gaps)
+from .vectors import TOL, ProbVector, check_work, normalize_rows, tensor, tensor_rows
 
 #: Spectral mass of a squeezed vacuum beyond the truncation that
 #: :func:`tmsv_dimension` counts. Only ``catalysis check`` uses it, and prints
@@ -450,27 +450,7 @@ def _search(p, q, family, grid, r_max, tol):
 
 
 def _majorized_by_rows(p, q, cats, tol) -> np.ndarray:
-    """Row i: is ``tensor(p, c_i)`` MajorizedBy ``tensor(q, c_i)``?
-
-    Each step repeats what :func:`tensor` and :func:`compare` do for one
-    catalyst, row by row, so every decision is bit-identical to theirs.
-    """
-    d = max(p.dim, q.dim) * cats.shape[1]
-    ps = _sorted_products(p, cats, d)
-    qs = _sorted_products(q, cats, d)
-    gaps = np.cumsum(qs, axis=1)
-    gaps -= np.cumsum(ps, axis=1)
-    return majorized_by_mask(gaps.min(axis=1), gaps.max(axis=1), tol)
-
-
-def _sorted_products(p, cats, d) -> np.ndarray:
-    """Rows ``tensor(p, c_i)``, normalized as ProbVector does, zero-padded
-    to ``d`` entries and sorted in non-increasing order."""
-    m, n = cats.shape[0], p.dim * cats.shape[1]
-    rows = normalize_rows(
-        (p.components[None, :, None] * cats[:, None, :]).reshape(m, n)
-    )
-    if n < d:
-        rows = np.concatenate([rows, np.zeros((m, d - n))], axis=1)
-    rows.sort(axis=1)
-    return rows[:, ::-1]
+    """Row i: is ``tensor(p, c_i)`` MajorizedBy ``tensor(q, c_i)``? Each row
+    is decided through the code of :func:`tensor` and :func:`compare`."""
+    gaps = prefix_gaps(tensor_rows(p, cats), tensor_rows(q, cats))
+    return majorized_by_mask(gaps.min(axis=-1), gaps.max(axis=-1), tol)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-from pathlib import Path
 
 import click
 import numpy as np
@@ -34,7 +33,7 @@ from .catalysis import (
     search_catalyst_all,
     tmsv_dimension,
 )
-from .entropy import entropy_curve, parse_order
+from .entropy import entropy_curve
 from .locc import run_protocol, verify_nielsen
 from .majorization import compare
 from .regions import (
@@ -56,6 +55,10 @@ MAX_STEPS = 10**6
 #: matching may cost up to d times the support. Random and circulant
 #: mixtures at d = 90 took 0.35-0.65 ms per term.
 MAX_DECOMPOSITION_WORK = 2**26
+
+#: Most bytes read from a vector, catalyst or matrix file; a larger file is
+#: refused after MAX_INPUT_BYTES + 1 bytes are read.
+MAX_INPUT_BYTES = 2**26
 
 
 # --------------------------------------------------------------------------
@@ -117,29 +120,19 @@ def _round12(obj):
     return obj
 
 
-class AngleType(click.ParamType):
-    name = "angle"
-
-    def convert(self, value, param, ctx):
-        if isinstance(value, float):
-            return value
-        try:
-            return parse_angle(value)
-        except ValueError:
-            self.fail(f"{value!r} is not a valid angle", param, ctx)
-
-
-ANGLE = AngleType()
+def parse_k_theta(text) -> tuple[int, float]:
+    """Parse K,THETA: a photon number and an angle."""
+    k_str, sep, theta_str = str(text).partition(",")
+    if not sep:
+        raise ValueError(f"expected K,THETA, got {text!r}")
+    return int(k_str), parse_angle(theta_str)
 
 
 def parse_vector_arg(text: str) -> ProbVector:
     """Parse a vector argument: bs:K,THETA, an inline JSON array, or a path."""
     s = str(text).strip()
     if s.startswith("bs:"):
-        k_str, sep, theta_str = s[3:].partition(",")
-        if not sep:
-            raise ValueError(f"expected bs:K,THETA, got {text!r}")
-        return spectrum(int(k_str), parse_angle(theta_str))
+        return spectrum(*parse_k_theta(s[3:]))
     return _read_vector(s)
 
 
@@ -155,10 +148,19 @@ def parse_catalyst_arg(text: str) -> CatalystSpec:
 
 def _read_vector(s: str) -> ProbVector:
     """Read an inline JSON array, or a file named as file:PATH or PATH."""
-    if s.startswith("["):
-        return ProbVector.from_json(s)
-    path = s[5:] if s.startswith("file:") else s
-    return ProbVector.parse(Path(path).read_text())
+    return ProbVector.parse(s if s.startswith("[") else _read_file(s.removeprefix("file:")))
+
+
+def _read_file(path) -> str:
+    """The text of the file at ``path``. At most ``MAX_INPUT_BYTES + 1``
+    bytes are read, and a file that holds more is refused."""
+    try:
+        with open(path, "rb") as f:
+            data = f.read(MAX_INPUT_BYTES + 1)
+    except OSError as exc:
+        raise ValueError(str(exc)) from exc
+    check_work(len(data), MAX_INPUT_BYTES, f"the file {path!r} holds at least {len(data)} bytes")
+    return data.decode()
 
 
 class ParsedType(click.ParamType):
@@ -173,10 +175,11 @@ class ParsedType(click.ParamType):
             return value
         try:
             return self.parse(value)
-        except (ValueError, OSError) as exc:
+        except ValueError as exc:
             self.fail(f"cannot parse {self.name} {value!r}: {exc}", param, ctx)
 
 
+ANGLE = ParsedType("angle", parse_angle, float)
 VECTOR = ParsedType("vector", parse_vector_arg, ProbVector)
 CATALYST = ParsedType("catalyst", parse_catalyst_arg, CatalystSpec)
 
@@ -353,8 +356,7 @@ def entropy_curve_cmd(tol, k, alphas, theta_min, theta_max, steps, bits):
     tokens = [t.strip() for t in alphas.split(",") if t.strip()]
     if not tokens:
         raise click.UsageError("at least one entropy order is required")
-    rows = _sweep(k, [parse_order(t) for t in tokens], steps, theta_min, theta_max,
-                  bits=bits)
+    rows = _sweep(k, tokens, steps, theta_min, theta_max, bits=bits)
     params = {"k": k, "alphas": tokens, "theta_min": theta_min,
               "theta_max": theta_max, "steps": steps, "bits": bits}
     return params, {"columns": ["theta"] + [f"S_{t}" for t in tokens], "rows": rows}
@@ -448,13 +450,10 @@ def birkhoff_cmd(tol, witness, path):
     if (witness is None) == (path is None):
         raise click.UsageError("provide exactly one of --witness or --file")
     if witness is not None:
-        k_str, sep, theta_str = witness.partition(",")
-        if not sep:
-            raise click.UsageError("expected --witness K,THETA")
-        matrix = bs_witness_matrix(int(k_str), parse_angle(theta_str))
+        matrix = bs_witness_matrix(*parse_k_theta(witness))
         params = {"witness": witness}
     else:
-        matrix = DoublyStochasticMatrix(json_array(Path(path).read_text(), 2))
+        matrix = DoublyStochasticMatrix(json_array(_read_file(path), 2))
         _check_decomposition(matrix, tol)
         params = {"file": str(path)}
     decomp = birkhoff_decompose(matrix, tol=tol)

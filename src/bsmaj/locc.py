@@ -72,16 +72,12 @@ def build_kraus(k: int) -> KrausPair:
     denom = k + 1
     f1 = tuple(math.sqrt((k + 1 - n) / denom) for n in range(k + 1))
     f2 = tuple(math.sqrt((n + 1) / denom) for n in range(k + 1))
-    for m in range(k + 2):
-        total = 0.0
-        if m <= k:
-            total += f1[m] ** 2
-        if m >= 1:
-            total += f2[m - 1] ** 2
-        if abs(total - 1.0) > COMPLETENESS_TOL:
-            raise AssertionError(
-                f"completeness violated at basis index {m}: {total!r}"
-            )
+    # basis index m meets f1 at m and f2 at m - 1
+    totals = np.square([*f1, 0.0]) + np.square([0.0, *f2])
+    bad = np.flatnonzero(np.abs(totals - 1.0) > COMPLETENESS_TOL)
+    if bad.size:
+        m = int(bad[0])
+        raise AssertionError(f"completeness violated at basis index {m}: {float(totals[m])!r}")
     return KrausPair(k=k, f1_diag=f1, f2_weights=f2)
 
 
@@ -114,33 +110,27 @@ def run_protocol(k: int, theta: float) -> tuple[LoccOutcomeReport, LoccOutcomeRe
     """
     k = as_photon_number(k)
     theta = check_angle(theta)
-    amps = np.sqrt(spectrum(k + 1, theta).components)
+    return _branches(k, spectrum(k + 1, theta), spectrum(k, theta))
+
+
+def _branches(k, source, target):
+    """The two branch reports of :func:`run_protocol` on the (k+1)-photon
+    spectrum ``source``, with the k-photon spectrum ``target`` for a vacuous
+    branch."""
+    amps = np.sqrt(source.components)
     pair = build_kraus(k)
-
-    w1 = np.asarray(pair.f1_diag) * amps[: k + 1]
-    w2 = np.asarray(pair.f2_weights) * amps[1:]
-    p1 = float((w1**2).sum())
-    p2 = float((w2**2).sum())
-
-    target = spectrum(k, theta)
     reports = []
-    for branch, weights, prob, correction in (
-        (1, w1, p1, BobCorrection.CYCLIC_SHIFT),
-        (2, w2, p2, BobCorrection.IDENTITY),
+    for branch, weights, correction in (
+        (1, np.asarray(pair.f1_diag) * amps[: k + 1], BobCorrection.CYCLIC_SHIFT),
+        (2, np.asarray(pair.f2_weights) * amps[1:], BobCorrection.IDENTITY),
     ):
+        prob = float((weights**2).sum())
         if prob <= 0.0:
             post, vacuous = target, True
         else:
             post, vacuous = ProbVector(weights**2 / prob), False
-        reports.append(
-            LoccOutcomeReport(
-                branch=branch,
-                probability=prob,
-                post_spectrum=post,
-                bob_correction=correction,
-                vacuous=vacuous,
-            )
-        )
+        reports.append(LoccOutcomeReport(branch=branch, probability=prob, post_spectrum=post,
+                                         bob_correction=correction, vacuous=vacuous))
     return reports[0], reports[1]
 
 
@@ -154,11 +144,11 @@ def verify_nielsen(k: int, theta: float, *, tol: float = TOL) -> bool:
     """
     k = as_photon_number(k)
     theta = check_angle(theta)
-    target = spectrum(k, theta)
-    verdict = compare(spectrum(k + 1, theta), target, tol=tol)
+    source, target = spectrum(k + 1, theta), spectrum(k, theta)
+    verdict = compare(source, target, tol=tol)
     majorized = verdict.relation in (Relation.MAJORIZED_BY, Relation.EQUAL)
 
-    branch1, branch2 = run_protocol(k, theta)
+    branch1, branch2 = _branches(k, source, target)
     protocol_ok = (
         abs(branch1.probability + branch2.probability - 1.0) <= tol
         and branch1.post_spectrum.allclose(target, tol)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .vectors import TOL, ProbVector, pad_to
+from .vectors import TOL, ProbVector
 
 
 class Relation(str, enum.Enum):
@@ -67,6 +67,22 @@ def majorized_by_mask(lo: np.ndarray, hi: np.ndarray, tol: float) -> np.ndarray:
     return (lo >= -tol) & ~(hi <= tol)
 
 
+def prefix_gaps(ps: np.ndarray, qs: np.ndarray) -> np.ndarray:
+    """Prefix-sum gaps, q minus p, between the paired rows (last axis) of
+    ``ps`` and ``qs``.
+
+    Each row is zero-padded to the longer of the two lengths and sorted in
+    non-increasing order first; padding never changes any prefix sum of a
+    sorted nonnegative row.
+    """
+    both = np.zeros((2, *ps.shape[:-1], max(ps.shape[-1], qs.shape[-1])))
+    both[0, ..., :ps.shape[-1]] = ps
+    both[1, ..., :qs.shape[-1]] = qs
+    both.sort(axis=-1)
+    sums = np.cumsum(both[..., ::-1], axis=-1)
+    return sums[1] - sums[0]
+
+
 def compare(p: ProbVector, q: ProbVector, *, tol: float = TOL) -> MajorizationVerdict:
     """Decide the majorization relation between ``p`` and ``q``.
 
@@ -77,10 +93,7 @@ def compare(p: ProbVector, q: ProbVector, *, tol: float = TOL) -> MajorizationVe
     for both directions, and the pair is Equal when both directions hold,
     so ``compare(q, p)`` is always the mirror of ``compare(p, q)``.
     """
-    d = max(p.dim, q.dim)
-    ps = np.sort(pad_to(p, d).components)[::-1]
-    qs = np.sort(pad_to(q, d).components)[::-1]
-    gaps = np.cumsum(qs) - np.cumsum(ps)
+    gaps = prefix_gaps(p.components, q.components)
     gaps.flags.writeable = False
     lo = gaps.min()
     return MajorizationVerdict(

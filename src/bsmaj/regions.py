@@ -14,7 +14,7 @@ import enum
 import math
 import operator
 import sys
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -284,11 +284,14 @@ def accumulation_derivatives(
         raise AmbiguousOrderingError(
             "theta sits at pi/4 where symmetric components tie"
         )
-    for cross in _crossings(k)[0]:
-        if abs(theta - cross) <= tol:
-            raise AmbiguousOrderingError(
-                f"theta is within tolerance of the crossover at {cross!r}"
-            )
+    # theta - c falls as the sorted crossovers c rise, so those within tol of
+    # theta form a run, and the first crossover with theta - c <= tol opens it
+    crossovers = _crossings(k)[0]
+    i = bisect_left(crossovers, True, key=lambda c: theta - c <= tol)
+    if i < len(crossovers) and theta - crossovers[i] >= -tol:
+        raise AmbiguousOrderingError(
+            f"theta is within tolerance of the crossover at {crossovers[i]!r}"
+        )
     p = spectrum(k, theta)
     order = sort_desc(p).perm
     acc = np.cumsum(_derivatives(p.components, theta)[list(order)])[:k]

@@ -72,13 +72,23 @@ def json_array(text: str, ndim: int) -> np.ndarray:
     return arr
 
 
+def checked_entries(arr: np.ndarray) -> np.ndarray:
+    """Refuse a non-finite entry of ``arr`` or one below ``-TOL``, then clip
+    the entries at zero, in place."""
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("entries must be finite")
+    lowest = float(arr.min())
+    if lowest < -TOL:
+        raise ValueError(f"negative entry beyond tolerance: {lowest}")
+    return np.maximum(arr, 0.0, out=arr)
+
+
 def normalize_rows(arr: np.ndarray) -> np.ndarray:
-    """Clip each row (last axis) at zero and divide it by its sum, in place.
+    """Divide each row (last axis) of nonnegative entries by its sum, in place.
 
     A row whose sum lies further than ``NORM_TOL`` from one is rejected as a
     bug rather than renormalized.
     """
-    np.maximum(arr, 0.0, out=arr)
     totals = arr.sum(axis=-1, keepdims=True)
     off = np.abs(totals - 1.0)
     if off.max() > NORM_TOL:
@@ -103,20 +113,16 @@ class ProbVector:
         arr = np.array(components, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("expected a non-empty 1-D sequence of probabilities")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("components must be finite")
-        lowest = float(arr.min())
-        if lowest < -TOL:
-            raise ValueError(f"negative component beyond tolerance: {lowest}")
-        arr = normalize_rows(arr)
+        arr = normalize_rows(checked_entries(arr))
         arr.setflags(write=False)
         self._components = arr
 
     @classmethod
     def _from_trusted(cls, arr: np.ndarray) -> "ProbVector":
         # Internal: wrap an array that already satisfies the invariants
-        # bit-for-bit (reorderings, zero padding). Skips renormalization so
-        # the components stay exactly identical to the source values.
+        # bit-for-bit (reorderings, zero padding, normalized products). Skips
+        # renormalization so the components stay exactly identical to the
+        # source values.
         obj = object.__new__(cls)
         arr = np.asarray(arr, dtype=float)
         arr.setflags(write=False)
@@ -200,4 +206,11 @@ def tensor(p: ProbVector, q: ProbVector) -> ProbVector:
     entries = p.dim * q.dim
     check_work(entries, MAX_TENSOR_ENTRIES,
                f"a tensor product of {p.dim} by {q.dim} has {entries} entries")
-    return ProbVector(np.outer(p.components, q.components).ravel())
+    return ProbVector._from_trusted(tensor_rows(p, q.components[None, :])[0])
+
+
+def tensor_rows(p: ProbVector, cats: np.ndarray) -> np.ndarray:
+    """Row i is ``tensor(p, c_i)`` for the rows c_i of ``cats``: the products
+    in row-major index order, normalized as ``ProbVector`` normalizes them."""
+    products = p.components[None, :, None] * cats[:, None, :]
+    return normalize_rows(products.reshape(cats.shape[0], -1))

@@ -46,6 +46,7 @@ SITES = [
     (cli, "MAX_STEPS", 5, lambda: cli._sweep(2, [1.0], 5)),
     (cli, "MAX_DECOMPOSITION_WORK", 4 * 2**2,
      lambda: cli._check_decomposition(DoublyStochasticMatrix([[0.5, 0.5], [0.5, 0.5]]), TOL)),
+    (cli, "MAX_INPUT_BYTES", README.stat().st_size, lambda: cli._read_file(README)),
     (vectors, "MAX_TENSOR_ENTRIES", 3 * 4,
      lambda: tensor(spectrum(2, 0.3), spectrum(3, 0.3))),
 ]

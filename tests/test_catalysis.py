@@ -17,14 +17,14 @@ from bsmaj import (
     check_catalysis,
     compare,
     necessary_conditions,
-    pad_to,
     search_catalyst,
     search_catalyst_all,
     spectrum,
     tensor,
     tmsv_dimension,
 )
-from bsmaj.majorization import gap_relation, majorized_by_mask
+from bsmaj.majorization import gap_relation, majorized_by_mask, prefix_gaps
+from bsmaj.vectors import tensor_rows
 
 from conftest import (
     closed_form_extremes_mpmath,
@@ -384,14 +384,16 @@ def test_survivor_mask_matches_compare(p, q, thetas, rs):
     ):
         rows = _catalyst_rows(specs)
         mask = catalysis._majorized_by_rows(p, q, rows, 1e-12)
-        d = max(p.dim, q.dim) * rows.shape[1]
-        sorted_p = catalysis._sorted_products(p, rows, d)
+        p_rows = tensor_rows(p, rows)
+        gaps = prefix_gaps(p_rows, tensor_rows(q, rows))
         want = []
-        for spec, row in zip(specs, sorted_p):
+        for spec, row, row_gaps in zip(specs, p_rows, gaps):
             c = catalyst_spectrum(spec)
-            want.append(compare(tensor(p, c), tensor(q, c)).relation is Relation.MAJORIZED_BY)
-            # the batched rows are bit for bit the sorted, padded tensor
-            assert np.array_equal(row, np.sort(pad_to(tensor(p, c), d).components)[::-1])
+            verdict = compare(tensor(p, c), tensor(q, c))
+            want.append(verdict.relation is Relation.MAJORIZED_BY)
+            # the batched rows and their gaps are bit for bit the one-row ones
+            assert np.array_equal(row, tensor(p, c).components)
+            assert np.array_equal(row_gaps, verdict.partial_sum_gaps)
         assert mask.tolist() == want
 
 

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -306,6 +307,39 @@ def test_birkhoff_file_decomposition_is_bounded(cli_runner, tmp_path, monkeypatc
     assert cli_runner.invoke(main, ["birkhoff", "--witness", "20,0.3"]).exit_code == 0
 
 
+def test_input_files_are_read_within_the_cap(cli_runner, tmp_path, monkeypatch):
+    # every file input goes through one reader, which reads at most one byte
+    # past MAX_INPUT_BYTES and refuses a larger file
+    vector, matrix = tmp_path / "p.json", tmp_path / "m.json"
+    vector.write_text("[0.6, 0.4]" + " " * 100)
+    matrix.write_text("[[1]]" + " " * 100)
+    cases = [(["majorize", "--p", str(vector), "--q", "[1]"], vector),
+             (["catalysis", "check", "--p", "[1]", "--q", "[1]",
+               "--catalyst", f"file:{vector}"], vector),
+             (["birkhoff", "--file", str(matrix)], matrix)]
+    for args, path in cases:
+        size = path.stat().st_size
+        monkeypatch.setattr(cli, "MAX_INPUT_BYTES", size)
+        assert invoke_within_contract(cli_runner, args).exit_code == 0
+        monkeypatch.setattr(cli, "MAX_INPUT_BYTES", size - 1)
+        result = invoke_within_contract(cli_runner, args)
+        assert result.exit_code == 2
+        assert f"holds at least {size} bytes, more than the limit of {size - 1}" in result.output
+    # a larger file is refused after MAX_INPUT_BYTES + 1 bytes
+    reads = []
+
+    class CountingFile(io.FileIO):
+        def read(self, size=-1):
+            reads.append(size)
+            return super().read(size)
+
+    monkeypatch.setattr(cli, "open", CountingFile, raising=False)
+    monkeypatch.setattr(cli, "MAX_INPUT_BYTES", 10)
+    with pytest.raises(ValueError, match="holds at least 11 bytes"):
+        cli._read_file(vector)
+    assert reads == [11]
+
+
 def test_birkhoff_requires_exactly_one_source(cli_runner):
     result = cli_runner.invoke(main, ["birkhoff"])
     assert result.exit_code == 2
@@ -426,6 +460,12 @@ CONTRACT_CASES = [
     (["majorize", "--p", '["0.5", "0.5"]', "--q", "[1]"], 2),
     (["birkhoff", "--file", "booleans.json"], 2),
     (["birkhoff", "--file", "."], 2),
+    (["majorize", "--p", "bs:3,", "--q", "bs:3,0.62"], 2),
+    (["majorize", "--p", "bs:x,0.5", "--q", "bs:3,0.62"], 2),
+    (["birkhoff", "--witness", "2"], 2),
+    (["birkhoff", "--witness", "x,0.5"], 2),
+    (["birkhoff", "--witness", "2,abc"], 2),
+    (["spectrum", "--k", "3", "--theta", "abc"], 2),
 ]
 
 #: Files that contract cases name, written into the directory each case runs in.

@@ -11,6 +11,7 @@ from bsmaj import (
     spectrum,
     verify_nielsen,
 )
+from bsmaj import locc
 
 
 def test_kraus_smallest_case():
@@ -118,6 +119,19 @@ def test_nielsen_agreement_on_grid(k):
 def test_nielsen_agreement_at_endpoints():
     assert verify_nielsen(2, 0.0)
     assert verify_nielsen(2, math.pi / 2)
+
+
+def test_nielsen_verification_builds_two_spectra(monkeypatch):
+    # the verdict and the protocol share the (k+1)- and k-photon spectra
+    calls = []
+
+    def counted(k, theta):
+        calls.append(k)
+        return spectrum(k, theta)
+
+    monkeypatch.setattr(locc, "spectrum", counted)
+    assert verify_nielsen(4, 0.7)
+    assert sorted(calls) == [4, 5]
 
 
 def test_report_serialization():

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import math
@@ -402,6 +403,37 @@ def test_accumulation_raises_on_crossover():
         accumulation_derivatives(2, CROSS_K2)
     with pytest.raises(AmbiguousOrderingError):
         accumulation_derivatives(3, QUARTER_PI)
+
+
+def _ambiguity_by_loop(k, theta, tol):
+    """The refusal message of ``accumulation_derivatives``, found by testing
+    every crossover in ascending order, or None."""
+    if k > 0 and QUARTER_PI - theta <= tol:
+        return "theta sits at pi/4 where symmetric components tie"
+    for cross in regions._crossings(k)[0]:
+        if abs(theta - cross) <= tol:
+            return f"theta is within tolerance of the crossover at {cross!r}"
+    return None
+
+
+@pytest.mark.parametrize("tol", [TOL, 0.2])
+def test_accumulation_ambiguity_matches_the_crossover_loop(monkeypatch, tol):
+    # angles at c - tol, c, c + tol and one ulp either side of the two ends;
+    # each k's crossovers are computed once
+    monkeypatch.setattr(regions, "_crossings", functools.lru_cache(regions._crossings))
+    for k in (*range(1, 13), 20, 33, 60):
+        thetas = set()
+        for c in regions._crossings(k)[0]:
+            for end in (c - tol, c + tol):
+                thetas.update((end, math.nextafter(end, -1.0), math.nextafter(end, 2.0)))
+            thetas.add(c)
+        for theta in sorted(t for t in thetas if 0.0 <= t <= QUARTER_PI):
+            try:
+                accumulation_derivatives(k, theta, tol=tol)
+                got = None
+            except AmbiguousOrderingError as exc:
+                got = str(exc)
+            assert got == _ambiguity_by_loop(k, theta, tol), (k, theta)
 
 
 def test_accumulation_rejects_angles_beyond_quarter_pi():

@@ -125,3 +125,25 @@ def test_cli_commands_write_only_through_emits():
                and (n.func.value.id, n.func.attr) in {("click", "echo"), ("json", "dumps")}]
     assert writers
     assert [n.lineno for n in writers if id(n) not in inside] == []
+
+
+def _calls_by_function(node, owner=None):
+    """(innermost enclosing function, called name) for every call under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        inner = child.name if isinstance(child, ast.FunctionDef) else owner
+        if isinstance(child, ast.Call):
+            func = child.func
+            yield inner, func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        yield from _calls_by_function(child, inner)
+
+
+def test_cli_parses_through_one_type_and_reads_files_in_one_function():
+    # One click type parses every option that needs a parser, and one
+    # function opens every input file, so each input is read one way.
+    tree = ast.parse((SRC / "cli.py").read_text())
+    param_types = [n.name for n in ast.walk(tree) if isinstance(n, ast.ClassDef)
+                   and any(ast.unparse(base) == "click.ParamType" for base in n.bases)]
+    assert len(param_types) == 1, param_types
+    openers = {owner for owner, name in _calls_by_function(tree)
+               if name in {"open", "open_file", "read_text", "read_bytes"}}
+    assert len(openers) == 1, openers
