@@ -48,7 +48,7 @@ from .regions import (
     positivity_bound,
     region1_closed_form,
 )
-from .vectors import NORM_TOL, TOL, ProbVector, pad_to, sort_desc, tensor
+from .vectors import NORM_TOL, TOL, ProbVector, sort_desc, tensor
 
 __all__ = [
     "__version__",
@@ -56,7 +56,6 @@ __all__ = [
     "NORM_TOL",
     "ProbVector",
     "sort_desc",
-    "pad_to",
     "tensor",
     "Relation",
     "MajorizationVerdict",

@@ -121,11 +121,17 @@ def catalyst_spectrum(spec: CatalystSpec) -> ProbVector:
     and is never materialized, so its spec raises ValueError.
     """
     if spec.family is CatalystFamily.SINGLE_PHOTON:
-        c2 = math.cos(spec.theta_c) ** 2
-        return ProbVector([c2, 1.0 - c2])
+        return ProbVector._from_trusted(_single_photon_rows([spec.theta_c])[0])
     if spec.family is CatalystFamily.EXPLICIT:
         return spec.vector
     raise ValueError("a squeezed-vacuum catalyst has no materialized spectrum")
+
+
+def _single_photon_rows(thetas) -> np.ndarray:
+    """Row i is the single-photon catalyst (cos^2 t, 1 - cos^2 t) at the
+    angle t = ``thetas[i]``, normalized as ``ProbVector`` normalizes it."""
+    c2 = np.array([math.cos(t) ** 2 for t in thetas])
+    return normalize_rows(np.stack([c2, 1.0 - c2], axis=1))
 
 
 @dataclass(frozen=True)
@@ -425,10 +431,7 @@ def _search(p, q, family, grid, r_max, tol):
             return CatalystSpec(family, theta_c=theta)
 
         def hits(thetas):
-            # the rows catalyst_spectrum builds, normalized as ProbVector does
-            c2 = np.array([math.cos(t) ** 2 for t in thetas])
-            cats = normalize_rows(np.stack([c2, 1.0 - c2], axis=1))
-            return _majorized_by_rows(p, q, cats, tol)
+            return _majorized_by_rows(p, q, _single_photon_rows(thetas), tol)
     else:
         per_block = TMSV_BATCH_TERMS // vals.size**2
 

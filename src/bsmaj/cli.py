@@ -34,7 +34,7 @@ from .catalysis import (
     tmsv_dimension,
 )
 from .entropy import entropy_curve
-from .locc import run_protocol, verify_nielsen
+from .locc import locc
 from .majorization import compare
 from .regions import (
     InfinitesimalStatus,
@@ -385,11 +385,10 @@ def figure_data_cmd(tol, figure, steps):
 @_emits("locc-verify")
 def locc_verify_cmd(tol, k, theta):
     """Run both measurement branches and check agreement with majorization."""
-    branch1, branch2 = run_protocol(k, theta)
-    agreement = verify_nielsen(k, theta, tol=tol)
+    branch1, branch2, target, agreement = locc(k, theta, tol=tol)
     results = {
         "branches": [branch1.to_dict(), branch2.to_dict()],
-        "target_spectrum": spectrum(k, theta).components,
+        "target_spectrum": target.components,
         "nielsen_agreement": agreement,
     }
     return {"k": k, "theta": theta}, results

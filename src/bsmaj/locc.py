@@ -108,15 +108,28 @@ def run_protocol(k: int, theta: float) -> tuple[LoccOutcomeReport, LoccOutcomeRe
     renormalized; by convention it reports the target spectrum and is
     flagged vacuous.
     """
+    return locc(k, theta)[:2]
+
+
+def verify_nielsen(k: int, theta: float, *, tol: float = TOL) -> bool:
+    """Check that the majorization test and the explicit protocol agree.
+
+    Deterministic LOCC convertibility of the (k+1)-photon output into the
+    k-photon output is equivalent to the majorization of the former's
+    spectrum by the latter's. Both sides are computed independently: the
+    prefix-sum comparison on one hand, the simulated protocol on the other.
+    """
+    return locc(k, theta, tol=tol)[3]
+
+
+def locc(k: int, theta: float, *,
+         tol: float = TOL) -> tuple[LoccOutcomeReport, LoccOutcomeReport, ProbVector, bool]:
+    """Both branch reports of :func:`run_protocol`, the k-photon target
+    spectrum and the agreement :func:`verify_nielsen` reports, from one
+    (k+1)-photon and one k-photon spectrum."""
     k = as_photon_number(k)
     theta = check_angle(theta)
-    return _branches(k, spectrum(k + 1, theta), spectrum(k, theta))
-
-
-def _branches(k, source, target):
-    """The two branch reports of :func:`run_protocol` on the (k+1)-photon
-    spectrum ``source``, with the k-photon spectrum ``target`` for a vacuous
-    branch."""
+    source, target = spectrum(k + 1, theta), spectrum(k, theta)
     amps = np.sqrt(source.components)
     pair = build_kraus(k)
     reports = []
@@ -131,27 +144,12 @@ def _branches(k, source, target):
             post, vacuous = ProbVector(weights**2 / prob), False
         reports.append(LoccOutcomeReport(branch=branch, probability=prob, post_spectrum=post,
                                          bob_correction=correction, vacuous=vacuous))
-    return reports[0], reports[1]
-
-
-def verify_nielsen(k: int, theta: float, *, tol: float = TOL) -> bool:
-    """Check that the majorization test and the explicit protocol agree.
-
-    Deterministic LOCC convertibility of the (k+1)-photon output into the
-    k-photon output is equivalent to the majorization of the former's
-    spectrum by the latter's. Both sides are computed independently: the
-    prefix-sum comparison on one hand, the simulated protocol on the other.
-    """
-    k = as_photon_number(k)
-    theta = check_angle(theta)
-    source, target = spectrum(k + 1, theta), spectrum(k, theta)
-    verdict = compare(source, target, tol=tol)
-    majorized = verdict.relation in (Relation.MAJORIZED_BY, Relation.EQUAL)
-
-    branch1, branch2 = _branches(k, source, target)
+    branch1, branch2 = reports
     protocol_ok = (
         abs(branch1.probability + branch2.probability - 1.0) <= tol
         and branch1.post_spectrum.allclose(target, tol)
         and branch2.post_spectrum.allclose(target, tol)
     )
-    return majorized and protocol_ok
+    verdict = compare(source, target, tol=tol)
+    majorized = verdict.relation in (Relation.MAJORIZED_BY, Relation.EQUAL)
+    return branch1, branch2, target, majorized and protocol_ok

@@ -136,6 +136,25 @@ def find_crossovers(k: int) -> RegionPartition:
 def _crossings(k: int) -> tuple[list[float], list[tuple[tuple[int, int], ...]]]:
     """Sorted crossover angles in (0, pi/4) and the pairs meeting at each.
 
+    The angles and their grouping come from :func:`_crossover_angles`; the
+    pairs of a crossover keep the order in which its scan sorted them.
+    """
+    theta, first, n, m = _crossover_angles(k)
+    ints = np.arange(k + 1).astype(object)  # the pairs share k + 1 int objects
+    pairs = zip(ints[n].tolist(), ints[m].tolist())
+    if first.all():
+        groups = list(zip(pairs))
+    else:
+        pairs = list(pairs)
+        cuts = [*np.flatnonzero(first).tolist(), len(pairs)]
+        groups = [tuple(pairs[a:b]) for a, b in zip(cuts, cuts[1:])]
+    return theta[first].tolist(), groups
+
+
+def _crossover_angles(k: int) -> tuple[np.ndarray, ...]:
+    """The ascending angles in (0, pi/4) at which crossing pairs meet, which
+    of them open a crossover, and the pair (n, m) meeting at each angle.
+
     Only the pairs of :func:`_crossing_pairs` cross inside; their angles
     come from :func:`_angles`, ``CROSSING_BLOCK`` pairs at a time. One
     stable sort keeps the pair order among equal angles, and an angle within
@@ -153,16 +172,7 @@ def _crossings(k: int) -> tuple[list[float], list[tuple[tuple[int, int], ...]]]:
     theta = theta[order]
     inside = slice(theta.searchsorted(TOL, "right"), theta.searchsorted(QUARTER_PI - TOL))
     theta, order = theta[inside], order[inside]
-    first = _opens_crossover(theta)
-    ints = np.arange(k + 1).astype(object)  # the pairs share k + 1 int objects
-    pairs = zip(ints[n[order]].tolist(), ints[m[order]].tolist())
-    if first.all():
-        groups = list(zip(pairs))
-    else:
-        pairs = list(pairs)
-        cuts = [*np.flatnonzero(first).tolist(), len(pairs)]
-        groups = [tuple(pairs[a:b]) for a, b in zip(cuts, cuts[1:])]
-    return theta[first].tolist(), groups
+    return theta, _opens_crossover(theta), n[order], m[order]
 
 
 def _crossing_pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -286,11 +296,12 @@ def accumulation_derivatives(
         )
     # theta - c falls as the sorted crossovers c rise, so those within tol of
     # theta form a run, and the first crossover with theta - c <= tol opens it
-    crossovers = _crossings(k)[0]
+    angles, first = _crossover_angles(k)[:2]
+    crossovers = angles[first]
     i = bisect_left(crossovers, True, key=lambda c: theta - c <= tol)
     if i < len(crossovers) and theta - crossovers[i] >= -tol:
         raise AmbiguousOrderingError(
-            f"theta is within tolerance of the crossover at {crossovers[i]!r}"
+            f"theta is within tolerance of the crossover at {float(crossovers[i])!r}"
         )
     p = spectrum(k, theta)
     order = sort_desc(p).perm

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -52,15 +53,15 @@ def json_array(text: str, ndim: int) -> np.ndarray:
         data = json.loads(text)
     except RecursionError as exc:
         raise ValueError("JSON nested too deeply") from exc
-    level = [data]
+    rows = [[data]]  # the arrays holding the values ``depth`` deep; the numbers are not copied
     for depth in range(ndim + 1):
-        types = (int, float) if depth == ndim else (list,)
-        bad = [x for x in level if type(x) not in types]
-        if bad:
-            found = _JSON_KINDS.get(type(bad[0]), "a number")
+        types = {int, float} if depth == ndim else {list}
+        if not set(map(type, chain.from_iterable(rows))) <= types:
+            bad = next(x for x in chain.from_iterable(rows) if type(x) not in types)
+            found = _JSON_KINDS.get(type(bad), "a number")
             raise ValueError(f"expected a {ndim}-D JSON array of numbers, found {found}")
         if depth < ndim:
-            level = [x for row in level for x in row]
+            rows = list(chain.from_iterable(rows))
     try:
         arr = np.array(data, dtype=float)
     except OverflowError as exc:
@@ -120,7 +121,7 @@ class ProbVector:
     @classmethod
     def _from_trusted(cls, arr: np.ndarray) -> "ProbVector":
         # Internal: wrap an array that already satisfies the invariants
-        # bit-for-bit (reorderings, zero padding, normalized products). Skips
+        # bit-for-bit (reorderings, normalized products). Skips
         # renormalization so the components stay exactly identical to the
         # source values.
         obj = object.__new__(cls)
@@ -148,21 +149,12 @@ class ProbVector:
         return bool(np.max(np.abs(self._components - other._components)) <= tol)
 
     @classmethod
-    def from_json(cls, text: str) -> "ProbVector":
-        return cls(json_array(text, 1))
-
-    @classmethod
-    def from_csv(cls, text: str) -> "ProbVector":
-        values = [float(line) for line in text.splitlines() if line.strip()]
-        return cls(values)
-
-    @classmethod
     def parse(cls, text: str) -> "ProbVector":
-        """Parse either text form (JSON array or single-column CSV)."""
+        """Parse a JSON array or a single-column CSV, one number a line."""
         stripped = text.strip()
         if stripped.startswith("["):
-            return cls.from_json(stripped)
-        return cls.from_csv(text)
+            return cls(json_array(stripped, 1))
+        return cls([float(line) for line in text.splitlines() if line.strip()])
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,19 +178,6 @@ def sort_desc(p: ProbVector) -> OscVector:
     order = np.argsort(-p.components, kind="stable")
     arranged = p.components[order].copy()
     return OscVector(ProbVector._from_trusted(arranged), tuple(order.tolist()))
-
-
-def pad_to(p: ProbVector, d: int) -> ProbVector:
-    """Append zeros until the vector has dimension ``d``.
-
-    Padding changes no component and no prefix sum of the sorted vector.
-    """
-    if d < p.dim:
-        raise ValueError(f"cannot pad dimension {p.dim} down to {d}")
-    if d == p.dim:
-        return p
-    padded = np.concatenate([p.components, np.zeros(d - p.dim)])
-    return ProbVector._from_trusted(padded)
 
 
 def tensor(p: ProbVector, q: ProbVector) -> ProbVector:

@@ -26,7 +26,6 @@ from bsmaj import (
     entropy_curve,
     find_crossovers,
     infinitesimal_verdict,
-    pad_to,
     random_majorized,
     region1_closed_form,
     renyi,
@@ -104,7 +103,8 @@ def test_criterion_3_photon_chain():
             theta = float(theta)
             lower, higher = spectrum(k + 1, theta), spectrum(k, theta)
             assert compare(lower, higher).relation is Relation.MAJORIZED_BY
-            witness = ds_apply(bs_witness_matrix(k, theta), pad_to(higher, k + 2))
+            padded = ProbVector(np.pad(higher.components, (0, 1)))
+            witness = ds_apply(bs_witness_matrix(k, theta), padded)
             assert np.max(np.abs(witness.components - lower.components)) < 1e-12
 
 

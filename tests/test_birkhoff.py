@@ -12,7 +12,6 @@ from bsmaj import (
     birkhoff_decompose,
     bs_witness_matrix,
     compare,
-    pad_to,
     spectrum,
 )
 from bsmaj import birkhoff
@@ -35,7 +34,7 @@ def test_witness_theta_zero_transmits_everything():
     # At theta=0 every photon goes through: the padded 1-photon spectrum
     # (0, 1, 0) must map onto the 2-photon spectrum (0, 0, 1).
     D = bs_witness_matrix(1, 0.0)
-    padded = pad_to(spectrum(1, 0.0), 3)
+    padded = ProbVector(np.pad(spectrum(1, 0.0).components, (0, 1)))
     assert np.array_equal(padded.components, [0.0, 1.0, 0.0])
     out = ds_apply(D, padded)
     assert np.allclose(out.components, spectrum(2, 0.0).components, atol=1e-15)
@@ -56,7 +55,7 @@ def test_witness_structure():
 @pytest.mark.parametrize("theta", [0.0, 0.31, math.pi / 4, 1.1, math.pi / 2])
 def test_witness_maps_padded_spectrum_up_one_photon(k, theta):
     D = bs_witness_matrix(k, theta)
-    out = ds_apply(D, pad_to(spectrum(k, theta), k + 2))
+    out = ds_apply(D, ProbVector(np.pad(spectrum(k, theta).components, (0, 1))))
     assert np.allclose(out.components, spectrum(k + 1, theta).components, atol=1e-12)
 
 
@@ -106,7 +105,8 @@ def test_apply_witness_reproduces_direct_formula():
     theta = 0.62
     c2, s2 = math.cos(theta) ** 2, math.sin(theta) ** 2
     direct = [math.comb(3, n) * c2**n * s2 ** (3 - n) for n in range(4)]
-    out = ds_apply(bs_witness_matrix(2, theta), pad_to(spectrum(2, theta), 4))
+    padded = ProbVector(np.pad(spectrum(2, theta).components, (0, 1)))
+    out = ds_apply(bs_witness_matrix(2, theta), padded)
     assert np.allclose(out.components, direct, atol=1e-12)
 
 

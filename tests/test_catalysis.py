@@ -485,6 +485,28 @@ def _scanned(monkeypatch, family, grid, r_max=3.0):
     return [hit.r if family == "tmsv" else hit.theta_c for hit in hits]
 
 
+@pytest.mark.parametrize("grid", [2e-3, math.pi / 4 / 393])
+def test_catalyst_spectrum_is_the_search_row(monkeypatch, grid):
+    # Each row a single-photon search decides is catalyst_spectrum at its
+    # angle, bit for bit, and both keep the bits of ProbVector([c2, 1 - c2]).
+    rows = []
+    decide = catalysis._majorized_by_rows
+
+    def recorded(p, q, cats, tol):
+        rows.extend(cats)
+        return decide(p, q, cats, tol)
+
+    monkeypatch.setattr(catalysis, "_majorized_by_rows", recorded)
+    search_catalyst_all(P_072, Q_062, "single-photon", grid)
+    thetas = _old_grid(grid, math.pi / 4)
+    assert len(rows) == len(thetas)
+    for theta, row in zip(thetas, rows):
+        vec = catalyst_spectrum(CatalystSpec.single_photon(theta)).components
+        c2 = math.cos(theta) ** 2
+        assert np.array_equal(vec, row), theta
+        assert np.array_equal(vec, ProbVector([c2, 1.0 - c2]).components), theta
+
+
 @pytest.mark.parametrize("family,grid,r_max", [
     # 3 * 0.1 = 0.30000000000000004 overshoots 0.3 by roundoff and is kept
     ("tmsv", 0.1, 0.3),

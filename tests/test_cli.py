@@ -22,7 +22,7 @@ from bsmaj import (
     compare,
     spectrum,
 )
-from bsmaj import cli
+from bsmaj import cli, locc
 from bsmaj.cli import main, parse_angle, parse_catalyst_arg, parse_vector_arg
 
 from conftest import CLI_BATTERY
@@ -102,7 +102,7 @@ def test_spectrum_json_envelope(cli_runner):
 def test_spectrum_csv_single_column(cli_runner):
     result = invoke(cli_runner, ["--out", "csv", "spectrum", "--k", "2", "--theta", "0.5"])
     assert result.exit_code == 0
-    vec = ProbVector.from_csv(result.output)
+    vec = ProbVector.parse(result.output)
     assert vec.allclose(spectrum(2, 0.5), tol=1e-11)
 
 
@@ -227,6 +227,22 @@ def test_locc_verify(cli_runner):
     assert data["results"]["nielsen_agreement"] is True
     probs = [b["probability"] for b in data["results"]["branches"]]
     assert sum(probs) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_locc_verify_builds_two_spectra(cli_runner, monkeypatch):
+    # the branches, the verdict and the printed target share the (k+1)- and
+    # k-photon spectra
+    calls = []
+
+    def counted(k, theta):
+        calls.append(k)
+        return spectrum(k, theta)
+
+    monkeypatch.setattr(locc, "spectrum", counted)
+    monkeypatch.setattr(cli, "spectrum", counted)
+    result = invoke(cli_runner, ["locc-verify", "--k", "4", "--theta", "0.9"])
+    assert payload(result)["results"]["nielsen_agreement"] is True
+    assert sorted(calls) == [4, 5]
 
 
 def test_catalysis_check(cli_runner):

@@ -420,7 +420,8 @@ def _ambiguity_by_loop(k, theta, tol):
 def test_accumulation_ambiguity_matches_the_crossover_loop(monkeypatch, tol):
     # angles at c - tol, c, c + tol and one ulp either side of the two ends;
     # each k's crossovers are computed once
-    monkeypatch.setattr(regions, "_crossings", functools.lru_cache(regions._crossings))
+    monkeypatch.setattr(regions, "_crossover_angles",
+                        functools.lru_cache(regions._crossover_angles))
     for k in (*range(1, 13), 20, 33, 60):
         thetas = set()
         for c in regions._crossings(k)[0]:
@@ -536,25 +537,26 @@ def test_verdict_boundary_at_crossover_and_quarter_pi():
 
 
 def test_verdict_scans_crossovers_once(monkeypatch):
-    # A verdict needs the crossover angles once and never the orderings.
-    calls, built = [], []
-    scan, order = regions._crossings, regions._orderings
+    # A verdict scans the crossover angles once, and never groups their
+    # pairs or builds the orderings.
+    calls, grouped = [], []
+    scan, group = regions._crossover_angles, regions._crossings
 
     def counted(k):
         calls.append(k)
         return scan(k)
 
-    def counted_orderings(k, pairs):
-        built.append(k)
-        return order(k, pairs)
+    def counted_groups(k):
+        grouped.append(k)
+        return group(k)
 
-    monkeypatch.setattr(regions, "_crossings", counted)
-    monkeypatch.setattr(regions, "_orderings", counted_orderings)
+    monkeypatch.setattr(regions, "_crossover_angles", counted)
+    monkeypatch.setattr(regions, "_crossings", counted_groups)
     for theta, status in ((0.1, "Holds"), (0.7, "Violated"), (THETA1_K3, "Boundary")):
         calls.clear()
         assert infinitesimal_verdict(3, theta).status.value == status
         assert calls == [3]
-    assert built == []
+    assert grouped == []
 
 
 def test_verdict_k0_trivially_holds():

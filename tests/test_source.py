@@ -1,12 +1,14 @@
 """Source checks on the package surface: every exported name resolves and
-has a user, no module imports a name it never uses, the README's limits
-table names every MAX_* constant with its value, and every CLI command
-writes its output through one decorator."""
+has a user, no module-level function or class is left dead, no module
+imports a name it never uses, the README's limits table names every MAX_*
+constant with its value, and every CLI command writes its output through
+one decorator."""
 
 import ast
 import importlib
 import inspect
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -47,6 +49,27 @@ def test_every_exported_function_and_class_has_a_user():
     exported = [name for name in bsmaj.__all__
                 if inspect.isfunction(getattr(bsmaj, name)) or inspect.isclass(getattr(bsmaj, name))]
     assert [name for name in exported if name not in used] == []
+
+
+def _references(node):
+    """How often each name is read under ``node``, as a name or an attribute."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def test_every_module_level_function_and_class_is_used():
+    # Each one is referenced somewhere in the package outside its own
+    # definition, listed in __all__, or is a CLI command; anything else is a
+    # helper a refactor left dead.
+    trees = {path: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    references = sum(map(_references, trees.values()), Counter())
+    commands = {f.name for f in ast.walk(trees[SRC / "cli.py"])
+                if isinstance(f, ast.FunctionDef) and "command" in _decorator_names(f)}
+    kept = set(bsmaj.__all__) | commands
+    dead = [f"{path.stem}.{node.name}" for path, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in kept
+            and references[node.name] == _references(node)[node.name]]
+    assert dead == []
 
 
 def _unused_imports(tree):

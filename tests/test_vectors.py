@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from bsmaj import ProbVector, compare, pad_to, sort_desc, spectrum, tensor
+from bsmaj import ProbVector, compare, sort_desc, spectrum, tensor
 from bsmaj.majorization import Relation
 from bsmaj.vectors import json_array
 
@@ -72,25 +72,10 @@ def test_sort_desc_idempotent(p):
     assert twice.perm == tuple(range(p.dim))
 
 
-def test_pad_to_appends_zeros():
-    padded = pad_to(ProbVector([0.7, 0.3]), 3)
-    assert np.array_equal(padded.components, [0.7, 0.3, 0.0])
-
-
-def test_pad_to_identity():
-    p = ProbVector([1.0])
-    assert pad_to(p, 1) is p
-
-
-def test_pad_to_rejects_shrink():
-    with pytest.raises(ValueError):
-        pad_to(ProbVector([0.5, 0.5]), 1)
-
-
 @settings(max_examples=100)
 @given(prob_vectors(max_dim=6))
 def test_pad_preserves_sorted_prefix_sums(p):
-    padded = pad_to(p, p.dim + 3)
+    padded = ProbVector(np.pad(p.components, (0, 3)))
     for j in range(p.dim):
         assert sorted_prefix(padded, j) == pytest.approx(
             sorted_prefix(p, j), abs=1e-15
@@ -141,7 +126,7 @@ def _csv_text(p):
 
 def test_json_round_trip():
     p = ProbVector([0.25, 0.5, 0.25])
-    again = ProbVector.from_json(_json_text(p))
+    again = ProbVector.parse(_json_text(p))
     assert p.allclose(again, tol=0.0)
 
 
@@ -187,7 +172,7 @@ def test_json_array_refuses_anything_but_finite_numbers(text, ndim, message):
 
 def test_csv_round_trip():
     p = ProbVector([0.125, 0.375, 0.5])
-    again = ProbVector.from_csv(_csv_text(p))
+    again = ProbVector.parse(_csv_text(p))
     assert p.allclose(again, tol=0.0)
 
 
