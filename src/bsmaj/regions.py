@@ -14,7 +14,9 @@ import enum
 import math
 import operator
 import sys
+import threading
 from bisect import bisect_left, bisect_right
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +37,15 @@ MAX_CROSSING_PAIRS = 2**21
 
 #: Crossing pairs whose angles one pass of ``_angles`` takes in Python lists.
 CROSSING_BLOCK = 2**16
+
+#: Most crossing angles the scan memo keeps over all photon numbers: one
+#: scan at MAX_CROSSING_PAIRS (k = 2047, 1047552 angles, 26 MB in all).
+SCAN_MEMO_ANGLES = 2**20
+
+#: Scans of ``_crossover_angles`` by photon number, least recently used
+#: first, and the lock that makes each lookup and each insertion one step.
+_scans: OrderedDict[int, tuple[np.ndarray, ...]] = OrderedDict()
+_scans_lock = threading.Lock()
 
 
 class AmbiguousOrderingError(ValueError):
@@ -155,13 +166,34 @@ def _crossover_angles(k: int) -> tuple[np.ndarray, ...]:
     """The ascending angles in (0, pi/4) at which crossing pairs meet, which
     of them open a crossover, and the pair (n, m) meeting at each angle.
 
+    The photon number is checked against ``MAX_CROSSING_PAIRS`` on every
+    call; the arrays of :func:`_scan` are then kept, read-only, in a memo
+    that evicts the least recently used photon numbers once it holds more
+    than ``SCAN_MEMO_ANGLES`` angles.
+    """
+    n_pairs = k * (k + 1) // 2
+    check_work(n_pairs, MAX_CROSSING_PAIRS, f"k={k} has {n_pairs} component pairs")
+    with _scans_lock:
+        if k in _scans:
+            _scans.move_to_end(k)
+            return _scans[k]
+    scan = _scan(k)  # unlocked: two threads may scan one k, and both agree
+    with _scans_lock:
+        _scans[k] = scan
+        held = sum(angles.size for angles, *_ in _scans.values())
+        while held > SCAN_MEMO_ANGLES:
+            held -= _scans.popitem(last=False)[1][0].size
+    return scan
+
+
+def _scan(k: int) -> tuple[np.ndarray, ...]:
+    """The four arrays of :func:`_crossover_angles`, computed afresh.
+
     Only the pairs of :func:`_crossing_pairs` cross inside; their angles
     come from :func:`_angles`, ``CROSSING_BLOCK`` pairs at a time. One
     stable sort keeps the pair order among equal angles, and an angle within
     ``TOL`` of its crossover's first angle joins that crossover.
     """
-    n_pairs = k * (k + 1) // 2
-    check_work(n_pairs, MAX_CROSSING_PAIRS, f"k={k} has {n_pairs} component pairs")
     binom = [math.comb(k, j) for j in range(k + 1)]
     n, m = _crossing_pairs(k)
     theta = np.empty(n.size)
@@ -172,7 +204,10 @@ def _crossover_angles(k: int) -> tuple[np.ndarray, ...]:
     theta = theta[order]
     inside = slice(theta.searchsorted(TOL, "right"), theta.searchsorted(QUARTER_PI - TOL))
     theta, order = theta[inside], order[inside]
-    return theta, _opens_crossover(theta), n[order], m[order]
+    scan = theta, _opens_crossover(theta), n[order], m[order]
+    for array in scan:
+        array.flags.writeable = False
+    return scan
 
 
 def _crossing_pairs(k: int) -> tuple[np.ndarray, np.ndarray]:

@@ -1,8 +1,9 @@
-import functools
 import hashlib
 import json
 import math
 import sys
+import threading
+from collections import OrderedDict
 
 import mpmath
 import numpy as np
@@ -417,11 +418,8 @@ def _ambiguity_by_loop(k, theta, tol):
 
 
 @pytest.mark.parametrize("tol", [TOL, 0.2])
-def test_accumulation_ambiguity_matches_the_crossover_loop(monkeypatch, tol):
-    # angles at c - tol, c, c + tol and one ulp either side of the two ends;
-    # each k's crossovers are computed once
-    monkeypatch.setattr(regions, "_crossover_angles",
-                        functools.lru_cache(regions._crossover_angles))
+def test_accumulation_ambiguity_matches_the_crossover_loop(tol):
+    # angles at c - tol, c, c + tol and one ulp either side of the two ends
     for k in (*range(1, 13), 20, 33, 60):
         thetas = set()
         for c in regions._crossings(k)[0]:
@@ -557,6 +555,125 @@ def test_verdict_scans_crossovers_once(monkeypatch):
         assert infinitesimal_verdict(3, theta).status.value == status
         assert calls == [3]
     assert grouped == []
+
+
+@pytest.fixture
+def scans(monkeypatch):
+    """An empty scan memo for one test, and the photon numbers scanned."""
+    calls, scan = [], regions._scan
+
+    def counted(k):
+        calls.append(k)
+        return scan(k)
+
+    monkeypatch.setattr(regions, "_scans", OrderedDict())
+    monkeypatch.setattr(regions, "_scan", counted)
+    return calls
+
+
+def test_sweep_at_one_k_scans_once(scans):
+    # A theta sweep of verdicts and accumulation derivatives, then the
+    # partition, all at one photon number, scan its crossing pairs once.
+    k = 30
+    thetas = [*np.linspace(0.0, QUARTER_PI, 41).tolist(), *find_crossovers(k).crossovers[:5]]
+    for theta in thetas:
+        infinitesimal_verdict(k, theta)
+        try:
+            accumulation_derivatives(k, theta)
+        except AmbiguousOrderingError:
+            pass
+    find_crossovers(k)
+    assert scans == [k]
+
+
+@pytest.mark.parametrize("k", [*range(1, 61), 326, 341])
+def test_memo_hit_partitions_equal_fresh_scans(scans, k):
+    # The scan a verdict leaves in the memo gives the same partition as a
+    # scan made afresh after the memo is cleared.
+    infinitesimal_verdict(k, 0.3)
+    hit = find_crossovers(k)
+    regions._scans.clear()
+    fresh = find_crossovers(k)
+    assert hit.crossovers == fresh.crossovers
+    assert hit.pairs == fresh.pairs
+    assert hit.orderings == fresh.orderings
+    assert scans == [k, k]
+
+
+@pytest.mark.parametrize("k,steps", [(3, 400), (20, 400), (60, 400), (600, 12)])
+def test_memo_hit_verdicts_equal_fresh_scans(scans, k, steps):
+    # Evenly spaced angles and as many crossovers; only k = 600 has more
+    # crossing pairs than one CROSSING_BLOCK.
+    assert (regions._crossing_pairs(k)[0].size > regions.CROSSING_BLOCK) == (k == 600)
+    crossovers = regions._crossings(k)[0]
+    thetas = [*np.linspace(0.0, QUARTER_PI, steps).tolist(),
+              *crossovers[::-(-len(crossovers) // steps)]]
+    hits = [infinitesimal_verdict(k, theta) for theta in thetas]
+    hit_arrays = [a.tobytes() for a in regions._crossover_angles(k)]
+    fresh = []
+    for theta in thetas:
+        regions._scans.clear()
+        fresh.append(infinitesimal_verdict(k, theta))
+    regions._scans.clear()
+    assert [a.tobytes() for a in regions._crossover_angles(k)] == hit_arrays
+    assert hits == fresh
+    assert {v.status for v in hits} >= {InfinitesimalStatus.BOUNDARY, InfinitesimalStatus.HOLDS}
+    # one scan for the hits, one per fresh verdict but the one at pi/4, and
+    # one for the fresh arrays
+    assert scans == [k] * (len(thetas) + 1)
+
+
+def test_memo_keeps_its_angle_budget_and_evicts_least_recent_first(monkeypatch, scans):
+    # k = 9, 10, 11 and 12 cross at 20, 25, 30 and 36 angles.
+    sizes = {k: regions._scan(k)[0].size for k in (9, 10, 11, 12)}
+    assert sizes == {9: 20, 10: 25, 11: 30, 12: 36}
+    budget = sizes[10] + sizes[11] + sizes[12]
+    monkeypatch.setattr(regions, "SCAN_MEMO_ANGLES", budget)
+    memo = regions._scans
+    for k, held in ((10, [10]), (11, [10, 11]), (12, [10, 11, 12]),
+                    (10, [11, 12, 10]), (9, [12, 10, 9]), (11, [10, 9, 11]), (60, [])):
+        regions._crossover_angles(k)
+        assert list(memo) == held, k
+        assert sum(angles.size for angles, *_ in memo.values()) <= budget
+    assert scans[4:] == [10, 11, 12, 9, 11, 60]
+
+
+def test_memo_stays_consistent_across_threads(monkeypatch, scans):
+    # Eight threads share a memo that holds fewer than two of their scans,
+    # with the interpreter switching threads as often as it can.
+    ks = range(9, 15)
+    want = {k: [a.tobytes() for a in regions._scan(k)] for k in ks}
+    monkeypatch.setattr(regions, "SCAN_MEMO_ANGLES", 64)
+    errors = []
+
+    def work(shift):
+        try:
+            for i in range(1000):
+                k = ks[(i + shift) % len(ks)]
+                assert [a.tobytes() for a in regions._crossover_angles(k)] == want[k]
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(shift,)) for shift in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert sum(angles.size for angles, *_ in regions._scans.values()) <= 64
+
+
+def test_memoized_arrays_are_read_only(scans):
+    for array in regions._crossover_angles(5):
+        assert array.size
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = array[0]
 
 
 def test_verdict_k0_trivially_holds():

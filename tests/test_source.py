@@ -1,8 +1,8 @@
 """Source checks on the package surface: every exported name resolves and
 has a user, no module-level function or class is left dead, no module
 imports a name it never uses, the README's limits table names every MAX_*
-constant with its value, and every CLI command writes its output through
-one decorator."""
+constant with its value, every CLI command writes its output through
+one decorator, and no functools cache is unbounded."""
 
 import ast
 import importlib
@@ -170,3 +170,42 @@ def test_cli_parses_through_one_type_and_reads_files_in_one_function():
     openers = {owner for owner, name in _calls_by_function(tree)
                if name in {"open", "open_file", "read_text", "read_bytes"}}
     assert len(openers) == 1, openers
+
+
+def _functools_uses(tree):
+    """(line, functools name, the call made of it or None) for every use of a
+    ``functools`` name in a module, as ``functools.x`` or imported."""
+    imported = {alias.asname or alias.name: alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "functools"
+                for alias in node.names}
+    calls = {id(n.func): n for n in ast.walk(tree) if isinstance(n, ast.Call)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "functools"):
+            yield node.lineno, node.attr, calls.get(id(node))
+        elif isinstance(node, ast.Name) and node.id in imported:
+            yield node.lineno, imported[node.id], calls.get(id(node))
+
+
+def _integer_maxsize(call, namespace):
+    """Whether an ``lru_cache(...)`` call passes a maxsize that evaluates to an int."""
+    if call is None:
+        return False
+    sizes = [kw.value for kw in call.keywords if kw.arg == "maxsize"] + call.args[:1]
+    try:
+        size = eval(compile(ast.Expression(sizes[0]), "<maxsize>", "eval"), namespace)
+    except (IndexError, NameError):
+        return False
+    return isinstance(size, int) and not isinstance(size, bool)
+
+
+def test_no_cache_is_unbounded():
+    # Memory retained across calls stays bounded for any input: every
+    # lru_cache names an integer maxsize, and functools.cache is not used.
+    unbounded = []
+    for path in sorted(SRC.glob("*.py")):
+        namespace = vars(importlib.import_module(f"bsmaj.{path.stem}"))
+        for line, name, call in _functools_uses(ast.parse(path.read_text())):
+            if name == "cache" or (name == "lru_cache" and not _integer_maxsize(call, namespace)):
+                unbounded.append(f"{path.name}:{line} {name}")
+    assert unbounded == []
