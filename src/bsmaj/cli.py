@@ -19,7 +19,6 @@ import numpy as np
 from . import __version__
 from .beamsplitter import check_angle, photon_chain_check, spectrum
 from .birkhoff import (
-    DoublyStochasticMatrix,
     birkhoff_decompose,
     bs_witness_matrix,
 )
@@ -42,21 +41,13 @@ from .regions import (
     find_crossovers,
     infinitesimal_verdict,
 )
-from .vectors import TOL, ProbVector, check_work, json_array, sort_desc
+from .vectors import TOL, ProbVector, check_work, sort_desc
 
 
 #: Most angles an entropy sweep may sample.
 MAX_STEPS = 10**6
 
-#: Most entry steps, support entries times d^2, a ``birkhoff --file``
-#: decomposition may take: each of its terms zeroes at least one support
-#: entry and scans the d x d residual. A dense d = 90 matrix is accepted.
-#: This is an estimate, not a worst-case bound: a term's augmenting-path
-#: matching may cost up to d times the support. Random and circulant
-#: mixtures at d = 90 took 0.35-0.65 ms per term.
-MAX_DECOMPOSITION_WORK = 2**26
-
-#: Most bytes read from a vector, catalyst or matrix file; a larger file is
+#: Most bytes read from a vector or catalyst file; a larger file is
 #: refused after MAX_INPUT_BYTES + 1 bytes are read.
 MAX_INPUT_BYTES = 2**26
 
@@ -250,15 +241,6 @@ def _sweep(k: int, orders, steps: int, theta_min: float = 0.0,
     return np.column_stack([grid, entropy_curve(k, orders, grid, bits=bits)])
 
 
-def _check_decomposition(matrix: DoublyStochasticMatrix, tol: float) -> None:
-    """Refuse a decomposition of more than ``MAX_DECOMPOSITION_WORK`` entry
-    steps before it starts."""
-    support = int(np.count_nonzero(matrix.entries > tol))
-    work = support * matrix.d**2
-    check_work(work, MAX_DECOMPOSITION_WORK, f"decomposing a {matrix.d}x{matrix.d} matrix "
-               f"with {support} support entries takes about {work} entry steps")
-
-
 # --------------------------------------------------------------------------
 # command group
 
@@ -439,22 +421,12 @@ def catalysis_search_cmd(tol, p, q, family, grid, r_max, all_):
 
 
 @main.command("birkhoff")
-@click.option("--witness", default=None, metavar="K,THETA",
+@click.option("--witness", required=True, metavar="K,THETA",
               help="Decompose the photon-chain witness matrix for K at THETA.")
-@click.option("--file", "path", default=None, type=click.Path(exists=True, dir_okay=False),
-              help="Decompose a matrix read as a JSON array of rows.")
 @_emits("birkhoff")
-def birkhoff_cmd(tol, witness, path):
-    """Decompose a doubly stochastic matrix into a permutation mixture."""
-    if (witness is None) == (path is None):
-        raise click.UsageError("provide exactly one of --witness or --file")
-    if witness is not None:
-        matrix = bs_witness_matrix(*parse_k_theta(witness))
-        params = {"witness": witness}
-    else:
-        matrix = DoublyStochasticMatrix(json_array(_read_file(path), 2))
-        _check_decomposition(matrix, tol)
-        params = {"file": str(path)}
+def birkhoff_cmd(tol, witness):
+    """Decompose the photon-chain witness matrix into a permutation mixture."""
+    matrix = bs_witness_matrix(*parse_k_theta(witness))
     decomp = birkhoff_decompose(matrix, tol=tol)
     results = {
         "matrix": matrix.entries,
@@ -462,7 +434,7 @@ def birkhoff_cmd(tol, witness, path):
         "terms": len(decomp),
         "reconstruction_error": np.max(np.abs(decomp.reconstruct() - matrix.entries)),
     }
-    return params, results
+    return {"witness": witness}, results
 
 
 if __name__ == "__main__":

@@ -329,14 +329,17 @@ def accumulation_derivatives(
         raise AmbiguousOrderingError(
             "theta sits at pi/4 where symmetric components tie"
         )
-    # theta - c falls as the sorted crossovers c rise, so those within tol of
-    # theta form a run, and the first crossover with theta - c <= tol opens it
+    # theta - c falls as the sorted angles c rise, so the crossovers within
+    # tol of theta form a run. The first crossover with theta - c <= tol opens
+    # it: the first opening angle at or after the first angle with
+    # theta - c <= tol, past the rest of that angle's crossover at most.
     angles, first = _crossover_angles(k)[:2]
-    crossovers = angles[first]
-    i = bisect_left(crossovers, True, key=lambda c: theta - c <= tol)
-    if i < len(crossovers) and theta - crossovers[i] >= -tol:
+    i = bisect_left(angles, True, key=lambda c: theta - c <= tol)
+    while i < len(angles) and not first[i]:
+        i += 1
+    if i < len(angles) and theta - angles[i] >= -tol:
         raise AmbiguousOrderingError(
-            f"theta is within tolerance of the crossover at {float(crossovers[i])!r}"
+            f"theta is within tolerance of the crossover at {float(angles[i])!r}"
         )
     p = spectrum(k, theta)
     order = sort_desc(p).perm

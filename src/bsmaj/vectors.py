@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -38,39 +37,6 @@ def check_work(count, limit, what: str) -> None:
 #: JSON names of the Python types ``json.loads`` returns, for error messages.
 _JSON_KINDS = {bool: "a boolean", str: "a string", type(None): "null",
                dict: "an object", list: "an array"}
-
-
-def json_array(text: str, ndim: int) -> np.ndarray:
-    """Parse ``text`` as JSON holding a finite float array of rank ``ndim``.
-
-    Only nested JSON arrays, ``ndim`` deep, of JSON numbers are accepted:
-    a boolean, string, null or object anywhere, an array nested too deep or
-    not deep enough, a ragged array, an integer too large for a float and a
-    non-finite number (Python's ``json`` reads ``NaN`` and ``Infinity``) all
-    raise ValueError, and so does nesting too deep for the parser itself.
-    """
-    try:
-        data = json.loads(text)
-    except RecursionError as exc:
-        raise ValueError("JSON nested too deeply") from exc
-    rows = [[data]]  # the arrays holding the values ``depth`` deep; the numbers are not copied
-    for depth in range(ndim + 1):
-        types = {int, float} if depth == ndim else {list}
-        if not set(map(type, chain.from_iterable(rows))) <= types:
-            bad = next(x for x in chain.from_iterable(rows) if type(x) not in types)
-            found = _JSON_KINDS.get(type(bad), "a number")
-            raise ValueError(f"expected a {ndim}-D JSON array of numbers, found {found}")
-        if depth < ndim:
-            rows = list(chain.from_iterable(rows))
-    try:
-        arr = np.array(data, dtype=float)
-    except OverflowError as exc:
-        raise ValueError(f"a JSON number is too large for a float: {exc}") from exc
-    if arr.ndim != ndim:  # an empty array at an outer level
-        raise ValueError(f"expected a {ndim}-D JSON array of numbers")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("JSON numbers must be finite")
-    return arr
 
 
 def checked_entries(arr: np.ndarray) -> np.ndarray:
@@ -150,11 +116,29 @@ class ProbVector:
 
     @classmethod
     def parse(cls, text: str) -> "ProbVector":
-        """Parse a JSON array or a single-column CSV, one number a line."""
-        stripped = text.strip()
-        if stripped.startswith("["):
-            return cls(json_array(stripped, 1))
-        return cls([float(line) for line in text.splitlines() if line.strip()])
+        """Parse a JSON array or a single-column CSV, one number a line.
+
+        A JSON array may hold JSON numbers only: a boolean, string, null,
+        object or nested array and an integer too large for a float raise
+        ValueError, and so does nesting too deep for the parser itself. The
+        text is dropped once ``json.loads`` has made its list, and the list
+        once the constructor has made its floats.
+        """
+        text = text.strip()
+        if not text.startswith("["):
+            return cls([float(line) for line in text.splitlines() if line.strip()])
+        try:
+            data = json.loads(text)
+        except RecursionError as exc:
+            raise ValueError("JSON nested too deeply") from exc
+        del text
+        if not set(map(type, data)) <= {int, float}:
+            bad = next(x for x in data if type(x) not in (int, float))
+            raise ValueError(f"expected a 1-D JSON array of numbers, found {_JSON_KINDS[type(bad)]}")
+        try:
+            return cls(data)
+        except OverflowError as exc:
+            raise ValueError(f"a JSON number is too large for a float: {exc}") from exc
 
 
 @dataclass(frozen=True, eq=False)

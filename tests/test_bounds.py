@@ -17,11 +17,11 @@ import pytest
 import bsmaj
 from bsmaj import beamsplitter, birkhoff, catalysis, cli, entropy, regions, vectors
 from bsmaj.beamsplitter import photon_chain_check, spectrum
-from bsmaj.birkhoff import DoublyStochasticMatrix, bs_witness_matrix
+from bsmaj.birkhoff import bs_witness_matrix
 from bsmaj.catalysis import CatalystSpec, check_catalysis, search_catalyst_all
 from bsmaj.entropy import entropy_curve
 from bsmaj.regions import find_crossovers, infinitesimal_verdict
-from bsmaj.vectors import TOL, check_work, tensor
+from bsmaj.vectors import check_work, tensor
 
 SRC = Path(bsmaj.__file__).parent
 README = SRC.parents[1] / "README.md"
@@ -44,8 +44,6 @@ SITES = [
     (catalysis, "MAX_CANDIDATES", (math.pi / 4 + 1e-15) / 0.1,
      lambda: search_catalyst_all(P_072, Q_062, "single-photon", 0.1)),
     (cli, "MAX_STEPS", 5, lambda: cli._sweep(2, [1.0], 5)),
-    (cli, "MAX_DECOMPOSITION_WORK", 4 * 2**2,
-     lambda: cli._check_decomposition(DoublyStochasticMatrix([[0.5, 0.5], [0.5, 0.5]]), TOL)),
     (cli, "MAX_INPUT_BYTES", README.stat().st_size, lambda: cli._read_file(README)),
     (vectors, "MAX_TENSOR_ENTRIES", 3 * 4,
      lambda: tensor(spectrum(2, 0.3), spectrum(3, 0.3))),

@@ -3,6 +3,7 @@ import json
 import math
 import sys
 import threading
+import tracemalloc
 from collections import OrderedDict
 
 import mpmath
@@ -584,6 +585,20 @@ def test_sweep_at_one_k_scans_once(scans):
             pass
     find_crossovers(k)
     assert scans == [k]
+
+
+def test_memo_hit_derivatives_copy_no_angles(scans):
+    # A memo hit bisects the memoized angles in place. At k = 600 they take
+    # 720 kB; a copy of the crossover angles would allocate about as much.
+    angles = regions._crossover_angles(600)[0]
+    tracemalloc.start()
+    try:
+        accumulation_derivatives(600, 0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < angles.nbytes / 4
+    assert scans == [600]
 
 
 @pytest.mark.parametrize("k", [*range(1, 61), 326, 341])
