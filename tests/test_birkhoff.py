@@ -182,6 +182,19 @@ def test_decompose_drops_rounding_residue_off_every_matching(d):
     assert sum(dec.weights) == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("d", [20, 40])
+def test_decompose_dense_matrix(d):
+    # every entry positive: half a mixture of 3d seeded permutations, half
+    # the uniform matrix, so each matching is peeled from a full support
+    rng = np.random.default_rng(d)
+    m = np.full((d, d), 0.5 / d) + 0.5 * random_mixture_matrix(rng, d, 3 * d)
+    D = DoublyStochasticMatrix(m)
+    dec = birkhoff_decompose(D)
+    assert len(dec) <= (d - 1) ** 2 + 1
+    assert np.max(np.abs(dec.reconstruct() - D.entries)) < 1e-9
+    assert sum(dec.weights) == pytest.approx(1.0, abs=1e-9)
+
+
 def test_decompose_random_mixture_corpus():
     rng = np.random.default_rng(17)
     for trial in range(60):

@@ -277,6 +277,17 @@ def test_birkhoff_witness(cli_runner):
     assert results["terms"] <= 10
 
 
+@pytest.mark.parametrize("args,message", [
+    (["birkhoff"], "Missing option '--witness'"),
+    (["birkhoff", "--file", "m.json"], "No such option '--file'"),
+])
+def test_birkhoff_reads_only_the_witness(cli_runner, args, message):
+    # a matrix file is no input: the refusal names the option, not the file
+    result = invoke_within_contract(cli_runner, args)
+    assert result.exit_code == 2
+    assert message in result.output
+
+
 def test_input_files_are_read_within_the_cap(cli_runner, tmp_path, monkeypatch):
     # every file input goes through one reader, which reads at most one byte
     # past MAX_INPUT_BYTES and refuses a larger file

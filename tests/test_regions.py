@@ -436,6 +436,26 @@ def test_accumulation_ambiguity_matches_the_crossover_loop(tol):
             assert got == _ambiguity_by_loop(k, theta, tol), (k, theta)
 
 
+@pytest.mark.parametrize("tol", [0.0, TOL, 1e-9, 1e-6])
+def test_accumulation_ambiguity_at_a_crossover_of_two_angles(tol):
+    # At k = 326 one crossover holds two scanned angles, the second within
+    # TOL of the first; the bisect lands on either and must answer as the
+    # loop over crossovers does.
+    angles, first = regions._crossover_angles(326)[:2]
+    (second,) = np.flatnonzero(~first)
+    thetas = set()
+    for c in map(float, angles[second - 2:second + 2]):
+        for t in (c - tol, c, c + tol):
+            thetas.update((t, math.nextafter(t, -1.0), math.nextafter(t, 2.0)))
+    for theta in sorted(thetas):
+        try:
+            accumulation_derivatives(326, theta, tol=tol)
+            got = None
+        except AmbiguousOrderingError as exc:
+            got = str(exc)
+        assert got == _ambiguity_by_loop(326, theta, tol), theta
+
+
 def test_accumulation_rejects_angles_beyond_quarter_pi():
     with pytest.raises(ValueError):
         accumulation_derivatives(2, 1.0)

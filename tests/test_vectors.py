@@ -145,6 +145,14 @@ def test_parse_reads_json_numbers(text, want):
     ("[{}]", "found an object"),
     ("[[1]]", "found an array"),
     ("[1, [1]]", "found an array"),
+    ("[[1, 0], [0.5, 0.5]]", "found an array"),
+    ("[[]]", "found an array"),
+    ("[[1], 0]", "found an array"),
+    ("[[1, 0], [1]]", "found an array"),
+    ("[[{}]]", "found an array"),
+    ("[[true, false], [false, true]]", "found an array"),
+    ("[[Infinity]]", "found an array"),
+    ('{"a": 1}', "could not convert"),
     ("[-2, 1e300]", "negative entry beyond tolerance"),
     ("[]", "non-empty"),
     ("0.5", "sum to 0.5"),
