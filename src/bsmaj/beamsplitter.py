@@ -15,6 +15,7 @@ import functools
 import itertools
 import math
 import operator
+import threading
 
 import numpy as np
 
@@ -64,9 +65,12 @@ def check_angle(theta: float) -> float:
 def spectrum(k: int, theta: float) -> ProbVector:
     """Transmitted-photon distribution for k incident photons at angle theta.
 
-    The one-row case of :func:`spectrum_rows`.
+    The one-row case of :func:`spectrum_rows`: the same photon and angle
+    checks and the same block function, given cos^2 and sin^2 as floats.
     """
-    (row,) = next(spectrum_rows(k, [theta]))
+    k = _check_photons(k)
+    theta = check_angle(theta)
+    row = _spectrum_block(k, _coefficients(k), math.cos(theta) ** 2, math.sin(theta) ** 2)
     return ProbVector._from_trusted(row)
 
 
@@ -82,51 +86,98 @@ def spectrum_rows(k: int, thetas):
     ``MAX_PHOTONS``, the sweep against ``MAX_SWEEP_ENTRIES`` and every angle
     against [0, pi/2], before any row is computed.
     """
-    k = as_photon_number(k)
-    check_work(k, MAX_PHOTONS, f"photon number {k}")
+    k = _check_photons(k)
     thetas = np.ravel(thetas)
     entries = thetas.size * (k + 1)
     check_work(entries, MAX_SWEEP_ENTRIES,
                f"{thetas.size} spectra of k={k} hold {entries} entries")
     angles = [check_angle(t) for t in thetas.tolist()]
-    n = np.arange(k + 1)  # n[::-1] is k - n
-    direct = k <= DIRECT_K_LIMIT
-    coeff = _direct_coefficients(k) if direct else _log_coefficients(k)
+    coefficients = _coefficients(k)
     step = max(1, ROW_ENTRIES // (k + 1))
     for start in range(0, len(angles), step):
         cs = np.array(
             [(math.cos(t) ** 2, math.sin(t) ** 2) for t in angles[start : start + step]]
         )
-        c2, s2 = cs[:, :1], cs[:, 1:]
-        if direct:
-            rows = coeff * c2**n * s2 ** n[::-1]
-        else:
-            # cos^2 stays positive up to pi/2; sin^2 is zero only at theta = 0,
-            # whose exponents are set before exp so none of them overflows
-            at_zero = s2 == 0.0
-            ls2 = np.log(np.where(at_zero, 1.0, s2))
-            logs = coeff + n * np.log(c2) + n[::-1] * ls2
-            logs[at_zero[:, 0]] = np.where(n == k, 0.0, -np.inf)
-            rows = np.exp(logs)
-        yield normalize_rows(rows)
+        yield _spectrum_block(k, coefficients, cs[:, :1], cs[:, 1:])
+
+
+def _check_photons(k) -> int:
+    """A photon number checked by ``as_photon_number`` and against
+    ``MAX_PHOTONS``."""
+    k = as_photon_number(k)
+    check_work(k, MAX_PHOTONS, f"photon number {k}")
+    return k
+
+
+def _spectrum_block(k: int, coefficients, c2, s2) -> np.ndarray:
+    """Normalized spectra of k photons from the rows of :func:`_coefficients`
+    and cos^2 and sin^2 of the angles: one row from two floats, a block of
+    rows from two columns.
+    """
+    coeff, n, rest = coefficients  # rest = k - n
+    if k <= DIRECT_K_LIMIT:
+        rows = coeff * c2**n * s2**rest
+    else:
+        # cos^2 stays positive up to pi/2; sin^2 is zero only at theta = 0,
+        # whose exponents are set before exp so none of them overflows
+        at_zero = s2 == 0.0
+        ls2 = np.log(np.where(at_zero, 1.0, s2))
+        logs = coeff + n * np.log(c2) + rest * ls2
+        np.copyto(logs, np.where(n == k, 0.0, -np.inf), where=at_zero)
+        rows = np.exp(logs, out=logs)
+    return normalize_rows(rows)
+
+
+def _coefficients(k: int):
+    """The binomial row of k photons, the exponent row n = 0..k and the
+    exponent row k - n, all as floats: C(k, n) up to ``DIRECT_K_LIMIT``,
+    log C(k, n) above it."""
+    if k <= DIRECT_K_LIMIT:
+        return _direct_coefficients(k)
+    n = np.arange(k + 1.0)
+    return _log_coefficients(k), n, n[::-1]
 
 
 @functools.lru_cache(maxsize=DIRECT_K_LIMIT + 1)
 def _direct_coefficients(k: int) -> np.ndarray:
-    """C(k, j) for j = 0..k, each the running product of (k-j)/(j+1).
+    """Rows C(k, j), j and k - j for j = 0..k; each C(k, j) is the running
+    product of (k-j)/(j+1).
 
-    Built once per k and kept read-only, so every caller shares one row.
+    Built once per k and kept read-only, so every caller shares one array.
     """
     ratios = map(operator.truediv, range(k, 0, -1), range(1, k + 1))
     products = itertools.accumulate(ratios, operator.mul, initial=1.0)
-    row = np.fromiter(products, float, k + 1)
+    row = np.empty((3, k + 1))
+    row[0] = np.fromiter(products, float, k + 1)
+    row[1] = np.arange(k + 1)
+    row[2] = row[1, ::-1]
     row.flags.writeable = False
     return row
 
 
+#: lgamma(j + 1) for j = 0 .. size - 1, read-only. It grows geometrically to
+#: the largest photon number asked for, never past MAX_PHOTONS + 1 entries
+#: (4 MB), and keeps every entry it holds; the lock makes each growth one step.
+_lgamma = np.empty(0)
+_lgamma_lock = threading.Lock()
+
+
 def _log_coefficients(k: int) -> np.ndarray:
-    """log C(k, j) for j = 0..k, from one table of lgamma(j + 1)."""
-    lg = np.fromiter(map(math.lgamma, range(1, k + 2)), float, k + 1)
+    """log C(k, j) for j = 0..k, from the shared table of lgamma(j + 1)."""
+    global _lgamma
+    lg = _lgamma
+    if lg.size <= k:
+        with _lgamma_lock:
+            lg = _lgamma
+            if lg.size <= k:
+                size = min(max(k + 1, 2 * lg.size), MAX_PHOTONS + 1)
+                grown = np.empty(size)
+                grown[: lg.size] = lg
+                grown[lg.size :] = np.fromiter(
+                    map(math.lgamma, range(lg.size + 1, size + 1)), float, size - lg.size)
+                grown.flags.writeable = False
+                _lgamma = lg = grown
+    lg = lg[: k + 1]
     out = lg[k] - lg
     out -= lg[::-1]
     return out

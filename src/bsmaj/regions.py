@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .beamsplitter import as_photon_number, spectrum
-from .vectors import TOL, check_work, sort_desc
+from .vectors import TOL, check_work
 
 QUARTER_PI = math.pi / 4
 
@@ -341,10 +341,10 @@ def accumulation_derivatives(
         raise AmbiguousOrderingError(
             f"theta is within tolerance of the crossover at {float(angles[i])!r}"
         )
-    p = spectrum(k, theta)
-    order = sort_desc(p).perm
-    acc = np.cumsum(_derivatives(p.components, theta)[list(order)])[:k]
-    return AccumulationDerivatives(theta=theta, values=tuple(float(a) for a in acc))
+    p = spectrum(k, theta).components
+    order = np.argsort(-p, kind="stable")  # the order of ``sort_desc``
+    acc = _derivatives(p, theta)[order].cumsum()[:k]
+    return AccumulationDerivatives(theta=theta, values=tuple(acc.tolist()))
 
 
 def region1_closed_form(k: int, j: int, theta: float) -> float:

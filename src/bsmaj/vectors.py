@@ -56,10 +56,13 @@ def normalize_rows(arr: np.ndarray) -> np.ndarray:
     A row whose sum lies further than ``NORM_TOL`` from one is rejected as a
     bug rather than renormalized.
     """
-    totals = arr.sum(axis=-1, keepdims=True)
-    off = np.abs(totals - 1.0)
-    if off.max() > NORM_TOL:
-        worst = float(totals.flat[off.argmax()])
+    totals = np.add.reduce(arr, axis=-1, keepdims=True)
+    if totals.size == 1:
+        off = abs(totals.item() - 1.0)
+    else:
+        off = np.maximum.reduce(np.abs(totals - 1.0), axis=None)
+    if off > NORM_TOL:
+        worst = float(totals.flat[np.abs(totals - 1.0).argmax()])
         raise ValueError(f"components sum to {worst!r}, not 1")
     arr /= totals
     return arr

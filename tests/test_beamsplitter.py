@@ -1,6 +1,8 @@
 import itertools
 import math
 import operator
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -212,3 +214,104 @@ def test_chain_length_bound(monkeypatch):
     assert len(photon_chain_check(3, 0.5)) == 3
     with pytest.raises(ValueError, match="24 spectrum entries"):
         photon_chain_check(4, 0.5)
+
+
+def _fresh_log_coefficients(k):
+    lg = np.fromiter(map(math.lgamma, range(1, k + 2)), float, k + 1)
+    out = lg[k] - lg
+    out -= lg[::-1]
+    return out
+
+
+def _reference_rows(k, thetas):
+    """The spectrum kernel as it stood before spectrum and spectrum_rows
+    shared one block function: integer exponents, a fresh lgamma table per
+    call and row sums by ``ndarray.sum``."""
+    n = np.arange(k + 1)
+    cs = np.array([(math.cos(t) ** 2, math.sin(t) ** 2) for t in thetas])
+    c2, s2 = cs[:, :1], cs[:, 1:]
+    if k <= DIRECT_K_LIMIT:
+        ratios = map(operator.truediv, range(k, 0, -1), range(1, k + 1))
+        coeff = np.fromiter(itertools.accumulate(ratios, operator.mul, initial=1.0),
+                            float, k + 1)
+        rows = coeff * c2**n * s2 ** n[::-1]
+    else:
+        coeff = _fresh_log_coefficients(k)
+        at_zero = s2 == 0.0
+        ls2 = np.log(np.where(at_zero, 1.0, s2))
+        logs = coeff + n * np.log(c2) + n[::-1] * ls2
+        logs[at_zero[:, 0]] = np.where(n == k, 0.0, -np.inf)
+        rows = np.exp(logs)
+    totals = rows.sum(axis=-1, keepdims=True)
+    assert np.abs(totals - 1.0).max() <= 1e-9
+    return rows / totals
+
+
+@pytest.mark.parametrize("ks", [range(0, 36), range(36, 71), [1000, 2047]])
+def test_one_row_spectra_match_the_rows_bit_for_bit(ks):
+    rng = np.random.default_rng(23)
+    thetas = [0.0, math.pi / 4, math.pi / 2, *rng.uniform(0.0, math.pi / 2, 5).tolist()]
+    for k in ks:
+        rows = np.concatenate(list(spectrum_rows(k, thetas)))
+        assert rows.tobytes() == _reference_rows(k, thetas).tobytes(), k
+        for theta, row in zip(thetas, rows):
+            assert spectrum(k, theta).components.tobytes() == row.tobytes(), (k, theta)
+
+
+def test_lgamma_table_gives_the_same_bytes_in_any_call_order(monkeypatch):
+    monkeypatch.setattr(beamsplitter, "_lgamma", np.empty(0))
+    sizes = []
+    for k in (2047, 61, 1000, 2048):
+        got = beamsplitter._log_coefficients(k)
+        assert got.tobytes() == _fresh_log_coefficients(k).tobytes(), k
+        sizes.append(beamsplitter._lgamma.size)
+    assert sizes == [2048, 2048, 2048, 4096]  # grown to k + 1, then doubled
+    with pytest.raises(ValueError, match="read-only"):
+        beamsplitter._lgamma[0] = 1.0
+
+
+def test_lgamma_table_stops_at_the_photon_cap(monkeypatch):
+    monkeypatch.setattr(beamsplitter, "_lgamma", np.empty(0))
+    beamsplitter._log_coefficients(MAX_PHOTONS // 2 + 2)
+    held = beamsplitter._lgamma
+    got = beamsplitter._log_coefficients(MAX_PHOTONS // 2 + 3)
+    assert beamsplitter._lgamma.size == MAX_PHOTONS + 1  # not twice the last size
+    assert np.array_equal(beamsplitter._lgamma[: held.size], held)
+    assert got.tobytes() == _fresh_log_coefficients(MAX_PHOTONS // 2 + 3).tobytes()
+    beamsplitter._log_coefficients(MAX_PHOTONS)
+    assert beamsplitter._lgamma.size == MAX_PHOTONS + 1
+
+
+def test_lgamma_table_grows_consistently_across_threads(monkeypatch):
+    # Eight threads race to grow a fresh table, 100 times, with the
+    # interpreter switching threads as often as it can: no thread ever sees
+    # the table shrink, and every row keeps its bytes.
+    ks = [61 * 2**i + j for i in range(7) for j in (0, 5)]
+    want = {k: _fresh_log_coefficients(k).tobytes() for k in ks}
+    errors = []
+
+    def work(shift):
+        try:
+            seen = 0
+            for k in ks[shift % 2 :]:
+                assert beamsplitter._log_coefficients(k).tobytes() == want[k]
+                assert beamsplitter._lgamma.size >= seen
+                seen = beamsplitter._lgamma.size
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(100):
+            monkeypatch.setattr(beamsplitter, "_lgamma", np.empty(0))
+            threads = [threading.Thread(target=work, args=(shift,)) for shift in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
+    assert max(ks) < beamsplitter._lgamma.size <= MAX_PHOTONS + 1

@@ -156,7 +156,7 @@ def test_find_crossovers_builds_no_spectrum(monkeypatch, k):
         raise AssertionError("find_crossovers built a spectrum")
 
     for module, name in ((beamsplitter, "spectrum"), (beamsplitter, "spectrum_rows"),
-                         (regions, "spectrum"), (regions, "sort_desc")):
+                         (beamsplitter, "_spectrum_block"), (regions, "spectrum")):
         monkeypatch.setattr(module, name, refuse)
     part = find_crossovers(k)
     assert part.n_regions == len(part.orderings)
@@ -398,6 +398,22 @@ def test_accumulation_matches_prefix_sum_finite_differences():
                     lambda t, j=j, k=k: sorted_prefix_at(k, t, j), theta
                 )
                 assert acc[j] == pytest.approx(fd, abs=1e-7)
+
+
+@pytest.mark.parametrize("k", [3, 20, 61, 300])
+def test_accumulation_equals_the_sort_desc_prefix_sums(k):
+    # bit for bit the prefix sums of the component derivatives taken in the
+    # order of sort_desc, read back as Python floats
+    rng = np.random.default_rng(k)
+    for theta in [0.0, *rng.uniform(0.0, QUARTER_PI - 0.01, 8).tolist()]:
+        try:
+            got = accumulation_derivatives(k, theta).values
+        except AmbiguousOrderingError:
+            continue
+        order = list(sort_desc(spectrum(k, theta)).perm)
+        want = np.cumsum(component_derivatives(k, theta)[order])[:k]
+        assert got == tuple(float(a) for a in want), theta
+        assert all(type(a) is float for a in got)
 
 
 def test_accumulation_raises_on_crossover():
