@@ -31,7 +31,6 @@ from .catalysis import (
 from .entropy import entropy_curve, renyi
 from .locc import (
     BobCorrection,
-    bob_permutation,
     build_kraus,
     run_protocol,
     verify_nielsen,
@@ -81,7 +80,6 @@ __all__ = [
     "entropy_curve",
     "BobCorrection",
     "build_kraus",
-    "bob_permutation",
     "run_protocol",
     "verify_nielsen",
     "CatalystFamily",

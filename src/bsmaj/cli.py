@@ -187,9 +187,10 @@ def _emits(command: str, *, csv: bool = False):
     ``(params, results)``, into a command that writes the results.
 
     ``--out csv`` is refused before the body runs unless ``csv`` is set. A
-    library ValueError, raised on malformed or out-of-range parameters, is
-    a usage error (exit 2). CSV holds a 1-D array as one column, or a table
-    ``{columns, rows[, crossovers]}`` as header, rows and annotations.
+    ValueError from the body, the library's or its own, raised on malformed
+    or out-of-range parameters, is a usage error (exit 2). CSV holds a 1-D
+    array as one column, or a table ``{columns, rows[, crossovers]}`` as
+    header, rows and annotations.
     """
 
     def decorate(fn):
@@ -231,12 +232,12 @@ def _sweep(k: int, orders, steps: int, theta_min: float = 0.0,
     grid is checked against [2, ``MAX_STEPS``] and [0, pi/2] before any
     allocation."""
     if steps < 2:
-        raise click.UsageError("steps must be at least 2")
+        raise ValueError("steps must be at least 2")
     check_work(steps, MAX_STEPS, f"{steps} angle steps")
     check_angle(theta_min)
     check_angle(theta_max)
     if not theta_min < theta_max:
-        raise click.UsageError("need 0 <= theta-min < theta-max")
+        raise ValueError("need 0 <= theta-min < theta-max")
     grid = np.linspace(theta_min, theta_max, steps)
     return np.column_stack([grid, entropy_curve(k, orders, grid, bits=bits)])
 
@@ -337,7 +338,7 @@ def entropy_curve_cmd(tol, k, alphas, theta_min, theta_max, steps, bits):
     """Entropies of the k-photon spectrum over an angle grid."""
     tokens = [t.strip() for t in alphas.split(",") if t.strip()]
     if not tokens:
-        raise click.UsageError("at least one entropy order is required")
+        raise ValueError("at least one entropy order is required")
     rows = _sweep(k, tokens, steps, theta_min, theta_max, bits=bits)
     params = {"k": k, "alphas": tokens, "theta_min": theta_min,
               "theta_max": theta_max, "steps": steps, "bits": bits}

@@ -81,22 +81,6 @@ def build_kraus(k: int) -> KrausPair:
     return KrausPair(k=k, f1_diag=f1, f2_weights=f2)
 
 
-def bob_permutation(k: int, branch: int) -> tuple[int, ...]:
-    """Bob's correction as an index permutation on the (k+2) support.
-
-    Branch 1 is the cyclic shift sending index m to m-1, with index 0
-    wrapping to k+1 so the map stays a genuine permutation (the wrap image
-    is never populated). Branch 2 is the identity.
-    """
-    k = as_photon_number(k)
-    d = k + 2
-    if branch == 1:
-        return tuple((m - 1) % d for m in range(d))
-    if branch == 2:
-        return tuple(range(d))
-    raise ValueError(f"branch must be 1 or 2, got {branch}")
-
-
 def run_protocol(k: int, theta: float) -> tuple[LoccOutcomeReport, LoccOutcomeReport]:
     """Simulate both measurement branches on the (k+1)-photon output state.
 

@@ -226,11 +226,13 @@ def _fresh_log_coefficients(k):
 def _reference_rows(k, thetas):
     """The spectrum kernel as it stood before spectrum and spectrum_rows
     shared one block function: integer exponents, a fresh lgamma table per
-    call and row sums by ``ndarray.sum``."""
+    call and row sums by ``ndarray.sum``. Direct products up to a literal 60
+    photons, not ``DIRECT_K_LIMIT``, so a kernel that moves these k to log
+    space, which is less accurate there, changes bytes and fails."""
     n = np.arange(k + 1)
     cs = np.array([(math.cos(t) ** 2, math.sin(t) ** 2) for t in thetas])
     c2, s2 = cs[:, :1], cs[:, 1:]
-    if k <= DIRECT_K_LIMIT:
+    if k <= 60:
         ratios = map(operator.truediv, range(k, 0, -1), range(1, k + 1))
         coeff = np.fromiter(itertools.accumulate(ratios, operator.mul, initial=1.0),
                             float, k + 1)

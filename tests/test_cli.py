@@ -277,15 +277,27 @@ def test_birkhoff_witness(cli_runner):
     assert results["terms"] <= 10
 
 
-@pytest.mark.parametrize("args,message", [
-    (["birkhoff"], "Missing option '--witness'"),
-    (["birkhoff", "--file", "m.json"], "No such option '--file'"),
-])
-def test_birkhoff_reads_only_the_witness(cli_runner, args, message):
+#: A usage error's arguments and the message click prints after its usage lines.
+USAGE_ERRORS = [
     # a matrix file is no input: the refusal names the option, not the file
+    (["birkhoff"], "Missing option '--witness'."),
+    (["birkhoff", "--file", "m.json"], "No such option '--file'."),
+    # a command body's ValueError, mapped by _emits
+    (["entropy-curve", "--k", "2", "--steps", "1"], "steps must be at least 2"),
+    (["entropy-curve", "--k", "2", "--theta-min", "0.5", "--theta-max", "0.1"],
+     "need 0 <= theta-min < theta-max"),
+    (["entropy-curve", "--k", "2", "--alphas", ","], "at least one entropy order is required"),
+    (["figure-data", "--figure", "fig4", "--steps", "1"], "steps must be at least 2"),
+]
+
+
+@pytest.mark.parametrize("args,message", USAGE_ERRORS,
+                         ids=[" ".join(args) for args, _ in USAGE_ERRORS])
+def test_usage_errors_print_usage_and_one_message(cli_runner, args, message):
     result = invoke_within_contract(cli_runner, args)
     assert result.exit_code == 2
-    assert message in result.output
+    assert result.output == (f"Usage: main {args[0]} [OPTIONS]\n"
+                             f"Try 'main {args[0]} --help' for help.\n\nError: {message}\n")
 
 
 def test_input_files_are_read_within_the_cap(cli_runner, tmp_path, monkeypatch):

@@ -5,7 +5,6 @@ import pytest
 
 from bsmaj import (
     BobCorrection,
-    bob_permutation,
     build_kraus,
     run_protocol,
     spectrum,
@@ -88,17 +87,6 @@ def test_protocol_deterministic_on_grid(k):
                 np.max(np.abs(branch.post_spectrum.components - target.components))
                 < 1e-12
             )
-
-
-def test_bob_corrections_are_permutations():
-    for k in (0, 2, 6):
-        for branch in (1, 2):
-            perm = bob_permutation(k, branch)
-            assert sorted(perm) == list(range(k + 2))
-    assert bob_permutation(1, 1) == (2, 0, 1)
-    assert bob_permutation(1, 2) == (0, 1, 2)
-    with pytest.raises(ValueError):
-        bob_permutation(1, 3)
 
 
 def test_branch1_correction_is_pure_relabeling():

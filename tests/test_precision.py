@@ -2,8 +2,8 @@
 the accumulation derivatives and the crossover angles.
 
 Both spectrum regimes are covered: binomial coefficients accumulated in
-doubles up to ``DIRECT_K_LIMIT`` photons, log-space evaluation above it.
-Errors are measured relative to the largest reference entry.
+doubles up to 60 photons, log-space evaluation above it. Errors are
+measured relative to the largest reference entry.
 """
 
 import math
@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from bsmaj import accumulation_derivatives, component_derivatives, spectrum
-from bsmaj.beamsplitter import DIRECT_K_LIMIT
 from bsmaj.regions import QUARTER_PI, _crossings
 
 KS = (3, 30, 60, 61, 100, 300, 1000)
@@ -43,12 +42,16 @@ def norm_relative_error(got, want) -> float:
         return float(err / scale)
 
 
+# The bounds branch on a literal 60, the direct kernel's range they were
+# written for, not on ``DIRECT_K_LIMIT``: the log kernel is 4-40 times less
+# accurate at k = 10 .. 60, so moving these k onto it fails the bounds
+# rather than widening them.
 def spectrum_tol(k: int) -> float:
-    return 2e-15 if k <= DIRECT_K_LIMIT else 1.5e-15 * k
+    return 2e-15 if k <= 60 else 1.5e-15 * k
 
 
 def derivative_tol(k: int) -> float:
-    return 6e-15 if k <= DIRECT_K_LIMIT else 2e-15 * k
+    return 6e-15 if k <= 60 else 2e-15 * k
 
 
 @pytest.mark.parametrize("k", KS)

@@ -2,7 +2,8 @@
 has a user, no module-level function or class is left dead, no module
 imports a name it never uses, the README's limits table names every MAX_*
 constant with its value, every CLI command writes its output through
-one decorator, and no functools cache is unbounded."""
+one decorator, which alone maps a command's ValueError to click's usage
+error, and no functools cache is unbounded."""
 
 import ast
 import importlib
@@ -148,6 +149,21 @@ def test_cli_commands_write_only_through_emits():
                and (n.func.value.id, n.func.attr) in {("click", "echo"), ("json", "dumps")}]
     assert writers
     assert [n.lineno for n in writers if id(n) not in inside] == []
+
+
+def test_cli_raises_click_errors_only_where_it_maps_them():
+    # A command body or helper raises ValueError, as the library does, and
+    # _emits makes it a usage error (exit 2). Click's error types are raised
+    # only by _emits, the _finite callback and ParsedType (whose self.fail is
+    # no raise statement), and once by infinitesimal for its exit 1.
+    tree = ast.parse((SRC / "cli.py").read_text())
+    raised = [(getattr(top, "name", None), ast.unparse(getattr(node.exc, "func", node.exc)))
+              for top in tree.body for node in ast.walk(top)
+              if isinstance(node, ast.Raise) and node.exc is not None
+              and ast.unparse(node.exc).startswith("click.")]
+    assert [(owner, exc) for owner, exc in raised
+            if owner not in {"_emits", "_finite", "ParsedType"}] == [
+        ("infinitesimal_cmd", "click.ClickException")]
 
 
 def _calls_by_function(node, owner=None):
