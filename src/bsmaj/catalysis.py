@@ -42,13 +42,15 @@ BATCH_ENTRIES = 2**18
 #: Most closed-form terms (candidates times n^2) a squeezed-vacuum search
 #: decides in one numpy pass. A pass costs about 28 us in fixed numpy calls,
 #: most of what a small pair's pass costs, so larger blocks run faster: on the
-#: catalyst-scan benchmark's 0.06 grid up to r = 3 (50 candidates), 2^11
-#: decides the paper's pair (n = 8) in 2 passes and a k = 6 pair (n = 14) in
-#: 5, where 2^10 took 4 and 10. 2^12 would be faster still, but that
-#: benchmark's worker keeps one float per operation of its fixed-length run,
-#: so its peak RSS grows with throughput and read +2.9% against a 3% bound;
-#: raise it once the worker keeps its latencies in an array('d').
-TMSV_BATCH_TERMS = 2**11
+#: catalyst-scan benchmark's 0.06 grid up to r = 3 (50 candidates), 2^12
+#: decides a pair of k = 3, 4, 5, 6 photons (n = 8, 10, 12, 14) in 1, 2, 2
+#: and 3 passes, and a pair with n^2 > 2^12 one ratio per pass. A pass holds
+#: a few float64 arrays of its terms, 32 kB each at 2^12 terms. 2^13
+#: would be faster still, but that benchmark's worker keeps one float per
+#: operation of its fixed-length run, so its peak RSS grows with throughput
+#: and read +1.9% and +2.5% against a 3% bound; raise it once the worker
+#: keeps its latencies in an array('d').
+TMSV_BATCH_TERMS = 2**12
 
 #: Entropy orders of the additivity-based necessary condition.
 ALPHA_GRID = (0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 100.0, math.inf)

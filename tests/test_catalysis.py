@@ -722,7 +722,7 @@ def _scan_corpus():
 SCAN_CORPUS = _scan_corpus()
 
 
-@pytest.mark.parametrize("terms", [2**6, 2**10, 2**11, 2**14])
+@pytest.mark.parametrize("terms", [2**6, 2**10, 2**11, 2**12, 2**14])
 def test_block_size_changes_nothing_on_the_scan_corpus(monkeypatch, terms):
     # Blocks of 1 candidate (2^6) up to the whole 50-point grid in one (2^14)
     rs = _old_grid(0.06, 3.0)
@@ -749,6 +749,25 @@ def test_block_size_changes_nothing_on_the_scan_corpus(monkeypatch, terms):
         assert [hit.r for hit in hits] == want
         found += bool(want)
     assert found >= len(SCAN_CORPUS) // 2
+
+
+def test_scan_corpus_passes_per_photon_number(monkeypatch):
+    # The production block size on the 50-point grid: pairs of k = 3 ... 6
+    # photons have n = 2(k + 1) nonzero entries, so 4096 // n^2 ratios a pass.
+    passes = []
+    kernel = catalysis._threshold_extremes
+
+    def spy(vals, weights, rhos):
+        passes[-1] += 1
+        return kernel(vals, weights, rhos)
+
+    monkeypatch.setattr(catalysis, "_threshold_extremes", spy)
+    counts = {}
+    for p, q in SCAN_CORPUS:
+        passes.append(0)
+        search_catalyst_all(p, q, "tmsv", 0.06, r_max=3.0)
+        counts.setdefault(p.dim - 1, set()).add(passes[-1])
+    assert counts == {3: {1}, 4: {2}, 5: {2}, 6: {3}}
 
 
 def _matches_dense_kernel(vals, weights, rhos):

@@ -152,6 +152,12 @@ def test_infinitesimal_boundary_exits_one(cli_runner):
     result = cli_runner.invoke(main, ["infinitesimal", "--k", "2", "--theta", cross])
     assert result.exit_code == 1
     assert "crossover" in result.output
+    # pi/4 is the symmetric tie, with no side beyond it in [0, pi/4]
+    result = cli_runner.invoke(main, ["infinitesimal", "--k", "3", "--theta", "pi/4"])
+    assert result.exit_code == 1
+    assert result.output == (f"Error: theta={math.pi / 4!r} sits at pi/4, where symmetric"
+                             " components tie and no side lies beyond it in [0, pi/4];"
+                             " pick an angle below it\n")
 
 
 def test_usage_errors_exit_two(cli_runner):
@@ -451,6 +457,9 @@ CONTRACT_CASES = [
     (["birkhoff", "--witness", "x,0.5"], 2),
     (["birkhoff", "--witness", "2,abc"], 2),
     (["spectrum", "--k", "3", "--theta", "abc"], 2),
+    (["entropy-curve", "--k", "1000", "--alphas", "1e308", "--steps", "3",
+      "--theta-min", "1e-300"], 0),
+    (["infinitesimal", "--k", "3", "--theta", "5e-324"], 0),
 ]
 
 #: Files that contract cases name, written into the directory each case runs in.
@@ -480,6 +489,12 @@ def test_exit_code_contract(cli_runner, tmp_path, args, code):
             Path(name).write_text(text)
         result = invoke_within_contract(cli_runner, args)
     assert result.exit_code == code, result.output
+    if code == 0:
+        json.loads(result.output, parse_constant=_refuse_constant)
+
+
+def _refuse_constant(name):
+    raise AssertionError(f"JSON output holds {name}")
 
 
 #: Small valid values of each drawn option, and values far past every cap or

@@ -301,3 +301,23 @@ def test_renyi_orders_with_no_order_is_empty():
     assert renyi_orders(np.array([0.5, 0.5]), []).shape == (0,)
     assert renyi_orders(np.full((3, 4), 0.25), ()).shape == (3, 0)
     assert entropy_curve(3, [], np.linspace(0.1, 0.5, 4)).shape == (4, 0)
+
+
+def test_orders_past_the_float_range_give_the_min_entropy():
+    # 1e308 log p overflows for every entry here (max p = e^-3.68), and the
+    # order is far above 2^53, where alpha / (alpha - 1) rounds to 1.
+    p = spectrum(1000, QUARTER_PI)
+    assert _bits(renyi(p, 1e308)) == _bits(renyi(p, math.inf))
+    assert math.isclose(renyi(p, 1e308), 3.6799189920938, rel_tol=1e-12)
+    # A block mixing such orders with others, and rows where the order
+    # overflows only some terms: every other column keeps its bits.
+    rows = np.stack([p.components, spectrum(1000, 0.02).components,
+                     spectrum(1000, 1.0).components])
+    orders = (2.0, 1e308, 0.5, 1e300, math.inf, 3e305)
+    got = renyi_orders(rows, orders)
+    assert np.all(np.isfinite(got))
+    for j in (0, 2, 4):
+        assert _bits(got[:, j]) == _bits(_one_order(rows, orders[j])), orders[j]
+    for j in (1, 3, 5):
+        assert np.allclose(got[:, j], got[:, 4], rtol=1e-12, atol=0.0), orders[j]
+    assert _bits(got[0, 1]) == _bits(got[0, 4])

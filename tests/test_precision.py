@@ -19,7 +19,10 @@ KS = (3, 30, 60, 61, 100, 300, 1000)
 REGION_KS = (3, 30, 100, 300)
 REGION_ANGLES = (0.01, 0.05, 0.3, 0.62, 0.75, 0.78)
 TOL = 1e-12
-ANGLES = (0.0, 1e-3, 0.05, 0.3, 0.62, math.pi / 4, 1.0, 1.4, 1.55, math.pi / 2)
+# 5e-324 and 1e-310 are subnormal: 2k cot(theta) overflows there, and every
+# spectrum entry but the last underflows.
+ANGLES = (0.0, 5e-324, 1e-310, 1e-3, 0.05, 0.3, 0.62, math.pi / 4, 1.0, 1.4, 1.55,
+          math.pi / 2)
 
 
 def reference(k: int, theta: float):
@@ -67,6 +70,7 @@ def test_component_derivatives_match_mpmath(k):
     for theta in ANGLES:
         _, want = reference(k, theta)
         got = component_derivatives(k, theta)
+        assert np.all(np.isfinite(got)), theta
         if theta == 0.0:
             assert np.array_equal(got, np.zeros(k + 1))
             continue
