@@ -313,11 +313,9 @@ def infinitesimal_cmd(tol, k, theta):
     """Infinitesimal parametric-majorization verdict at one angle."""
     verdict = infinitesimal_verdict(k, theta, tol=tol)
     if verdict.status is InfinitesimalStatus.BOUNDARY:
-        where = ("sits at pi/4, where symmetric components tie and no side lies"
-                 " beyond it in [0, pi/4]; pick an angle below it"
-                 if QUARTER_PI - theta <= tol else
-                 "sits on a crossover; pick a side of the boundary")
-        raise click.ClickException(f"theta={theta!r} {where}")
+        raise click.ClickException(
+            f"{verdict.reason} (theta={theta!r}); pick an angle away from it"
+        )
     results = {
         "status": verdict.status.value,
         "first_violation": verdict.first_violation,

@@ -113,6 +113,7 @@ class InfinitesimalVerdict:
     status: InfinitesimalStatus
     first_violation: int | None = None
     derivatives: AccumulationDerivatives | None = None
+    reason: str | None = None
 
 
 def find_crossovers(k: int) -> RegionPartition:
@@ -378,12 +379,13 @@ def infinitesimal_verdict(
     Holds when every accumulation derivative is at most ``tol``; Violated
     reports the first offending prefix index; Boundary is returned when the
     angle sits on a crossover (or at pi/4), where the two sides of the
-    crossing must be examined separately.
+    crossing must be examined separately, with the message of
+    :class:`AmbiguousOrderingError` as its ``reason``.
     """
     try:
         acc = accumulation_derivatives(k, theta, tol=tol)
-    except AmbiguousOrderingError:
-        return InfinitesimalVerdict(status=InfinitesimalStatus.BOUNDARY)
+    except AmbiguousOrderingError as exc:
+        return InfinitesimalVerdict(status=InfinitesimalStatus.BOUNDARY, reason=str(exc))
     for j, value in enumerate(acc.values):
         if value > tol:
             return InfinitesimalVerdict(

@@ -155,9 +155,8 @@ def test_infinitesimal_boundary_exits_one(cli_runner):
     # pi/4 is the symmetric tie, with no side beyond it in [0, pi/4]
     result = cli_runner.invoke(main, ["infinitesimal", "--k", "3", "--theta", "pi/4"])
     assert result.exit_code == 1
-    assert result.output == (f"Error: theta={math.pi / 4!r} sits at pi/4, where symmetric"
-                             " components tie and no side lies beyond it in [0, pi/4];"
-                             " pick an angle below it\n")
+    assert result.output == ("Error: theta sits at pi/4 where symmetric components tie"
+                             f" (theta={math.pi / 4!r}); pick an angle away from it\n")
 
 
 def test_usage_errors_exit_two(cli_runner):

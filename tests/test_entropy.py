@@ -15,7 +15,13 @@ from bsmaj import (
 )
 from bsmaj import beamsplitter, entropy
 from bsmaj.catalysis import ALPHA_GRID
-from bsmaj.entropy import SHANNON_WINDOW, _logsumexp, parse_order, renyi_orders
+from bsmaj.entropy import (
+    HUGE_ORDER,
+    SHANNON_WINDOW,
+    _logsumexp,
+    parse_order,
+    renyi_orders,
+)
 from bsmaj.regions import QUARTER_PI
 
 from conftest import entropy_curve_reference, prob_vectors
@@ -309,15 +315,16 @@ def test_orders_past_the_float_range_give_the_min_entropy():
     p = spectrum(1000, QUARTER_PI)
     assert _bits(renyi(p, 1e308)) == _bits(renyi(p, math.inf))
     assert math.isclose(renyi(p, 1e308), 3.6799189920938, rel_tol=1e-12)
-    # A block mixing such orders with others, and rows where the order
-    # overflows only some terms: every other column keeps its bits.
+    # Orders mixed with others, on rows where an order past HUGE_ORDER
+    # would overflow only some terms: those orders take the min-entropy's
+    # bits, and every other column keeps its own.
     rows = np.stack([p.components, spectrum(1000, 0.02).components,
-                     spectrum(1000, 1.0).components])
-    orders = (2.0, 1e308, 0.5, 1e300, math.inf, 3e305)
+                     spectrum(1000, 1.0).components, np.full(1001, 1.0 / 1001)])
+    orders = (2.0, 1e308, 0.5, 1e300, math.inf, 3e305, HUGE_ORDER)
     got = renyi_orders(rows, orders)
     assert np.all(np.isfinite(got))
-    for j in (0, 2, 4):
+    for j in (0, 2, 3, 4, 6):
         assert _bits(got[:, j]) == _bits(_one_order(rows, orders[j])), orders[j]
-    for j in (1, 3, 5):
-        assert np.allclose(got[:, j], got[:, 4], rtol=1e-12, atol=0.0), orders[j]
-    assert _bits(got[0, 1]) == _bits(got[0, 4])
+    for j in (1, 5):
+        assert _bits(got[:, j]) == _bits(got[:, 4]), orders[j]
+    assert np.allclose(got[:, 3], got[:, 4], rtol=1e-12, atol=0.0)

@@ -563,12 +563,12 @@ def test_k3_region2_right_part_holds():
 
 
 def test_verdict_boundary_at_crossover_and_quarter_pi():
-    assert (
-        infinitesimal_verdict(2, CROSS_K2).status is InfinitesimalStatus.BOUNDARY
-    )
-    assert (
-        infinitesimal_verdict(2, QUARTER_PI).status is InfinitesimalStatus.BOUNDARY
-    )
+    # a Boundary verdict carries the refusal of accumulation_derivatives
+    for theta in (CROSS_K2, QUARTER_PI):
+        verdict = infinitesimal_verdict(2, theta)
+        assert verdict.status is InfinitesimalStatus.BOUNDARY
+        assert verdict.reason == _ambiguity_by_loop(2, theta, TOL)
+    assert infinitesimal_verdict(2, 0.3).reason is None
 
 
 def test_verdict_scans_crossovers_once(monkeypatch):
