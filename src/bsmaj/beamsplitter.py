@@ -6,7 +6,10 @@ the number of transmitted photons: component n is
 
     C(k, n) * cos(theta)^(2n) * sin(theta)^(2(k-n)),
 
-with transmittance tau = cos^2(theta).
+with transmittance tau = cos^2(theta). Up to ``DIRECT_K_LIMIT`` photons the
+components are products of the binomial coefficients and powers; above it
+each row is built outward from 1 at its mode by the ratios of neighbouring
+components, so no term overflows and no large logarithm cancels.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ import functools
 import itertools
 import math
 import operator
-import threading
 
 import numpy as np
 
@@ -23,13 +25,13 @@ from .majorization import MajorizationVerdict, compare
 from .vectors import TOL, ProbVector, check_work, normalize_rows
 
 #: Largest k for which binomial coefficients are accumulated directly in
-#: doubles; above this the components are evaluated in log space.
+#: doubles; above this each row is a product of component ratios anchored at
+#: its mode, which keeps every term in the float range at any k.
 DIRECT_K_LIMIT = 60
 
 #: Largest photon number a spectrum may have; larger ones are rejected
-#: before any component is allocated. Past k of about 6.7e5 the rounding of
-#: lgamma(k+1) > 2^23 (ulp 1.9e-9) can push a sum past ``NORM_TOL``.
-MAX_PHOTONS = 5 * 10**5
+#: before any component is allocated. One row at this cap holds 8 MB.
+MAX_PHOTONS = 10**6
 
 #: Most spectrum entries (angles times k+1) one block of rows may hold.
 ROW_ENTRIES = 2**12
@@ -80,9 +82,10 @@ def spectrum_rows(k: int, thetas):
     Each block is an array of shape (rows, k+1) holding at most
     ``ROW_ENTRIES`` entries, but always at least one row. Up to
     ``DIRECT_K_LIMIT`` photons the binomial coefficients are accumulated in
-    doubles; above it every component is exp of its log, and theta = 0
-    gives the point mass at n = k. Each row is normalized as
-    ``ProbVector`` normalizes. The photon number is checked against
+    doubles and each row is normalized as ``ProbVector`` normalizes; above
+    it each row is 1 at its mode times the ratios of neighbouring components
+    outward from it, divided by its sum, and theta = 0 gives the point mass
+    at n = k. The photon number is checked against
     ``MAX_PHOTONS``, the sweep against ``MAX_SWEEP_ENTRIES`` and every angle
     against [0, pi/2], before any row is computed.
     """
@@ -114,28 +117,35 @@ def _spectrum_block(k: int, coefficients, c2, s2) -> np.ndarray:
     and cos^2 and sin^2 of the angles: one row from two floats, a block of
     rows from two columns.
     """
-    coeff, n, rest = coefficients  # rest = k - n
     if k <= DIRECT_K_LIMIT:
-        rows = coeff * c2**n * s2**rest
-    else:
-        # cos^2 stays positive up to pi/2; sin^2 is zero only at theta = 0,
-        # whose exponents are set before exp so none of them overflows
-        at_zero = s2 == 0.0
-        ls2 = np.log(np.where(at_zero, 1.0, s2))
-        logs = coeff + n * np.log(c2) + rest * ls2
-        np.copyto(logs, np.where(n == k, 0.0, -np.inf), where=at_zero)
-        rows = np.exp(logs, out=logs)
-    return normalize_rows(rows)
+        coeff, n, rest = coefficients  # rest = k - n
+        return normalize_rows(coeff * c2**n * s2**rest)
+    # ratios[n] = P_n / P_(n+1), n = 0..k-1, rises through 1 at the mode;
+    # tan^2 is finite, as cos^2 > 0 up to pi/2, and zero only at theta = 0.
+    # Clipped at 1, the ratios and their reciprocals are 1 on the mode's
+    # side, so the two running products leave each row 1 at its mode and
+    # falling away from it on both sides: none overflows.
+    ratios = coefficients * (s2 / c2)
+    rows = np.ones(ratios.shape[:-1] + (k + 1,))
+    up = rows[..., 1:]
+    np.maximum(ratios, 1.0, out=up)
+    np.divide(1.0, up, out=up)
+    np.multiply.accumulate(up, axis=-1, out=up)
+    down = np.minimum(ratios, 1.0, out=ratios)[..., ::-1]
+    np.multiply.accumulate(down, axis=-1, out=down)
+    rows[..., :-1] *= ratios  # now the products down from the mode
+    rows /= np.add.reduce(rows, axis=-1, keepdims=True)
+    return rows
 
 
 def _coefficients(k: int):
-    """The binomial row of k photons, the exponent row n = 0..k and the
-    exponent row k - n, all as floats: C(k, n) up to ``DIRECT_K_LIMIT``,
-    log C(k, n) above it."""
+    """Up to ``DIRECT_K_LIMIT`` photons, the cached rows C(k, n), n and k - n
+    for n = 0..k. Above it, the binomial ratios (n+1)/(k-n) for n = 0..k-1,
+    built per call: P_n / P_(n+1) = (n+1)/(k-n) tan^2(theta)."""
     if k <= DIRECT_K_LIMIT:
         return _direct_coefficients(k)
-    n = np.arange(k + 1.0)
-    return _log_coefficients(k), n, n[::-1]
+    n = np.arange(1.0, k + 1)
+    return n / n[::-1]
 
 
 @functools.lru_cache(maxsize=DIRECT_K_LIMIT + 1)
@@ -153,34 +163,6 @@ def _direct_coefficients(k: int) -> np.ndarray:
     row[2] = row[1, ::-1]
     row.flags.writeable = False
     return row
-
-
-#: lgamma(j + 1) for j = 0 .. size - 1, read-only. It grows geometrically to
-#: the largest photon number asked for, never past MAX_PHOTONS + 1 entries
-#: (4 MB), and keeps every entry it holds; the lock makes each growth one step.
-_lgamma = np.empty(0)
-_lgamma_lock = threading.Lock()
-
-
-def _log_coefficients(k: int) -> np.ndarray:
-    """log C(k, j) for j = 0..k, from the shared table of lgamma(j + 1)."""
-    global _lgamma
-    lg = _lgamma
-    if lg.size <= k:
-        with _lgamma_lock:
-            lg = _lgamma
-            if lg.size <= k:
-                size = min(max(k + 1, 2 * lg.size), MAX_PHOTONS + 1)
-                grown = np.empty(size)
-                grown[: lg.size] = lg
-                grown[lg.size :] = np.fromiter(
-                    map(math.lgamma, range(lg.size + 1, size + 1)), float, size - lg.size)
-                grown.flags.writeable = False
-                _lgamma = lg = grown
-    lg = lg[: k + 1]
-    out = lg[k] - lg
-    out -= lg[::-1]
-    return out
 
 
 def photon_chain_check(

@@ -299,10 +299,11 @@ def component_derivatives(k: int, theta: float) -> np.ndarray:
 
     with P the spectrum at theta. Where cos(theta) or sin(theta) is exactly
     zero the spectrum is a point mass at a stationary point, and every
-    derivative is zero. Where 2k cot(theta) overflows (sin(theta) below about
-    1.1e-308 k) the equal form 2 tan(theta) ((n+1) P_(n+1) - n P_n), with
-    P_(k+1) = 0, is used instead, since P_n (k-n) cot(theta) =
-    P_(n+1) (n+1) tan(theta).
+    derivative is zero. Where sin^2(theta) is subnormal (theta below about
+    1.5e-154), the spectrum entries next to n = k are subnormal or zero and
+    2k cot(theta) may overflow, so the equal form
+    2 tan(theta) ((n+1) P_(n+1) - n P_n), with P_(k+1) = 0, is used instead,
+    since P_n (k-n) cot(theta) = P_(n+1) (n+1) tan(theta).
     """
     return _derivatives(spectrum(k, theta).components, theta)
 
@@ -313,11 +314,10 @@ def _derivatives(p: np.ndarray, theta: float) -> np.ndarray:
     if c == 0.0 or s == 0.0:
         return np.zeros(p.size)
     n = np.arange(p.size)  # n[::-1] is k - n
-    cot2 = 2.0 * c / s
-    if not math.isfinite(cot2 * (p.size - 1)):
+    if s * s < sys.float_info.min:
         w = n * p
         return 2.0 * s / c * (np.append(w[1:], 0.0) - w)
-    return p * (cot2 * n[::-1] - 2.0 * s / c * n)
+    return p * (2.0 * c / s * n[::-1] - 2.0 * s / c * n)
 
 
 def accumulation_derivatives(

@@ -22,9 +22,10 @@ from conftest import CLI_BATTERY  # noqa: E402
 
 PAIR = ["--p", "bs:3,0.72", "--q", "bs:3,0.62"]
 
-#: Invocations beyond ``CLI_BATTERY``: searches, and checks with a catalyst
-#: of each kind: a squeezed vacuum, a single photon, an explicit vector and
-#: the vacuum (a squeezing whose tanh^2 r underflows to zero).
+#: Invocations beyond ``CLI_BATTERY``: searches, checks with a catalyst of
+#: each kind: a squeezed vacuum, a single photon, an explicit vector and the
+#: vacuum (a squeezing whose tanh^2 r underflows to zero), and a spectrum
+#: above ``beamsplitter.DIRECT_K_LIMIT`` photons.
 EXTRA_CASES = [
     ["catalysis", "search", *PAIR, "--family", "tmsv", "--grid", "0.02", "--all"],
     ["catalysis", "search", *PAIR, "--family", "single-photon", "--grid", "0.001"],
@@ -34,6 +35,7 @@ EXTRA_CASES = [
     ["catalysis", "check", *PAIR, "--catalyst", "single-photon:0.7"],
     ["catalysis", "check", *PAIR, "--catalyst", "[0.6, 0.4]"],
     ["catalysis", "check", *PAIR, "--catalyst", "tmsv:1e-200"],
+    ["--out", "csv", "spectrum", "--k", "100", "--theta", "0.7"],
 ]
 
 GOLDEN_PATH = HERE / "cli.json"

@@ -1,8 +1,6 @@
 import itertools
 import math
 import operator
-import sys
-import threading
 
 import numpy as np
 import pytest
@@ -42,8 +40,8 @@ def test_three_photon_sorted_reference_values():
 
 
 def test_point_mass_limits():
-    # From k = 1100 on, log C(k, k/2) exceeds the largest finite exp
-    # argument, so a theta = 0 row must not pass its exponents to exp.
+    # From k = 1030 on, C(k, k/2) exceeds the largest double, and at
+    # theta = 0 every ratio below the mode is zero: the rows stay exact.
     for k in (4, 1100, 2000):
         want = np.zeros(k + 1)
         want[k] = 1.0
@@ -63,16 +61,16 @@ def test_validation():
 
 
 def test_photon_number_bound():
-    with pytest.raises(ValueError, match="limit of 500000"):
+    with pytest.raises(ValueError, match="limit of 1000000"):
         spectrum(MAX_PHOTONS + 1, 0.5)
     with pytest.raises(ValueError, match="limit"):
         spectrum(10**8, 0.5)
 
 
 def test_spectra_at_the_photon_cap_normalize_at_small_angles():
-    # At k = 10^6 these angles sum further than NORM_TOL from 1 (0.004932
-    # sums to 1 - 1.09e-9), because lgamma(k+1) past 2^23 rounds to an ulp
-    # of 1.9e-9; at the cap every row is accepted.
+    # A log-space kernel, whose lgamma(k+1) past 2^23 rounds to an ulp of
+    # 1.9e-9, summed 0.004932 to 1 - 1.09e-9 here; ratio products anchored
+    # at the mode keep every row at the cap within roundoff of one.
     angles = [0.001, 0.003, 0.004932, 0.01, 0.02363, 0.05]
     rows = np.concatenate(list(spectrum_rows(MAX_PHOTONS, angles)))
     assert rows.shape == (len(angles), MAX_PHOTONS + 1)
@@ -216,19 +214,29 @@ def test_chain_length_bound(monkeypatch):
         photon_chain_check(4, 0.5)
 
 
-def _fresh_log_coefficients(k):
-    lg = np.fromiter(map(math.lgamma, range(1, k + 2)), float, k + 1)
-    out = lg[k] - lg
-    out -= lg[::-1]
-    return out
+def _mode_anchored_row(k, c2, s2):
+    """One spectrum row above 60 photons as scalar loops: 1 at the mode,
+    then each neighbour by the ratio P_n / P_(n+1) = (n+1)/(k-n) tan^2 going
+    down and its reciprocal going up, each clipped at 1, so the products
+    start where the ratios pass through 1."""
+    tan2 = s2 / c2
+    ratios = [float(n + 1) / float(k - n) * tan2 for n in range(k)]
+    row = [1.0] * (k + 1)
+    for n, r in enumerate(ratios):
+        row[n + 1] = row[n] * (1.0 / max(r, 1.0))
+    below = 1.0
+    for n in range(k - 1, -1, -1):
+        below *= min(ratios[n], 1.0)
+        row[n] *= below
+    return row
 
 
 def _reference_rows(k, thetas):
-    """The spectrum kernel as it stood before spectrum and spectrum_rows
-    shared one block function: integer exponents, a fresh lgamma table per
-    call and row sums by ``ndarray.sum``. Direct products up to a literal 60
-    photons, not ``DIRECT_K_LIMIT``, so a kernel that moves these k to log
-    space, which is less accurate there, changes bytes and fails."""
+    """The spectrum kernel as scalar code: direct products up to a literal
+    60 photons, not ``DIRECT_K_LIMIT``, with integer exponents, and the
+    mode-anchored ratio products of ``_mode_anchored_row`` above it; row
+    sums by ``ndarray.sum``. A kernel that moves these k to another regime
+    changes bytes and fails."""
     n = np.arange(k + 1)
     cs = np.array([(math.cos(t) ** 2, math.sin(t) ** 2) for t in thetas])
     c2, s2 = cs[:, :1], cs[:, 1:]
@@ -238,14 +246,9 @@ def _reference_rows(k, thetas):
                             float, k + 1)
         rows = coeff * c2**n * s2 ** n[::-1]
     else:
-        coeff = _fresh_log_coefficients(k)
-        at_zero = s2 == 0.0
-        ls2 = np.log(np.where(at_zero, 1.0, s2))
-        logs = coeff + n * np.log(c2) + n[::-1] * ls2
-        logs[at_zero[:, 0]] = np.where(n == k, 0.0, -np.inf)
-        rows = np.exp(logs)
+        rows = np.array([_mode_anchored_row(k, c, s) for c, s in cs.tolist()])
     totals = rows.sum(axis=-1, keepdims=True)
-    assert np.abs(totals - 1.0).max() <= 1e-9
+    assert k > 60 or np.abs(totals - 1.0).max() <= 1e-9
     return rows / totals
 
 
@@ -258,62 +261,3 @@ def test_one_row_spectra_match_the_rows_bit_for_bit(ks):
         assert rows.tobytes() == _reference_rows(k, thetas).tobytes(), k
         for theta, row in zip(thetas, rows):
             assert spectrum(k, theta).components.tobytes() == row.tobytes(), (k, theta)
-
-
-def test_lgamma_table_gives_the_same_bytes_in_any_call_order(monkeypatch):
-    monkeypatch.setattr(beamsplitter, "_lgamma", np.empty(0))
-    sizes = []
-    for k in (2047, 61, 1000, 2048):
-        got = beamsplitter._log_coefficients(k)
-        assert got.tobytes() == _fresh_log_coefficients(k).tobytes(), k
-        sizes.append(beamsplitter._lgamma.size)
-    assert sizes == [2048, 2048, 2048, 4096]  # grown to k + 1, then doubled
-    with pytest.raises(ValueError, match="read-only"):
-        beamsplitter._lgamma[0] = 1.0
-
-
-def test_lgamma_table_stops_at_the_photon_cap(monkeypatch):
-    monkeypatch.setattr(beamsplitter, "_lgamma", np.empty(0))
-    beamsplitter._log_coefficients(MAX_PHOTONS // 2 + 2)
-    held = beamsplitter._lgamma
-    got = beamsplitter._log_coefficients(MAX_PHOTONS // 2 + 3)
-    assert beamsplitter._lgamma.size == MAX_PHOTONS + 1  # not twice the last size
-    assert np.array_equal(beamsplitter._lgamma[: held.size], held)
-    assert got.tobytes() == _fresh_log_coefficients(MAX_PHOTONS // 2 + 3).tobytes()
-    beamsplitter._log_coefficients(MAX_PHOTONS)
-    assert beamsplitter._lgamma.size == MAX_PHOTONS + 1
-
-
-def test_lgamma_table_grows_consistently_across_threads(monkeypatch):
-    # Eight threads race to grow a fresh table, 100 times, with the
-    # interpreter switching threads as often as it can: no thread ever sees
-    # the table shrink, and every row keeps its bytes.
-    ks = [61 * 2**i + j for i in range(7) for j in (0, 5)]
-    want = {k: _fresh_log_coefficients(k).tobytes() for k in ks}
-    errors = []
-
-    def work(shift):
-        try:
-            seen = 0
-            for k in ks[shift % 2 :]:
-                assert beamsplitter._log_coefficients(k).tobytes() == want[k]
-                assert beamsplitter._lgamma.size >= seen
-                seen = beamsplitter._lgamma.size
-        except Exception as exc:  # reported by the main thread
-            errors.append(exc)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(100):
-            monkeypatch.setattr(beamsplitter, "_lgamma", np.empty(0))
-            threads = [threading.Thread(target=work, args=(shift,)) for shift in range(8)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-            assert not any(thread.is_alive() for thread in threads)
-    finally:
-        sys.setswitchinterval(interval)
-    assert errors == []
-    assert max(ks) < beamsplitter._lgamma.size <= MAX_PHOTONS + 1

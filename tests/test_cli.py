@@ -407,7 +407,8 @@ CONTRACT_CASES = [
     (["entropy-curve", "--k", "2", "--theta-min", "2", "--theta-max", "3"], 2),
     (["spectrum", "--k", "100000000", "--theta", "0.5"], 2),
     (["spectrum", "--k", "3000000", "--theta", "0.5"], 2),
-    (["spectrum", "--k", "1000000", "--theta", "0.5"], 2),
+    (["spectrum", "--k", "1000001", "--theta", "0.5"], 2),
+    (["spectrum", "--k", "1000000", "--theta", "0.5"], 0),
     (["spectrum", "--k", "500000", "--theta", "0.004932"], 0),
     (["birkhoff", "--witness", "20000,0.3"], 2),
     (["birkhoff", "--witness", "100000,0.3"], 2),
