@@ -64,6 +64,22 @@ def check_angle(theta: float) -> float:
     return theta
 
 
+def angle_squares(thetas) -> tuple[np.ndarray, np.ndarray]:
+    """cos^2 and sin^2 of every angle of ``thetas``, flattened, after
+    checking the angles as one array against [0, pi/2]: the first angle
+    outside it (a NaN included) raises the ValueError of :func:`check_angle`.
+
+    Each square is ``np.float_power`` to 2.0, which rounds as
+    ``math.cos(t) ** 2`` and ``math.sin(t) ** 2`` do, bit for bit, where
+    ``np.cos(t) ** 2`` (a multiply) does not always.
+    """
+    t = np.ravel(np.asarray(thetas, dtype=float))
+    inside = (t >= 0.0) & (t <= math.pi / 2)
+    if not inside.all():
+        check_angle(t[inside.argmin()])
+    return np.float_power(np.cos(t), 2.0), np.float_power(np.sin(t), 2.0)
+
+
 def spectrum(k: int, theta: float) -> ProbVector:
     """Transmitted-photon distribution for k incident photons at angle theta.
 
@@ -87,21 +103,21 @@ def spectrum_rows(k: int, thetas):
     outward from it, divided by its sum, and theta = 0 gives the point mass
     at n = k. The photon number is checked against
     ``MAX_PHOTONS``, the sweep against ``MAX_SWEEP_ENTRIES`` and every angle
-    against [0, pi/2], before any row is computed.
+    against [0, pi/2], before any row is computed; cos^2 and sin^2 of every
+    angle come from one :func:`angle_squares` pass, bit for bit those
+    :func:`spectrum` takes.
     """
     k = _check_photons(k)
     thetas = np.ravel(thetas)
     entries = thetas.size * (k + 1)
     check_work(entries, MAX_SWEEP_ENTRIES,
                f"{thetas.size} spectra of k={k} hold {entries} entries")
-    angles = [check_angle(t) for t in thetas.tolist()]
+    c2, s2 = angle_squares(thetas)
     coefficients = _coefficients(k)
     step = max(1, ROW_ENTRIES // (k + 1))
-    for start in range(0, len(angles), step):
-        cs = np.array(
-            [(math.cos(t) ** 2, math.sin(t) ** 2) for t in angles[start : start + step]]
-        )
-        yield _spectrum_block(k, coefficients, cs[:, :1], cs[:, 1:])
+    for start in range(0, c2.size, step):
+        block = slice(start, start + step)
+        yield _spectrum_block(k, coefficients, c2[block, None], s2[block, None])
 
 
 def _check_photons(k) -> int:

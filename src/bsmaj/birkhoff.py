@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .beamsplitter import as_photon_number, check_angle
-from .vectors import NORM_TOL, TOL, ProbVector, check_work, checked_entries
+from .vectors import NORM_TOL, TOL, ProbVector, check_tol, check_work, checked_entries
 
 #: Most entries, (k+2)^2, a photon-chain witness matrix may have; larger
 #: photon numbers are rejected before the matrix is allocated.
@@ -126,8 +126,10 @@ def birkhoff_decompose(
     on no perfect matching. A pivot of at most d * tol that lies on none is
     taken for that residue: it is zeroed, at the cost of one failed
     matching, and the step retried. A larger one means the input is not
-    doubly stochastic, and the decomposition is refused.
+    doubly stochastic, and the decomposition is refused. A NaN, infinite or
+    negative ``tol`` raises ValueError.
     """
+    check_tol(tol)
     res = D.entries.copy()
     d = D.d
     max_terms = (d - 1) ** 2 + 1

@@ -16,11 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beamsplitter import check_angle
+from .beamsplitter import angle_squares, check_angle
 from .entropy import renyi_orders
 from .majorization import (MajorizationVerdict, Relation, compare, gap_relation,
                            majorized_by_mask, prefix_gaps)
-from .vectors import TOL, ProbVector, check_work, normalize_rows, tensor, tensor_rows
+from .vectors import (TOL, ProbVector, check_tol, check_work, normalize_rows, tensor,
+                      tensor_rows)
 
 #: Spectral mass of a squeezed vacuum beyond the truncation that
 #: :func:`tmsv_dimension` counts. Only ``catalysis check`` uses it, and prints
@@ -77,15 +78,7 @@ class CatalystSpec:
 
     @classmethod
     def tmsv(cls, r: float) -> "CatalystSpec":
-        r = float(r)
-        if not r > 0.0:
-            raise ValueError(f"squeezing parameter must be positive, got {r!r}")
-        if math.tanh(r) ** 2 >= 1.0:
-            raise ValueError(
-                f"squeezing parameter {r!r} is too large: tanh^2 r rounds to 1, "
-                "so the geometric spectrum has no normalizable truncation"
-            )
-        return cls(family=CatalystFamily.TMSV, r=r)
+        return cls(family=CatalystFamily.TMSV, r=check_squeezing(r))
 
     @classmethod
     def explicit(cls, vector: ProbVector) -> "CatalystSpec":
@@ -102,15 +95,30 @@ class CatalystSpec:
         return out
 
 
+def check_squeezing(r: float) -> float:
+    """Validate a squeezing parameter: positive, and small enough that
+    tanh^2 r stays below 1 (a NaN is refused too)."""
+    r = float(r)
+    if not r > 0.0:
+        raise ValueError(f"squeezing parameter must be positive, got {r!r}")
+    if math.tanh(r) ** 2 >= 1.0:
+        raise ValueError(
+            f"squeezing parameter {r!r} is too large: tanh^2 r rounds to 1, "
+            "so the geometric spectrum has no normalizable truncation"
+        )
+    return r
+
+
 def tmsv_dimension(r: float) -> int:
     """Smallest truncation keeping the discarded geometric mass below TAIL_TOL.
 
     The untruncated spectrum is (1 - q) q^n with q = tanh^2 r, so the mass
     beyond the first N terms is exactly q^N. When q underflows to zero
-    the spectrum is the vacuum alone and one term holds all of it. Only
-    ``catalysis check`` uses it, and prints it as ``catalyst_dim``.
+    the spectrum is the vacuum alone and one term holds all of it. ``r`` is
+    checked as :meth:`CatalystSpec.tmsv` checks it. Only ``catalysis
+    check`` uses it, and prints it as ``catalyst_dim``.
     """
-    q = math.tanh(r) ** 2
+    q = math.tanh(check_squeezing(r)) ** 2
     if q == 0.0:
         return 1
     return max(1, math.ceil(math.log(TAIL_TOL) / math.log(q)))
@@ -131,8 +139,9 @@ def catalyst_spectrum(spec: CatalystSpec) -> ProbVector:
 
 def _single_photon_rows(thetas) -> np.ndarray:
     """Row i is the single-photon catalyst (cos^2 t, 1 - cos^2 t) at the
-    angle t = ``thetas[i]``, normalized as ``ProbVector`` normalizes it."""
-    c2 = np.array([math.cos(t) ** 2 for t in thetas])
+    angle t = ``thetas[i]``, normalized as ``ProbVector`` normalizes it; the
+    angles are checked and squared by one :func:`angle_squares` pass."""
+    c2 = angle_squares(thetas)[0]
     return normalize_rows(np.stack([c2, 1.0 - c2], axis=1))
 
 
@@ -342,6 +351,7 @@ def necessary_conditions(p: ProbVector, q: ProbVector, *, tol: float = TOL) -> b
     for a k = 3 pair on a 2-vCPU AMD EPYC host, where stopping at the first
     failing order took about 21 us (and a passing pair about 97 us).
     """
+    check_tol(tol)
     s_p = renyi_orders(p.components, ALPHA_GRID)
     s_q = renyi_orders(q.components, ALPHA_GRID)
     return bool(np.all(s_p >= s_q - tol))
@@ -456,6 +466,9 @@ def _search(p, q, family, grid, r_max, tol):
 
 def _majorized_by_rows(p, q, cats, tol) -> np.ndarray:
     """Row i: is ``tensor(p, c_i)`` MajorizedBy ``tensor(q, c_i)``? Each row
-    is decided through the code of :func:`tensor` and :func:`compare`."""
+    is decided through the code of :func:`tensor` and :func:`compare`; a
+    block of more candidates than entries gets its gaps entry-major from
+    :func:`~bsmaj.majorization.prefix_gaps`, so each row's extremes are
+    taken as a few vector operations."""
     gaps = prefix_gaps(tensor_rows(p, cats), tensor_rows(q, cats))
     return majorized_by_mask(gaps.min(axis=-1), gaps.max(axis=-1), tol)

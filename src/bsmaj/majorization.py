@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .vectors import TOL, ProbVector
+from .vectors import TOL, ProbVector, check_tol
 
 
 class Relation(str, enum.Enum):
@@ -74,13 +74,27 @@ def prefix_gaps(ps: np.ndarray, qs: np.ndarray) -> np.ndarray:
     Each row is zero-padded to the longer of the two lengths and sorted in
     non-increasing order first; padding never changes any prefix sum of a
     sorted nonnegative row.
+
+    A call with more rows than entries per row (a block of catalyst
+    candidates) forms the running sums one column at a time across every
+    row: d - 1 left-to-right vector adds, the additions of
+    ``np.add.accumulate`` in its order, so every gap is bit for bit the same.
+    Its gaps come back with the entry axis outermost in memory, so a
+    reduction over each row's entries (the last axis) is a few vector
+    operations rather than one short reduction per row.
     """
-    both = np.zeros((2, *ps.shape[:-1], max(ps.shape[-1], qs.shape[-1])))
+    d = max(ps.shape[-1], qs.shape[-1])
+    both = np.zeros((2, *ps.shape[:-1], d))
     both[0, ..., :ps.shape[-1]] = ps
     both[1, ..., :qs.shape[-1]] = qs
     both.sort(axis=-1)
-    sums = np.add.accumulate(both[..., ::-1], axis=-1)
-    return sums[1] - sums[0]
+    if both.size <= 2 * d * d:  # no more rows than entries
+        sums = np.add.accumulate(both[..., ::-1], axis=-1)
+        return sums[1] - sums[0]
+    sums = np.moveaxis(both[..., ::-1], -1, 0).copy()
+    for j in range(1, d):
+        sums[j] += sums[j - 1]
+    return np.moveaxis(sums[:, 1] - sums[:, 0], 0, -1)
 
 
 def compare(p: ProbVector, q: ProbVector, *, tol: float = TOL) -> MajorizationVerdict:
@@ -91,8 +105,10 @@ def compare(p: ProbVector, q: ProbVector, *, tol: float = TOL) -> MajorizationVe
     relation comes from the extremes of the prefix-sum gaps by
     :func:`gap_relation`: a gap within ``tol`` of zero counts as satisfied
     for both directions, and the pair is Equal when both directions hold,
-    so ``compare(q, p)`` is always the mirror of ``compare(p, q)``.
+    so ``compare(q, p)`` is always the mirror of ``compare(p, q)``. A NaN,
+    infinite or negative ``tol`` raises ValueError.
     """
+    check_tol(tol)
     gaps = prefix_gaps(p.components, q.components)
     gaps.flags.writeable = False
     # the entries at argmin and argmax are the extremes, found without the

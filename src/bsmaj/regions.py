@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .beamsplitter import as_photon_number, spectrum
-from .vectors import TOL, check_work
+from .vectors import TOL, check_tol, check_work
 
 QUARTER_PI = math.pi / 4
 
@@ -327,10 +327,11 @@ def accumulation_derivatives(
 
     Raises :class:`AmbiguousOrderingError` when ``theta`` is within ``tol``
     of a crossover (or of pi/4 itself), where the sorting permutation is
-    not well defined.
+    not well defined. A NaN, infinite or negative ``tol`` raises ValueError.
     """
     k = as_photon_number(k)
     theta = _check_region_angle(theta)
+    check_tol(tol)
     if k == 0:
         return AccumulationDerivatives(theta=theta, values=())
     if QUARTER_PI - theta <= tol:
@@ -361,14 +362,16 @@ def region1_closed_form(k: int, j: int, theta: float) -> float:
         -cos(theta)^(2k) * 2(k-j) * C(k,j) * tan(theta)^(2j+1),
 
     manifestly nonpositive for j = 0 .. k-1, which is why infinitesimal
-    majorization always holds before the first crossover.
+    majorization always holds before the first crossover. It is evaluated
+    as -2(k-j) tan(theta) P_(k-j), the same product since
+    P_(k-j) = C(k,j) cos(theta)^(2(k-j)) sin(theta)^(2j), so it takes the
+    spectrum's accuracy and no binomial coefficient has to fit a float.
     """
     k = as_photon_number(k)
     if not 0 <= j <= k - 1:
         raise ValueError(f"j must lie in [0, {k - 1}], got {j}")
     theta = _check_region_angle(theta)
-    lead = math.cos(theta) ** (2 * k)
-    return -lead * 2.0 * (k - j) * math.comb(k, j) * math.tan(theta) ** (2 * j + 1)
+    return -2.0 * (k - j) * math.tan(theta) * float(spectrum(k, theta).components[k - j])
 
 
 def infinitesimal_verdict(

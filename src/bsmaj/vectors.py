@@ -8,6 +8,7 @@ the package can treat instances as trusted immutable values.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,13 @@ def check_work(count, limit, what: str) -> None:
     """
     if not count <= limit:
         raise ValueError(f"{what}, more than the limit of {limit}")
+
+
+def check_tol(tol) -> None:
+    """Refuse a comparison tolerance that is not finite and nonnegative: a
+    NaN or negative one would decide every comparison the same way."""
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tolerance must be finite and nonnegative, got {tol!r}")
 
 
 #: JSON names of the Python types ``json.loads`` returns, for error messages.

@@ -1,19 +1,22 @@
 import itertools
 import math
 import operator
+import re
 
 import numpy as np
 import pytest
 
 from bsmaj import (
     Relation,
+    entropy_curve,
     photon_chain_check,
     renyi,
     sort_desc,
     spectrum,
 )
 from bsmaj import beamsplitter
-from bsmaj.beamsplitter import DIRECT_K_LIMIT, MAX_PHOTONS, spectrum_rows
+from bsmaj.beamsplitter import (DIRECT_K_LIMIT, MAX_PHOTONS, angle_squares, check_angle,
+                                spectrum_rows)
 from bsmaj.vectors import normalize_rows
 
 from conftest import oracle_relation, spectrum_recurrence
@@ -94,6 +97,46 @@ def test_spectrum_rows_checks_before_yielding():
         next(spectrum_rows(3, [0.2, 1.8]))
     with pytest.raises(ValueError, match="photon number"):
         next(spectrum_rows(-1, []))
+
+
+def _angle_message(theta):
+    with pytest.raises(ValueError) as info:
+        check_angle(theta)
+    return re.escape(str(info.value))
+
+
+@pytest.mark.parametrize("bad", [math.nan, -1e-300, math.pi / 2 + 1e-15, math.inf, -math.inf])
+def test_spectrum_rows_refuse_the_first_bad_angle_before_any_row(bad):
+    # the bad angle sits in the sweep's last block of rows, behind a second one
+    thetas = np.full(3000, 0.3)
+    thetas[2500], thetas[2900] = bad, 2.0
+    with pytest.raises(ValueError, match=_angle_message(bad)):
+        next(spectrum_rows(3, thetas))
+    with pytest.raises(ValueError, match=_angle_message(bad)):
+        entropy_curve(3, [1.0], thetas)
+
+
+def _search_grid(grid):
+    # the single-photon catalyst angles a search scans, as catalysis._search forms them
+    span = math.pi / 4 + 1e-15
+    values = grid * np.arange(1, int(span / grid) + 2)
+    return values[values <= span]
+
+
+@pytest.mark.parametrize("thetas", [
+    _search_grid(2e-3),
+    _search_grid(1e-3),
+    _search_grid(1e-4),
+    np.random.default_rng(27).uniform(0.0, math.pi / 2, 10**5),
+    np.array([0.0, math.pi / 4, math.pi / 2]),
+], ids=["grid2e-3", "grid1e-3", "grid1e-4", "random", "ends"])
+def test_angle_squares_are_the_math_squares_bit_for_bit(thetas):
+    c2, s2 = angle_squares(thetas)
+    angles = thetas.tolist()
+    want_c2 = np.array([math.cos(t) ** 2 for t in angles])
+    want_s2 = np.array([math.sin(t) ** 2 for t in angles])
+    assert np.array_equal(c2.view(np.uint64), want_c2.view(np.uint64))
+    assert np.array_equal(s2.view(np.uint64), want_s2.view(np.uint64))
 
 
 def test_pascal_rows_are_cached_read_only():
@@ -250,6 +293,15 @@ def _reference_rows(k, thetas):
     totals = rows.sum(axis=-1, keepdims=True)
     assert k > 60 or np.abs(totals - 1.0).max() <= 1e-9
     return rows / totals
+
+
+@pytest.mark.parametrize("k", [3, 20])
+def test_sweeps_square_the_angles_as_math_does(k):
+    # np.cos(t) ** 2 rounds differently from math.cos(t) ** 2 at about one
+    # angle in a thousand, so a sweep of this length would show it
+    thetas = np.random.default_rng(29).uniform(0.0, math.pi / 2, 20000)
+    rows = np.concatenate(list(spectrum_rows(k, thetas)))
+    assert rows.tobytes() == _reference_rows(k, thetas.tolist()).tobytes()
 
 
 @pytest.mark.parametrize("ks", [range(0, 36), range(36, 71), [1000, 2047]])

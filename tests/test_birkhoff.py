@@ -256,3 +256,18 @@ def test_matching_depth_is_not_bounded_by_recursion_limit():
     support[i, i] = support[i, i + 1] = True
     support[d - 1, 0] = True
     assert _perfect_matching(support, (d - 1, 0)) == (*range(1, d), 0)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-12])
+def test_decompose_refuses_a_tolerance_that_is_not_finite_and_nonnegative(tol):
+    # a NaN tol once returned the identity with weight 1 for any matrix
+    with pytest.raises(ValueError, match=f"tolerance must be finite and nonnegative, got {tol!r}"):
+        birkhoff_decompose(bs_witness_matrix(3, 0.5), tol=tol)
+
+
+def test_decompose_accepts_a_zero_tolerance():
+    D = bs_witness_matrix(3, 0.5)
+    dec = birkhoff_decompose(D, tol=0.0)
+    assert math.isclose(sum(dec.weights), 1.0, abs_tol=1e-12)
+    rebuilt = sum(w * np.eye(D.d)[list(perm)] for w, perm in zip(dec.weights, dec.permutations))
+    assert np.allclose(rebuilt, D.entries, rtol=0, atol=1e-12)

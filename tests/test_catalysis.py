@@ -24,7 +24,7 @@ from bsmaj import (
     tmsv_dimension,
 )
 from bsmaj.majorization import gap_relation, majorized_by_mask, prefix_gaps
-from bsmaj.vectors import tensor_rows
+from bsmaj.vectors import normalize_rows, tensor_rows
 
 from conftest import (
     closed_form_extremes_mpmath,
@@ -81,6 +81,44 @@ def test_catalyst_spec_validation():
     # tanh^2 r rounds to 1 in double precision: no truncation normalizes
     with pytest.raises(ValueError, match="tanh"):
         CatalystSpec.tmsv(25.0)
+
+
+@pytest.mark.parametrize("r,message", [
+    (20.0, "too large: tanh"),
+    (math.inf, "too large: tanh"),
+    (math.nan, "must be positive, got nan"),
+    (-1.0, "must be positive, got -1.0"),
+    (0.0, "must be positive, got 0.0"),
+])
+def test_tmsv_dimension_checks_the_squeezing_as_the_spec_does(r, message):
+    # these once raised ZeroDivisionError (tanh^2 r rounds to 1), a
+    # conversion error (NaN), or returned 51 for r = -1
+    with pytest.raises(ValueError, match=message):
+        tmsv_dimension(r)
+    with pytest.raises(ValueError, match=message):
+        CatalystSpec.tmsv(r)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-12])
+def test_tolerances_that_are_not_finite_and_nonnegative_are_refused(tol):
+    # a NaN tol once made the entropy screen reject every pair
+    message = f"tolerance must be finite and nonnegative, got {tol!r}"
+    with pytest.raises(ValueError, match=message):
+        necessary_conditions(P_072, Q_062, tol=tol)
+    with pytest.raises(ValueError, match=message):
+        check_catalysis(P_072, Q_062, CatalystSpec.single_photon(0.7), tol=tol)
+    for family in ("single-photon", "tmsv"):
+        with pytest.raises(ValueError, match=message):
+            search_catalyst_all(P_072, Q_062, family, 0.1, tol=tol)
+
+
+def test_a_zero_tolerance_is_accepted_by_the_screen_and_the_searches():
+    assert necessary_conditions(P_072, Q_062, tol=0.0)
+    assert necessary_conditions(Q_062, P_072, tol=0.0) is False
+    # the paper's catalyst angle still works with no tolerance at all
+    hits = search_catalyst_all(P_072, Q_062, "single-photon", 0.01, tol=0.0)
+    assert 0.7 in [round(hit.theta_c, 12) for hit in hits]
+    assert search_catalyst_all(P_072, Q_062, "tmsv", 0.06, tol=0.0)
 
 
 def test_tmsv_vanishing_squeezing_is_the_vacuum():
@@ -483,6 +521,16 @@ def _scanned(monkeypatch, family, grid, r_max=3.0):
                         lambda p, q, cats, tol: np.ones(cats.shape[0], dtype=bool))
     hits = search_catalyst_all(P_072, Q_062, family, grid, r_max=r_max)
     return [hit.r if family == "tmsv" else hit.theta_c for hit in hits]
+
+
+def test_single_photon_rows_square_the_cosine_as_math_does():
+    # np.cos(t) ** 2 rounds differently from math.cos(t) ** 2 at about one
+    # angle in a thousand; the catalyst rows keep math's bits
+    thetas = np.random.default_rng(41).uniform(0.0, math.pi / 2, 10**5)
+    c2 = np.array([math.cos(t) ** 2 for t in thetas.tolist()])
+    want = normalize_rows(np.stack([c2, 1.0 - c2], axis=1))
+    got = catalysis._single_photon_rows(thetas)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 @pytest.mark.parametrize("grid", [2e-3, math.pi / 4 / 393])

@@ -15,7 +15,7 @@ from bsmaj import (
     spectrum,
 )
 from bsmaj.birkhoff import apply as ds_apply
-from bsmaj.majorization import gap_relation, majorized_by_mask
+from bsmaj.majorization import gap_relation, majorized_by_mask, prefix_gaps
 
 from conftest import oracle_relation, prob_vectors, random_mixture_matrix
 
@@ -187,3 +187,67 @@ def test_majorized_by_mask_is_gap_relation_elementwise():
     assert got.dtype == bool
     assert got.tolist() == want
     assert any(want) and not all(want)
+
+
+def _accumulated_gaps(ps, qs):
+    # prefix_gaps as one np.add.accumulate over the last axis, for any shape
+    both = np.zeros((2, *ps.shape[:-1], max(ps.shape[-1], qs.shape[-1])))
+    both[0, ..., :ps.shape[-1]] = ps
+    both[1, ..., :qs.shape[-1]] = qs
+    both.sort(axis=-1)
+    sums = np.add.accumulate(both[..., ::-1], axis=-1)
+    return sums[1] - sums[0]
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def _random_rows(rng, shape):
+    # nonnegative rows with zeros and repeated entries, as tensored spectra have
+    rows = rng.dirichlet(np.ones(shape[-1]), size=shape[:-1])
+    rows[rng.random(shape) < 0.2] = 0.0
+    ties = rng.random(shape) < 0.2
+    rows[ties] = rows.flat[0]
+    return rows
+
+
+@pytest.mark.parametrize("rows,dp,dq", [
+    (1, 6, 6), (5, 6, 6), (6, 6, 6), (7, 6, 6),  # around the choice at rows = d
+    (392, 8, 8), (392, 14, 14), (3, 16, 8), (40, 8, 16), (40, 16, 10), (2, 3, 1),
+])
+def test_prefix_gaps_are_the_accumulated_gaps_bit_for_bit(rows, dp, dq):
+    rng = np.random.default_rng(rows * 1000 + dp * 10 + dq)
+    ps, qs = _random_rows(rng, (rows, dp)), _random_rows(rng, (rows, dq))
+    got = prefix_gaps(ps, qs)
+    assert got.shape == (rows, max(dp, dq))
+    assert np.array_equal(_bits(got), _bits(_accumulated_gaps(ps, qs)))
+    # a block of more rows than entries comes back entry-major in memory
+    assert (got.T if rows > max(dp, dq) else got).flags.c_contiguous
+    assert np.array_equal(_bits(got.min(axis=-1)),
+                          _bits([row.min() for row in _accumulated_gaps(ps, qs)]))
+
+
+def test_prefix_gaps_of_one_row_and_of_stacks_are_the_accumulated_gaps():
+    rng = np.random.default_rng(5)
+    for dp, dq in [(1, 1), (4, 9), (9, 4), (30, 30)]:
+        p, q = _random_rows(rng, (dp,)), _random_rows(rng, (dq,))
+        got = prefix_gaps(p, q)
+        assert got.shape == (max(dp, dq),) and got.flags.c_contiguous
+        assert np.array_equal(_bits(got), _bits(_accumulated_gaps(p, q)))
+    ps, qs = _random_rows(rng, (4, 25, 6)), _random_rows(rng, (4, 25, 5))
+    got = prefix_gaps(ps, qs)
+    assert got.shape == (4, 25, 6)
+    assert np.array_equal(_bits(got), _bits(_accumulated_gaps(ps, qs)))
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-12])
+def test_compare_refuses_a_tolerance_that_is_not_finite_and_nonnegative(tol):
+    with pytest.raises(ValueError, match=f"tolerance must be finite and nonnegative, got {tol!r}"):
+        compare(spectrum(3, 0.72), spectrum(3, 0.62), tol=tol)
+
+
+def test_compare_accepts_a_zero_tolerance():
+    p = ProbVector([0.6, 0.3, 0.1])
+    assert compare(p, p, tol=0.0).relation is Relation.EQUAL
+    assert compare(spectrum(3, 0.72), spectrum(3, 0.62), tol=0.0).relation is Relation.INCOMPARABLE

@@ -21,6 +21,7 @@ from bsmaj import (
     component_derivatives,
     find_crossovers,
     infinitesimal_verdict,
+    photon_chain_check,
     positivity_bound,
     region1_closed_form,
     sort_desc,
@@ -509,6 +510,42 @@ def test_region1_closed_form_zero_at_origin():
 def test_region1_closed_form_matches_finite_difference():
     fd = central_difference(lambda t: sorted_prefix_at(2, t, 0), 0.3)
     assert region1_closed_form(2, 0, 0.3) == pytest.approx(fd, abs=1e-8)
+
+
+@pytest.mark.parametrize("k,j,theta,bound", [(2000, 1000, 0.7, 1e-13), (300, 100, 0.7, 2e-14)])
+def test_region1_closed_form_matches_mpmath_where_the_binomial_is_large(k, j, theta, bound):
+    # C(2000, 1000) passes the largest double, though the derivative
+    # (about -5.58e-12) does not; C(300, 100) fits, but a product of it with
+    # two powers of the angle's functions is off by 4e-14 relative. Taken
+    # from the spectrum the two are off by 3.4e-14 and 5.6e-15.
+    with mpmath.workdps(50):
+        t = mpmath.mpf(theta)
+        want = (-mpmath.cos(t) ** (2 * k) * 2 * (k - j) * mpmath.binomial(k, j)
+                * mpmath.tan(t) ** (2 * j + 1))
+        got = region1_closed_form(k, j, theta)
+        assert abs((got - want) / want) < bound
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-12])
+def test_tolerances_that_are_not_finite_and_nonnegative_are_refused(tol):
+    # a NaN tol once made every accumulation derivative pass as Holds, and
+    # every chain verdict Incomparable
+    message = f"tolerance must be finite and nonnegative, got {tol!r}"
+    with pytest.raises(ValueError, match=message):
+        accumulation_derivatives(3, 0.2, tol=tol)
+    with pytest.raises(ValueError, match=message):
+        accumulation_derivatives(0, 0.2, tol=tol)
+    with pytest.raises(ValueError, match=message):
+        infinitesimal_verdict(3, 0.7, tol=tol)
+    with pytest.raises(ValueError, match=message):
+        photon_chain_check(3, 0.5, tol=tol)
+
+
+def test_a_zero_tolerance_is_accepted():
+    assert infinitesimal_verdict(3, 0.7, tol=0.0).status is InfinitesimalStatus.VIOLATED
+    assert infinitesimal_verdict(3, 0.2, tol=0.0).status is InfinitesimalStatus.HOLDS
+    assert accumulation_derivatives(3, 0.2, tol=0.0).values == accumulation_derivatives(3, 0.2).values
+    assert {v.relation for v in photon_chain_check(3, 0.5, tol=0.0)} == {Relation.MAJORIZED_BY}
 
 
 def test_region1_closed_form_rejects_bad_j():
