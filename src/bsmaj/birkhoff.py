@@ -163,7 +163,7 @@ def birkhoff_decompose(
                 "the matrix violates the doubly stochastic invariant"
             )
 
-    if not perms:  # numerically zero input cannot occur for a valid matrix
+    if not perms:  # every entry is at most tol: nothing to peel
         perms.append(tuple(range(d)))
         weights.append(1.0)
     return BirkhoffDecomposition(tuple(perms), tuple(weights))

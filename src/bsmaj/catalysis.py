@@ -416,8 +416,8 @@ def _search(p, q, family, grid, r_max, tol):
     family = CatalystFamily(family)
     if family is CatalystFamily.EXPLICIT:
         raise ValueError("search requires a parametric family")
-    if not grid > 0:
-        raise ValueError("grid step must be positive")
+    if not 0 < grid < math.inf:
+        raise ValueError(f"grid step must be positive and finite, got {grid!r}")
     single = family is CatalystFamily.SINGLE_PHOTON
     limit = math.pi / 4 if single else CatalystSpec.tmsv(r_max).r
     span = limit + 1e-15
@@ -436,32 +436,21 @@ def _search(p, q, family, grid, r_max, tol):
     if base is Relation.MAJORIZES or not necessary_conditions(p, q, tol=tol):
         return
 
-    if single:
-        per_block = BATCH_ENTRIES // (2 * max(p.dim, q.dim))
-
-        def make(theta):
-            return CatalystSpec(family, theta_c=theta)
-
-        def hits(thetas):
-            return _majorized_by_rows(p, q, _single_photon_rows(thetas), tol)
-    else:
-        per_block = TMSV_BATCH_TERMS // vals.size**2
-
-        def make(r):
-            return CatalystSpec(family, r=r)
-
-        def hits(rs):
-            rhos = np.array([math.tanh(r) ** 2 for r in rs])
-            return majorized_by_mask(*_threshold_extremes(vals, weights, rhos), tol)
-
+    per_block = max(1, BATCH_ENTRIES // (2 * max(p.dim, q.dim)) if single
+                    else TMSV_BATCH_TERMS // vals.size**2)
     # The products rise with i, so the points within span are a prefix.
     values = grid * np.arange(1, int(span / grid) + 2)
     values = values[values <= span].tolist()
-    per_block = max(1, per_block)
     for start in range(0, len(values), per_block):
         block = values[start:start + per_block]
-        for i in np.flatnonzero(hits(block)).tolist():
-            yield make(block[i])
+        if single:
+            hits = _majorized_by_rows(p, q, _single_photon_rows(block), tol)
+        else:
+            rhos = np.array([math.tanh(r) ** 2 for r in block])
+            hits = majorized_by_mask(*_threshold_extremes(vals, weights, rhos), tol)
+        for i in np.flatnonzero(hits).tolist():
+            yield (CatalystSpec(family, theta_c=block[i]) if single
+                   else CatalystSpec(family, r=block[i]))
 
 
 def _majorized_by_rows(p, q, cats, tol) -> np.ndarray:

@@ -61,28 +61,18 @@ def parse_angle(text) -> float:
     s = str(text).strip().lower().replace(" ", "")
     if not s:
         raise ValueError("empty angle")
-    if "pi" not in s:
-        value = float(s)
-    else:
-        head, _, tail = s.partition("pi")
-        coeff = 1.0
-        if head:
-            if head.endswith("*"):
-                head = head[:-1]
-            if head == "-":
-                coeff = -1.0
-            elif head not in ("", "+"):
-                coeff = float(head)
-        div = 1.0
-        if tail:
-            if not tail.startswith("/"):
-                raise ValueError(f"cannot parse angle {text!r}")
-            div = float(tail[1:])
-            if div == 0.0:
-                raise ValueError(f"angle {text!r} divides by zero")
-            if math.isinf(div):
-                raise ValueError(f"angle {text!r} divides by infinity")
-        value = coeff * math.pi / div
+    head, pi, tail = s.partition("pi")
+    if pi:
+        head = head.removesuffix("*")
+    coeff = float(head + "1") if pi and head in ("", "+", "-") else float(head)
+    if tail and not tail.startswith("/"):
+        raise ValueError(f"cannot parse angle {text!r}")
+    div = float(tail[1:]) if tail else 1.0
+    if div == 0.0:
+        raise ValueError(f"angle {text!r} divides by zero")
+    if math.isinf(div):
+        raise ValueError(f"angle {text!r} divides by infinity")
+    value = coeff * (math.pi if pi else 1.0) / div
     if not math.isfinite(value):
         raise ValueError(f"angle {text!r} is not finite")
     return value

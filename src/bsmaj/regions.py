@@ -38,8 +38,8 @@ MAX_CROSSING_PAIRS = 2**21
 #: Crossing pairs whose angles one pass of ``_angles`` takes in Python lists.
 CROSSING_BLOCK = 2**16
 
-#: Most crossing angles the scan memo keeps over all photon numbers: one
-#: scan at MAX_CROSSING_PAIRS (k = 2047, 1047552 angles, 26 MB in all).
+#: Most crossing pairs the scan memo keeps over all photon numbers: one
+#: scan at MAX_CROSSING_PAIRS (k = 2047, 1047552 pairs, 26 MB in all).
 SCAN_MEMO_ANGLES = 2**20
 
 #: Scans of ``_crossover_angles`` by photon number, least recently used
@@ -148,29 +148,30 @@ def find_crossovers(k: int) -> RegionPartition:
 def _crossings(k: int) -> tuple[list[float], list[tuple[tuple[int, int], ...]]]:
     """Sorted crossover angles in (0, pi/4) and the pairs meeting at each.
 
-    The angles and their grouping come from :func:`_crossover_angles`; the
-    pairs of a crossover keep the order in which its scan sorted them.
+    The crossovers and the grouping of the pairs come from
+    :func:`_crossover_angles`; the pairs of a crossover keep the order in
+    which its scan sorted them.
     """
-    theta, first, n, m = _crossover_angles(k)
-    ints = np.arange(k + 1).astype(object)  # the pairs share k + 1 int objects
-    pairs = zip(ints[n].tolist(), ints[m].tolist())
+    crossovers, first, n, m = _crossover_angles(k)
+    pairs = zip(n.tolist(), m.tolist())
     if first.all():
         groups = list(zip(pairs))
     else:
         pairs = list(pairs)
         cuts = [*np.flatnonzero(first).tolist(), len(pairs)]
         groups = [tuple(pairs[a:b]) for a, b in zip(cuts, cuts[1:])]
-    return theta[first].tolist(), groups
+    return crossovers.tolist(), groups
 
 
 def _crossover_angles(k: int) -> tuple[np.ndarray, ...]:
-    """The ascending angles in (0, pi/4) at which crossing pairs meet, which
-    of them open a crossover, and the pair (n, m) meeting at each angle.
+    """The ascending crossover angles in (0, pi/4); for the ascending angles
+    at which crossing pairs meet, which of them open a crossover; and the
+    pair (n, m) meeting at each of those angles.
 
     The photon number is checked against ``MAX_CROSSING_PAIRS`` on every
     call; the arrays of :func:`_scan` are then kept, read-only, in a memo
     that evicts the least recently used photon numbers once it holds more
-    than ``SCAN_MEMO_ANGLES`` angles.
+    than ``SCAN_MEMO_ANGLES`` pairs.
     """
     n_pairs = k * (k + 1) // 2
     check_work(n_pairs, MAX_CROSSING_PAIRS, f"k={k} has {n_pairs} component pairs")
@@ -181,9 +182,9 @@ def _crossover_angles(k: int) -> tuple[np.ndarray, ...]:
     scan = _scan(k)  # unlocked: two threads may scan one k, and both agree
     with _scans_lock:
         _scans[k] = scan
-        held = sum(angles.size for angles, *_ in _scans.values())
+        held = sum(n.size for _, _, n, _ in _scans.values())
         while held > SCAN_MEMO_ANGLES:
-            held -= _scans.popitem(last=False)[1][0].size
+            held -= _scans.popitem(last=False)[1][2].size
     return scan
 
 
@@ -205,7 +206,8 @@ def _scan(k: int) -> tuple[np.ndarray, ...]:
     theta = theta[order]
     inside = slice(theta.searchsorted(TOL, "right"), theta.searchsorted(QUARTER_PI - TOL))
     theta, order = theta[inside], order[inside]
-    scan = theta, _opens_crossover(theta), n[order], m[order]
+    first = _opens_crossover(theta)
+    scan = theta[first], first, n[order], m[order]
     for array in scan:
         array.flags.writeable = False
     return scan
@@ -338,17 +340,13 @@ def accumulation_derivatives(
         raise AmbiguousOrderingError(
             "theta sits at pi/4 where symmetric components tie"
         )
-    # theta - c falls as the sorted angles c rise, so the crossovers within
-    # tol of theta form a run. The first crossover with theta - c <= tol opens
-    # it: the first opening angle at or after the first angle with
-    # theta - c <= tol, past the rest of that angle's crossover at most.
-    angles, first = _crossover_angles(k)[:2]
-    i = bisect_left(angles, True, key=lambda c: theta - c <= tol)
-    while i < len(angles) and not first[i]:
-        i += 1
-    if i < len(angles) and theta - angles[i] >= -tol:
+    # theta - c falls as the sorted crossovers c rise, so the crossovers
+    # within tol of theta form a run, opened by the first with theta - c <= tol.
+    crossovers = _crossover_angles(k)[0]
+    i = bisect_left(crossovers, True, key=lambda c: theta - c <= tol)
+    if i < len(crossovers) and theta - crossovers[i] >= -tol:
         raise AmbiguousOrderingError(
-            f"theta is within tolerance of the crossover at {float(angles[i])!r}"
+            f"theta is within tolerance of the crossover at {float(crossovers[i])!r}"
         )
     p = spectrum(k, theta).components
     order = np.argsort(-p, kind="stable")  # the order of ``sort_desc``
@@ -389,14 +387,9 @@ def infinitesimal_verdict(
         acc = accumulation_derivatives(k, theta, tol=tol)
     except AmbiguousOrderingError as exc:
         return InfinitesimalVerdict(status=InfinitesimalStatus.BOUNDARY, reason=str(exc))
-    for j, value in enumerate(acc.values):
-        if value > tol:
-            return InfinitesimalVerdict(
-                status=InfinitesimalStatus.VIOLATED,
-                first_violation=j,
-                derivatives=acc,
-            )
-    return InfinitesimalVerdict(status=InfinitesimalStatus.HOLDS, derivatives=acc)
+    j = next((j for j, value in enumerate(acc.values) if value > tol), None)
+    status = InfinitesimalStatus.HOLDS if j is None else InfinitesimalStatus.VIOLATED
+    return InfinitesimalVerdict(status=status, first_violation=j, derivatives=acc)
 
 
 def positivity_bound(k: int, n: int) -> float:

@@ -116,6 +116,10 @@ def test_apply_dimension_mismatch():
 
 
 def test_matrix_validation():
+    for entries in ([[0.5, 0.5]], [1.0], [[]], np.ones((1, 1, 1))):
+        with pytest.raises(ValueError, match="expected a non-empty square matrix"):
+            DoublyStochasticMatrix(entries)
+    assert repr(DoublyStochasticMatrix(np.eye(3))) == "DoublyStochasticMatrix(d=3)"
     with pytest.raises(ValueError):
         DoublyStochasticMatrix([[0.9, 0.0], [0.0, 0.9]])
     with pytest.raises(ValueError):
@@ -140,6 +144,10 @@ def test_decompose_identity():
     assert len(dec) == 1
     assert dec.weights[0] == pytest.approx(1.0, abs=1e-15)
     assert dec.permutations[0] == (0, 1, 2, 3)
+    # a tolerance at or above every entry leaves nothing to peel: the
+    # identity takes all the weight
+    dec = birkhoff_decompose(bs_witness_matrix(2, 0.5), tol=0.9)
+    assert (dec.permutations, dec.weights) == (((0, 1, 2, 3),), (1.0,))
 
 
 def test_decompose_two_by_two_closed_form():

@@ -257,8 +257,13 @@ def test_search_soundness():
 def test_search_rejects_bad_arguments():
     with pytest.raises(ValueError):
         search_catalyst(P_072, Q_062, "explicit", 0.1)
-    with pytest.raises(ValueError):
-        search_catalyst(P_072, Q_062, "tmsv", 0.0)
+    # an infinite grid step used to scan no candidate and report no catalyst
+    for family in ("single-photon", "tmsv"):
+        for grid, shown in ((math.inf, "inf"), (math.nan, "nan"), (0.0, "0.0"), (-1.0, "-1.0")):
+            with pytest.raises(ValueError, match=f"positive and finite, got {shown}$"):
+                search_catalyst_all(P_072, Q_062, family, grid)
+            with pytest.raises(ValueError, match=f"positive and finite, got {shown}$"):
+                search_catalyst(P_072, Q_062, family, grid)
 
 
 def test_search_rejects_unbounded_grid(monkeypatch):

@@ -48,13 +48,23 @@ def test_parse_angle_forms():
     assert parse_angle("3*pi/8") == 3 * math.pi / 8
     assert parse_angle("-pi/2") == -math.pi / 2
     assert parse_angle("1e-3") == 1e-3
+    assert parse_angle("*pi") == math.pi
+    assert parse_angle("+pi") == math.pi
+    assert parse_angle("2pi") == 2 * math.pi
+    assert parse_angle("PI/4") == math.pi / 4
+    assert parse_angle(" 3 * pi / 8 ") == 3 * math.pi / 8
     with pytest.raises(ValueError):
         parse_angle("four")
-    with pytest.raises(ValueError):
-        parse_angle("pi*3")
-    for bad in ("pi/0", "2*pi/0.0", "inf", "-inf", "nan", "1e400", "1e308*pi",
-                "pi/inf", "pi/-inf", "pi/1e999", "2*pi/infinity"):
-        with pytest.raises(ValueError):
+    for bad, message in (("", "empty angle"), ("  ", "empty angle"),
+                         ("pi*3", "cannot parse angle"), ("2*pi8", "cannot parse angle"),
+                         ("pi/0", "divides by zero"), ("2*pi/0.0", "divides by zero"),
+                         ("pi/inf", "divides by infinity"), ("pi/-inf", "divides by infinity"),
+                         ("pi/1e999", "divides by infinity"),
+                         ("2*pi/infinity", "divides by infinity"),
+                         ("inf", "is not finite"), ("-inf", "is not finite"),
+                         ("nan", "is not finite"), ("1e400", "is not finite"),
+                         ("1e308*pi", "is not finite"), ("pi/nan", "is not finite")):
+        with pytest.raises(ValueError, match=message):
             parse_angle(bad)
 
 

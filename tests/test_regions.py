@@ -455,22 +455,27 @@ def test_accumulation_ambiguity_matches_the_crossover_loop(tol):
 
 @pytest.mark.parametrize("tol", [0.0, TOL, 1e-9, 1e-6])
 def test_accumulation_ambiguity_at_a_crossover_of_two_angles(tol):
-    # At k = 326 one crossover holds two scanned angles, the second within
-    # TOL of the first; the bisect lands on either and must answer as the
-    # loop over crossovers does.
-    angles, first = regions._crossover_angles(326)[:2]
-    (second,) = np.flatnonzero(~first)
+    # At k = 326 the pairs of one crossover meet at two angles, the second
+    # within TOL of the first; angles near either must be answered as the
+    # loop over crossovers answers them.
+    k = 326
+    crossovers, pairs = regions._crossings(k)
+    (i,) = [i for i, group in enumerate(pairs) if len(group) > 1]
+    binom = [math.comb(k, j) for j in range(k + 1)]
+    angles = regions._angles(binom, *np.array(pairs[i]).T).tolist()
+    assert angles[0] == crossovers[i]
+    assert 0.0 < angles[1] - angles[0] <= TOL
     thetas = set()
-    for c in map(float, angles[second - 2:second + 2]):
+    for c in angles:
         for t in (c - tol, c, c + tol):
             thetas.update((t, math.nextafter(t, -1.0), math.nextafter(t, 2.0)))
     for theta in sorted(thetas):
         try:
-            accumulation_derivatives(326, theta, tol=tol)
+            accumulation_derivatives(k, theta, tol=tol)
             got = None
         except AmbiguousOrderingError as exc:
             got = str(exc)
-        assert got == _ambiguity_by_loop(326, theta, tol), theta
+        assert got == _ambiguity_by_loop(k, theta, tol), theta
 
 
 def test_accumulation_rejects_angles_beyond_quarter_pi():
@@ -661,16 +666,16 @@ def test_sweep_at_one_k_scans_once(scans):
 
 
 def test_memo_hit_derivatives_copy_no_angles(scans):
-    # A memo hit bisects the memoized angles in place. At k = 600 they take
-    # 720 kB; a copy of the crossover angles would allocate about as much.
-    angles = regions._crossover_angles(600)[0]
+    # A memo hit bisects the memoized crossovers in place. At k = 600 they
+    # take 720 kB; a copy of them would allocate as much.
+    crossovers = regions._crossover_angles(600)[0]
     tracemalloc.start()
     try:
         accumulation_derivatives(600, 0.3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < angles.nbytes / 4
+    assert peak < crossovers.nbytes / 4
     assert scans == [600]
 
 
@@ -712,8 +717,8 @@ def test_memo_hit_verdicts_equal_fresh_scans(scans, k, steps):
 
 
 def test_memo_keeps_its_angle_budget_and_evicts_least_recent_first(monkeypatch, scans):
-    # k = 9, 10, 11 and 12 cross at 20, 25, 30 and 36 angles.
-    sizes = {k: regions._scan(k)[0].size for k in (9, 10, 11, 12)}
+    # k = 9, 10, 11 and 12 have 20, 25, 30 and 36 crossing pairs.
+    sizes = {k: regions._scan(k)[2].size for k in (9, 10, 11, 12)}
     assert sizes == {9: 20, 10: 25, 11: 30, 12: 36}
     budget = sizes[10] + sizes[11] + sizes[12]
     monkeypatch.setattr(regions, "SCAN_MEMO_ANGLES", budget)
@@ -722,7 +727,7 @@ def test_memo_keeps_its_angle_budget_and_evicts_least_recent_first(monkeypatch, 
                     (10, [11, 12, 10]), (9, [12, 10, 9]), (11, [10, 9, 11]), (60, [])):
         regions._crossover_angles(k)
         assert list(memo) == held, k
-        assert sum(angles.size for angles, *_ in memo.values()) <= budget
+        assert sum(n.size for _, _, n, _ in memo.values()) <= budget
     assert scans[4:] == [10, 11, 12, 9, 11, 60]
 
 
@@ -754,7 +759,7 @@ def test_memo_stays_consistent_across_threads(monkeypatch, scans):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
-    assert sum(angles.size for angles, *_ in regions._scans.values()) <= 64
+    assert sum(n.size for _, _, n, _ in regions._scans.values()) <= 64
 
 
 def test_memoized_arrays_are_read_only(scans):

@@ -1,5 +1,5 @@
 """Source checks on the package surface: every exported name resolves and
-has a user, no module-level function or class is left dead, no module
+has a user, no module-level function, class or constant is left dead, no module
 imports a name it never uses, the README's limits table names every MAX_*
 constant with its value, every CLI command writes its output through
 one decorator, which alone maps a command's ValueError to click's usage
@@ -70,6 +70,18 @@ def test_every_module_level_function_and_class_is_used():
     dead = [f"{path.stem}.{node.name}" for path, tree in trees.items() for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in kept
             and references[node.name] == _references(node)[node.name]]
+    assert dead == []
+
+
+def test_every_module_level_constant_is_read():
+    # Each UPPERCASE constant is read somewhere in the package outside its
+    # own assignment; anything else is a knob a refactor left dead.
+    trees = {path: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    references = sum(map(_references, trees.values()), Counter())
+    dead = [f"{path.stem}.{target.id}" for path, tree in trees.items() for node in tree.body
+            if isinstance(node, ast.Assign) for target in node.targets
+            if isinstance(target, ast.Name) and target.id.isupper()
+            and references[target.id] == _references(node)[target.id]]
     assert dead == []
 
 

@@ -127,6 +127,7 @@ def test_json_round_trip():
     p = ProbVector([0.25, 0.5, 0.25])
     again = ProbVector.parse(_json_text(p))
     assert p.allclose(again, tol=0.0)
+    assert not p.allclose(ProbVector([0.25, 0.5, 0.25, 0.0]), tol=1.0)  # dimensions differ
 
 
 @pytest.mark.parametrize("text,want", [
