@@ -22,7 +22,7 @@ import operator
 import numpy as np
 
 from .majorization import MajorizationVerdict, compare
-from .vectors import TOL, ProbVector, check_work, normalize_rows
+from .vectors import TOL, ProbVector, as_integer, check_work, normalize_rows
 
 #: Largest k for which binomial coefficients are accumulated directly in
 #: doubles; above this each row is a product of component ratios anchored at
@@ -47,10 +47,7 @@ MAX_CHAIN_ENTRIES = 2**22
 
 def as_photon_number(k) -> int:
     """Validate a nonnegative integer photon count (floats are rejected)."""
-    try:
-        k = operator.index(k)
-    except TypeError:
-        raise ValueError(f"photon number must be an integer, got {k!r}") from None
+    k = as_integer(k, "photon number")
     if k < 0:
         raise ValueError(f"photon number must be nonnegative, got {k}")
     return k
@@ -150,8 +147,7 @@ def _spectrum_block(k: int, coefficients, c2, s2) -> np.ndarray:
     down = np.minimum(ratios, 1.0, out=ratios)[..., ::-1]
     np.multiply.accumulate(down, axis=-1, out=down)
     rows[..., :-1] *= ratios  # now the products down from the mode
-    rows /= np.add.reduce(rows, axis=-1, keepdims=True)
-    return rows
+    return normalize_rows(rows)
 
 
 def _coefficients(k: int):

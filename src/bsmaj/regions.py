@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .beamsplitter import as_photon_number, spectrum
-from .vectors import TOL, check_tol, check_work
+from .vectors import TOL, as_integer, check_tol, check_work
 
 QUARTER_PI = math.pi / 4
 
@@ -366,6 +366,7 @@ def region1_closed_form(k: int, j: int, theta: float) -> float:
     spectrum's accuracy and no binomial coefficient has to fit a float.
     """
     k = as_photon_number(k)
+    j = as_integer(j, "j")
     if not 0 <= j <= k - 1:
         raise ValueError(f"j must lie in [0, {k - 1}], got {j}")
     theta = _check_region_angle(theta)
@@ -401,6 +402,7 @@ def positivity_bound(k: int, n: int) -> float:
     parameterization, valid for 1 <= n <= k-1.
     """
     k = as_photon_number(k)
+    n = as_integer(n, "n")
     if not 1 <= n <= k - 1:
         raise ValueError(f"n must lie in [1, {k - 1}], got {n}")
     return math.atan((n / (k - n)) ** (1.0 / (2 * n - 1)))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,8 +17,8 @@ import numpy as np
 #: Comparison tolerance for ordering and equality decisions.
 TOL = 1e-12
 
-#: Constructor acceptance window for the unit-sum invariant. Sums inside the
-#: window are renormalized; anything further off is rejected as a bug.
+#: ``ProbVector``'s acceptance window for the unit-sum invariant of its input.
+#: Sums inside the window are renormalized; anything further off is rejected.
 NORM_TOL = 1e-9
 
 #: Most entries, p.dim times q.dim, a tensor product may have; larger ones
@@ -33,6 +34,15 @@ def check_work(count, limit, what: str) -> None:
     """
     if not count <= limit:
         raise ValueError(f"{what}, more than the limit of {limit}")
+
+
+def as_integer(value, name: str) -> int:
+    """``value`` as an int; a float or any other non-integer raises a
+    ValueError that names it ``name``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def check_tol(tol) -> None:
@@ -61,18 +71,12 @@ def checked_entries(arr: np.ndarray) -> np.ndarray:
 def normalize_rows(arr: np.ndarray) -> np.ndarray:
     """Divide each row (last axis) of nonnegative entries by its sum, in place.
 
-    A row whose sum lies further than ``NORM_TOL`` from one is rejected as a
-    bug rather than renormalized.
+    The one divider of the rows the package builds, so it checks no sum:
+    direct binomial, tensor and catalyst rows sum to one within 1e-14 before
+    the division, and mode-anchored rows are 1 at their mode and finite.
+    Outside input is checked by :class:`ProbVector`.
     """
-    totals = np.add.reduce(arr, axis=-1, keepdims=True)
-    if totals.size == 1:
-        off = abs(totals.item() - 1.0)
-    else:
-        off = np.maximum.reduce(np.abs(totals - 1.0), axis=None)
-    if off > NORM_TOL:
-        worst = float(totals.flat[np.abs(totals - 1.0).argmax()])
-        raise ValueError(f"components sum to {worst!r}, not 1")
-    arr /= totals
+    arr /= np.add.reduce(arr, axis=-1, keepdims=True)
     return arr
 
 
@@ -91,7 +95,10 @@ class ProbVector:
         arr = np.array(components, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("expected a non-empty 1-D sequence of probabilities")
-        arr = normalize_rows(checked_entries(arr))
+        total = float(np.add.reduce(checked_entries(arr)))
+        if abs(total - 1.0) > NORM_TOL:
+            raise ValueError(f"components sum to {total!r}, not 1")
+        arr /= total
         arr.setflags(write=False)
         self._components = arr
 
@@ -171,8 +178,7 @@ def sort_desc(p: ProbVector) -> OscVector:
     deterministic and stable under repeated application.
     """
     order = np.argsort(-p.components, kind="stable")
-    arranged = p.components[order].copy()
-    return OscVector(ProbVector._from_trusted(arranged), tuple(order.tolist()))
+    return OscVector(ProbVector._from_trusted(p.components[order]), tuple(order.tolist()))
 
 
 def tensor(p: ProbVector, q: ProbVector) -> ProbVector:

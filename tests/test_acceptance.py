@@ -183,7 +183,7 @@ def test_criterion_6_violation_structure():
 @_report(7, "deterministic conversion protocol, k<=30")
 def test_criterion_7_locc():
     for k in range(31):
-        pair = build_kraus(k)  # raises internally if completeness fails
+        pair = build_kraus(k)  # completeness is asserted below, not by build_kraus
         for m in range(k + 2):
             total = 0.0
             if m <= k:

@@ -198,7 +198,7 @@ def test_recurrence_matches_direct_grid(k):
 
 
 @pytest.mark.parametrize("k", [61, 85, 120])
-def test_log_space_path_matches_recurrence(k):
+def test_mode_anchored_path_matches_recurrence(k):
     for theta in (0.0, 0.2, math.pi / 4, 1.3, math.pi / 2):
         a = spectrum(k, theta).components
         b = spectrum_recurrence(k, theta).components

@@ -1,13 +1,12 @@
 """One work-bound rule: every cap goes through ``vectors.check_work``.
 
 Each cap is tested at its edge (a count equal to the limit is accepted, one
-more is refused), and two source checks keep the rule in place: no ``MAX_*``
-constant is compared outside ``check_work``, and the README limits table
-lists every one with its current value.
+more is refused), and a source check keeps the rule in place: no ``MAX_*``
+constant is compared outside ``check_work``. The README limits table is
+checked against the constants in ``test_source.py``.
 """
 
 import ast
-import importlib
 import math
 import re
 from pathlib import Path
@@ -20,6 +19,7 @@ from bsmaj.beamsplitter import photon_chain_check, spectrum
 from bsmaj.birkhoff import bs_witness_matrix
 from bsmaj.catalysis import CatalystSpec, check_catalysis, search_catalyst_all
 from bsmaj.entropy import entropy_curve
+from bsmaj.locc import build_kraus
 from bsmaj.regions import find_crossovers, infinitesimal_verdict
 from bsmaj.vectors import check_work, tensor
 
@@ -47,6 +47,7 @@ SITES = [
     (cli, "MAX_INPUT_BYTES", README.stat().st_size, lambda: cli._read_file(README)),
     (vectors, "MAX_TENSOR_ENTRIES", 3 * 4,
      lambda: tensor(spectrum(2, 0.3), spectrum(3, 0.3))),
+    (beamsplitter, "MAX_PHOTONS", 5, lambda: build_kraus(5)),
 ]
 
 
@@ -99,14 +100,3 @@ def test_caps_are_compared_only_by_check_work():
                 limits |= _names(node.args[1])
     assert compared == [], "compare MAX_* limits through check_work"
     assert caps <= limits, f"caps no check_work call enforces: {caps - limits}"
-
-
-def test_readme_limits_table_lists_every_cap():
-    rows = {}
-    for line in README.read_text().splitlines():
-        cells = [c.strip() for c in line.strip().strip("|").split("|")]
-        if line.startswith("| `") and len(cells) > 1:
-            rows[cells[0].strip("`")] = cells[1]
-    for module, name in _caps():
-        value = getattr(importlib.import_module(f"bsmaj.{module}"), name)
-        assert rows.get(f"{module}.{name}") == str(value), f"{module}.{name}"

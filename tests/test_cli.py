@@ -369,20 +369,6 @@ def test_csv_unsupported_commands_exit_two(cli_runner, command):
     assert f"{command} only supports --out json" in result.output
 
 
-def test_battery_runs_clean(cli_runner):
-    for args in CLI_BATTERY:
-        result = cli_runner.invoke(main, args, catch_exceptions=False)
-        assert result.exit_code == 0, (args, result.output)
-
-
-def test_battery_deterministic(cli_runner):
-    first = [cli_runner.invoke(main, args, catch_exceptions=False).output
-             for args in CLI_BATTERY]
-    second = [cli_runner.invoke(main, args, catch_exceptions=False).output
-              for args in CLI_BATTERY]
-    assert first == second
-
-
 #: Invocations that once ended in a traceback, ran without bound or printed
 #: NaN or Infinity into the JSON output, with the exit code each must give now.
 CONTRACT_CASES = [

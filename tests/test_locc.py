@@ -25,7 +25,7 @@ def test_kraus_single_photon_case():
     assert pair.f2_weights == pytest.approx((math.sqrt(0.5), 1.0), abs=1e-15)
 
 
-@pytest.mark.parametrize("k", [0, 1, 2, 5, 13, 30])
+@pytest.mark.parametrize("k", [0, 1, 2, 5, 13, 30, 1000, 10**5])
 def test_kraus_completeness(k):
     pair = build_kraus(k)
     for m in range(k + 2):

@@ -142,6 +142,12 @@ def test_random_majorized_rejects_zero_perms():
         random_majorized(ProbVector([1.0]), 0, seed=0)
 
 
+@pytest.mark.parametrize("n_perms", [3.0, 0.5])
+def test_random_majorized_rejects_a_float_n_perms(n_perms):
+    with pytest.raises(ValueError, match=f"^n_perms must be an integer, got {n_perms}$"):
+        random_majorized(ProbVector([0.7, 0.3]), n_perms, 0)
+
+
 def test_transitivity_on_generated_chains():
     rng = np.random.default_rng(3)
     for trial in range(60):

@@ -560,6 +560,11 @@ def test_region1_closed_form_rejects_bad_j():
         region1_closed_form(3, -1, 0.2)
 
 
+def test_region1_closed_form_rejects_a_non_integer_j():
+    with pytest.raises(ValueError, match="^j must be an integer, got 0.5$"):
+        region1_closed_form(3, 0.5, 0.3)
+
+
 # ---------------------------------------------------------------------------
 # infinitesimal verdicts
 
@@ -828,3 +833,8 @@ def test_positivity_bound_rejects_out_of_range():
         positivity_bound(3, 0)
     with pytest.raises(ValueError):
         positivity_bound(3, 3)
+
+
+def test_positivity_bound_rejects_a_non_integer_index():
+    with pytest.raises(ValueError, match="^n must be an integer, got 1.5$"):
+        positivity_bound(5, 1.5)
