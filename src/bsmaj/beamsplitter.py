@@ -45,11 +45,14 @@ MAX_SWEEP_ENTRIES = 2**23
 MAX_CHAIN_ENTRIES = 2**22
 
 
-def as_photon_number(k) -> int:
-    """Validate a nonnegative integer photon count (floats are rejected)."""
+def check_photons(k) -> int:
+    """Validate a photon number: an integer (floats are rejected), nonnegative
+    and at most ``MAX_PHOTONS``. Every photon-number argument of the package
+    passes this one check, before any other."""
     k = as_integer(k, "photon number")
     if k < 0:
         raise ValueError(f"photon number must be nonnegative, got {k}")
+    check_work(k, MAX_PHOTONS, f"photon number {k}")
     return k
 
 
@@ -83,7 +86,7 @@ def spectrum(k: int, theta: float) -> ProbVector:
     The one-row case of :func:`spectrum_rows`: the same photon and angle
     checks and the same block function, given cos^2 and sin^2 as floats.
     """
-    k = _check_photons(k)
+    k = check_photons(k)
     theta = check_angle(theta)
     row = _spectrum_block(k, _coefficients(k), math.cos(theta) ** 2, math.sin(theta) ** 2)
     return ProbVector._from_trusted(row)
@@ -104,7 +107,7 @@ def spectrum_rows(k: int, thetas):
     angle come from one :func:`angle_squares` pass, bit for bit those
     :func:`spectrum` takes.
     """
-    k = _check_photons(k)
+    k = check_photons(k)
     thetas = np.ravel(thetas)
     entries = thetas.size * (k + 1)
     check_work(entries, MAX_SWEEP_ENTRIES,
@@ -115,14 +118,6 @@ def spectrum_rows(k: int, thetas):
     for start in range(0, c2.size, step):
         block = slice(start, start + step)
         yield _spectrum_block(k, coefficients, c2[block, None], s2[block, None])
-
-
-def _check_photons(k) -> int:
-    """A photon number checked by ``as_photon_number`` and against
-    ``MAX_PHOTONS``."""
-    k = as_photon_number(k)
-    check_work(k, MAX_PHOTONS, f"photon number {k}")
-    return k
 
 
 def _spectrum_block(k: int, coefficients, c2, s2) -> np.ndarray:
@@ -186,13 +181,12 @@ def photon_chain_check(
     k = 0 .. k_max-1. Every verdict is expected to be MajorizedBy, or Equal
     in the degenerate fully-transmitting and fully-reflecting cases.
     """
-    k_max = as_photon_number(k_max)
+    k_max = check_photons(k_max)
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     entries = k_max * (k_max + 2)  # spectra of k+1 and k photons, k < k_max
     check_work(entries, MAX_CHAIN_ENTRIES,
                f"a photon chain up to k_max={k_max} builds {entries} spectrum entries")
-    theta = check_angle(theta)
     return [
         compare(spectrum(k + 1, theta), spectrum(k, theta), tol=tol)
         for k in range(k_max)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beamsplitter import as_photon_number, check_angle
+from .beamsplitter import check_angle, check_photons
 from .vectors import NORM_TOL, TOL, ProbVector, check_tol, check_work, checked_entries
 
 #: Most entries, (k+2)^2, a photon-chain witness matrix may have; larger
@@ -89,7 +89,7 @@ def bs_witness_matrix(k: int, theta: float) -> DoublyStochasticMatrix:
     never contributes. Applying it to the zero-padded k-photon spectrum
     yields the (k+1)-photon spectrum at the same angle.
     """
-    k = as_photon_number(k)
+    k = check_photons(k)
     theta = check_angle(theta)
     d = k + 2
     check_work(d * d, MAX_WITNESS_ENTRIES, f"the witness of k={k} has {d * d} entries")

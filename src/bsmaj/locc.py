@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .beamsplitter import _check_photons, as_photon_number, check_angle, spectrum
+from .beamsplitter import MAX_PHOTONS, check_photons, spectrum
 from .majorization import Relation, compare
-from .vectors import TOL, ProbVector
+from .vectors import TOL, ProbVector, check_work
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,7 @@ def build_kraus(k: int) -> KrausPair:
     Completeness, f1[m]^2 + f2[m-1]^2 = 1 at each basis index m, holds as
     rationals and within 2.2e-16 as doubles, so it is not re-checked.
     """
-    k = _check_photons(k)
+    k = check_photons(k)
     denom = k + 1
     f1 = tuple(math.sqrt((k + 1 - n) / denom) for n in range(k + 1))
     f2 = tuple(math.sqrt((n + 1) / denom) for n in range(k + 1))
@@ -104,9 +104,10 @@ def locc(k: int, theta: float, *,
          tol: float = TOL) -> tuple[LoccOutcomeReport, LoccOutcomeReport, ProbVector, bool]:
     """Both branch reports of :func:`run_protocol`, the k-photon target
     spectrum and the agreement :func:`verify_nielsen` reports, from one
-    (k+1)-photon and one k-photon spectrum."""
-    k = as_photon_number(k)
-    theta = check_angle(theta)
+    (k+1)-photon and one k-photon spectrum. Its input carries k+1 photons,
+    so k+1 is held to ``MAX_PHOTONS`` too; ``spectrum`` checks the angle."""
+    k = check_photons(k)
+    check_work(k + 1, MAX_PHOTONS, f"k={k} takes an input of {k + 1} photons")
     source, target = spectrum(k + 1, theta), spectrum(k, theta)
     amps = np.sqrt(source.components)
     pair = build_kraus(k)

@@ -126,11 +126,14 @@ def random_majorized(q: ProbVector, n_perms: int, seed: int) -> ProbVector:
 
     The result is majorized by ``q`` by construction (a mixture of
     permutations acts as a doubly stochastic matrix). Deterministic for a
-    given seed.
+    given nonnegative integer seed.
     """
     n_perms = as_integer(n_perms, "n_perms")
     if n_perms < 1:
         raise ValueError("n_perms must be at least 1")
+    seed = as_integer(seed, "seed")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
     weights = rng.dirichlet(np.ones(n_perms))
     mixed = np.zeros(q.dim)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beamsplitter import as_photon_number, spectrum
+from .beamsplitter import check_photons, spectrum
 from .vectors import TOL, as_integer, check_tol, check_work
 
 QUARTER_PI = math.pi / 4
@@ -124,13 +124,16 @@ def find_crossovers(k: int) -> RegionPartition:
         tan(theta)^(2(n-m)) = (m! (k-m)!) / (n! (k-n)!) = C(k,n) / C(k,m),
 
     an explicit equation with a single solution per pair. Solutions are
-    kept when they fall strictly inside (0, pi/4), sorted, and deduplicated
-    within tolerance; the coinciding pairs are recorded per crossover.
+    kept when they fall more than ``TOL`` inside (0, pi/4) and sorted. One
+    gap test merges them: an angle more than ``TOL`` above the angle before
+    it opens a crossover, and any other joins the crossover before it. The
+    coinciding pairs are recorded per crossover.
 
-    Raises ``ValueError`` when the partition could hold more than
-    ``MAX_REGION_ENTRIES`` ordering entries.
+    Raises ``ValueError`` for a photon number :func:`check_photons` refuses,
+    and when the partition could hold more than ``MAX_REGION_ENTRIES``
+    ordering entries.
     """
-    k = as_photon_number(k)
+    k = check_photons(k)
     if k < 1:
         raise ValueError("k must be at least 1")
     bound = (k + 1) * (k * (k + 1) // 2 + 1)
@@ -193,8 +196,9 @@ def _scan(k: int) -> tuple[np.ndarray, ...]:
 
     Only the pairs of :func:`_crossing_pairs` cross inside; their angles
     come from :func:`_angles`, ``CROSSING_BLOCK`` pairs at a time. One
-    stable sort keeps the pair order among equal angles, and an angle within
-    ``TOL`` of its crossover's first angle joins that crossover.
+    stable sort keeps the pair order among equal angles. An angle opens a
+    crossover when it lies more than ``TOL`` above the angle before it, and
+    otherwise joins the crossover of that angle.
     """
     binom = [math.comb(k, j) for j in range(k + 1)]
     n, m = _crossing_pairs(k)
@@ -206,7 +210,7 @@ def _scan(k: int) -> tuple[np.ndarray, ...]:
     theta = theta[order]
     inside = slice(theta.searchsorted(TOL, "right"), theta.searchsorted(QUARTER_PI - TOL))
     theta, order = theta[inside], order[inside]
-    first = _opens_crossover(theta)
+    first = np.diff(theta, prepend=-math.inf) > TOL
     scan = theta[first], first, n[order], m[order]
     for array in scan:
         array.flags.writeable = False
@@ -226,25 +230,6 @@ def _crossing_pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
     n = np.repeat(top, counts)
     m = np.arange(n.size) + np.repeat(k + 1 - top - (np.cumsum(counts) - counts), counts)
     return n, m
-
-
-def _opens_crossover(theta: np.ndarray) -> np.ndarray:
-    """Which of the ascending angles open a crossover: those more than
-    ``TOL`` above the first angle of the crossover before them.
-
-    A gap above ``TOL`` always opens one. Only a gap within it needs the
-    first angle of its crossover, so only those angles are visited in turn.
-    """
-    first = np.diff(theta, prepend=-math.inf) > TOL
-    if first.all():
-        return first
-    lead = np.maximum.accumulate(np.where(first, np.arange(theta.size), 0)).tolist()
-    last = 0
-    for i in np.flatnonzero(~first).tolist():
-        last = max(last, lead[i])
-        if theta[i] - theta[last] > TOL:
-            first[i], last = True, i
-    return first
 
 
 def _angles(binom: list[int], n: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -331,7 +316,7 @@ def accumulation_derivatives(
     of a crossover (or of pi/4 itself), where the sorting permutation is
     not well defined. A NaN, infinite or negative ``tol`` raises ValueError.
     """
-    k = as_photon_number(k)
+    k = check_photons(k)
     theta = _check_region_angle(theta)
     check_tol(tol)
     if k == 0:
@@ -365,7 +350,7 @@ def region1_closed_form(k: int, j: int, theta: float) -> float:
     P_(k-j) = C(k,j) cos(theta)^(2(k-j)) sin(theta)^(2j), so it takes the
     spectrum's accuracy and no binomial coefficient has to fit a float.
     """
-    k = as_photon_number(k)
+    k = check_photons(k)
     j = as_integer(j, "j")
     if not 0 <= j <= k - 1:
         raise ValueError(f"j must lie in [0, {k - 1}], got {j}")
@@ -401,7 +386,7 @@ def positivity_bound(k: int, n: int) -> float:
     Here n indexes the components in the first-region sorted
     parameterization, valid for 1 <= n <= k-1.
     """
-    k = as_photon_number(k)
+    k = check_photons(k)
     n = as_integer(n, "n")
     if not 1 <= n <= k - 1:
         raise ValueError(f"n must lie in [1, {k - 1}], got {n}")

@@ -8,13 +8,19 @@ import pytest
 
 from bsmaj import (
     Relation,
+    accumulation_derivatives,
+    bs_witness_matrix,
+    build_kraus,
     entropy_curve,
+    find_crossovers,
     photon_chain_check,
+    positivity_bound,
+    region1_closed_form,
     renyi,
     sort_desc,
     spectrum,
 )
-from bsmaj import beamsplitter
+from bsmaj import beamsplitter, locc
 from bsmaj.beamsplitter import (DIRECT_K_LIMIT, MAX_PHOTONS, angle_squares, check_angle,
                                 spectrum_rows)
 from bsmaj.vectors import normalize_rows
@@ -68,6 +74,33 @@ def test_photon_number_bound():
         spectrum(MAX_PHOTONS + 1, 0.5)
     with pytest.raises(ValueError, match="limit"):
         spectrum(10**8, 0.5)
+
+
+#: Every entry point that takes a photon number, called with that number
+#: and, where it takes more, arguments it would refuse too.
+PHOTON_NUMBER_CALLS = {
+    "spectrum": lambda k: spectrum(k, -1.0),
+    "spectrum_rows": lambda k: next(spectrum_rows(k, [-1.0])),
+    "photon_chain_check": lambda k: photon_chain_check(k, -1.0),
+    "build_kraus": build_kraus,
+    "locc": lambda k: locc.locc(k, -1.0),
+    "find_crossovers": find_crossovers,
+    "accumulation_derivatives": lambda k: accumulation_derivatives(k, -1.0, tol=-1.0),
+    "region1_closed_form": lambda k: region1_closed_form(k, -1, -1.0),
+    "positivity_bound": lambda k: positivity_bound(k, 0),
+    "bs_witness_matrix": lambda k: bs_witness_matrix(k, -1.0),
+}
+
+
+@pytest.mark.parametrize("k,message", [
+    (1.5, "photon number must be an integer, got 1.5"),
+    (-1, "photon number must be nonnegative, got -1"),
+    (MAX_PHOTONS + 1, f"photon number {MAX_PHOTONS + 1}, more than the limit of {MAX_PHOTONS}"),
+])
+@pytest.mark.parametrize("call", PHOTON_NUMBER_CALLS.values(), ids=PHOTON_NUMBER_CALLS)
+def test_every_photon_number_passes_one_check_first(call, k, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(k)
 
 
 def test_spectra_at_the_photon_cap_normalize_at_small_angles():

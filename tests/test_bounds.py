@@ -14,12 +14,12 @@ from pathlib import Path
 import pytest
 
 import bsmaj
-from bsmaj import beamsplitter, birkhoff, catalysis, cli, entropy, regions, vectors
+from bsmaj import beamsplitter, birkhoff, catalysis, cli, entropy, locc, regions, vectors
 from bsmaj.beamsplitter import photon_chain_check, spectrum
 from bsmaj.birkhoff import bs_witness_matrix
 from bsmaj.catalysis import CatalystSpec, check_catalysis, search_catalyst_all
 from bsmaj.entropy import entropy_curve
-from bsmaj.locc import build_kraus
+from bsmaj.locc import build_kraus, verify_nielsen
 from bsmaj.regions import find_crossovers, infinitesimal_verdict
 from bsmaj.vectors import check_work, tensor
 
@@ -48,6 +48,7 @@ SITES = [
     (vectors, "MAX_TENSOR_ENTRIES", 3 * 4,
      lambda: tensor(spectrum(2, 0.3), spectrum(3, 0.3))),
     (beamsplitter, "MAX_PHOTONS", 5, lambda: build_kraus(5)),
+    (locc, "MAX_PHOTONS", 5 + 1, lambda: verify_nielsen(5, 0.3)),
 ]
 
 

@@ -11,6 +11,7 @@ from bsmaj import (
     verify_nielsen,
 )
 from bsmaj import locc
+from bsmaj.beamsplitter import MAX_PHOTONS
 
 
 def test_kraus_smallest_case():
@@ -120,6 +121,14 @@ def test_nielsen_verification_builds_two_spectra(monkeypatch):
     monkeypatch.setattr(locc, "spectrum", counted)
     assert verify_nielsen(4, 0.7)
     assert sorted(calls) == [4, 5]
+
+
+def test_protocol_refuses_k_whose_input_is_above_the_photon_cap():
+    # build_kraus accepts k = MAX_PHOTONS, but the protocol's input carries k+1
+    message = (f"k={MAX_PHOTONS} takes an input of {MAX_PHOTONS + 1} photons, "
+               f"more than the limit of {MAX_PHOTONS}")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        verify_nielsen(MAX_PHOTONS, 0.5)
 
 
 def test_report_serialization():

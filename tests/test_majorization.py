@@ -148,6 +148,15 @@ def test_random_majorized_rejects_a_float_n_perms(n_perms):
         random_majorized(ProbVector([0.7, 0.3]), n_perms, 0)
 
 
+@pytest.mark.parametrize("seed,message", [
+    (0.5, "seed must be an integer, got 0.5"),
+    (-1, "seed must be nonnegative, got -1"),
+])
+def test_random_majorized_refuses_a_seed_that_is_no_nonnegative_integer(seed, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        random_majorized(ProbVector([0.7, 0.3]), 2, seed)
+
+
 def test_transitivity_on_generated_chains():
     rng = np.random.default_rng(3)
     for trial in range(60):

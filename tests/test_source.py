@@ -1,6 +1,6 @@
 """Source checks on the package surface: every exported name resolves and
 has a user, no module-level function, class or constant is left dead, no module
-imports a name it never uses, the README's limits table names every MAX_*
+imports a name it never uses or another module's private name, the README's limits table names every MAX_*
 constant with its value, every CLI command writes its output through
 one decorator, which alone maps a command's ValueError to click's usage
 error, and no functools cache is unbounded."""
@@ -107,6 +107,23 @@ def _unused_imports(tree):
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(ast.parse(path.read_text())) == []
+
+
+def _private_imports(tree):
+    """(line, name) of each underscore-prefixed name, dunders aside, that a
+    module imports from within the package."""
+    return [(node.lineno, alias.name) for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and (node.level > 0 or (node.module or "").startswith("bsmaj"))
+            for alias in node.names
+            if alias.name.startswith("_") and not alias.name.endswith("__")]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_another_modules_private_name(path):
+    # A name another module needs is public in its own; a private one is
+    # free to change with the module that defines it.
+    assert _private_imports(ast.parse(path.read_text())) == []
 
 
 def _limits_table():
