@@ -22,7 +22,7 @@ import operator
 import numpy as np
 
 from .majorization import MajorizationVerdict, compare
-from .vectors import TOL, ProbVector, as_integer, check_work, normalize_rows
+from .vectors import TOL, ProbVector, as_integer, as_real, as_real_array, check_work, normalize_rows
 
 #: Largest k for which binomial coefficients are accumulated directly in
 #: doubles; above this each row is a product of component ratios anchored at
@@ -56,11 +56,14 @@ def check_photons(k) -> int:
     return k
 
 
-def check_angle(theta: float) -> float:
-    """Validate a coupling angle in [0, pi/2]."""
-    theta = float(theta)
-    if not 0.0 <= theta <= math.pi / 2:
-        raise ValueError(f"theta must lie in [0, pi/2], got {theta!r}")
+def check_angle(theta, upper: float = math.pi / 2) -> float:
+    """Validate a coupling angle in [0, upper]: pi/2, or pi/4 for the regions."""
+    theta = as_real(theta, "theta")
+    if not 0.0 <= theta <= upper:
+        if upper == math.pi / 2:
+            raise ValueError(f"theta must lie in [0, pi/2], got {theta!r}")
+        raise ValueError(f"theta must lie in [0, pi/4], got {theta!r}; angles beyond pi/4 "
+                         "mirror onto pi/2 - theta with transmittance and reflectance swapped")
     return theta
 
 
@@ -73,7 +76,7 @@ def angle_squares(thetas) -> tuple[np.ndarray, np.ndarray]:
     ``math.cos(t) ** 2`` and ``math.sin(t) ** 2`` do, bit for bit, where
     ``np.cos(t) ** 2`` (a multiply) does not always.
     """
-    t = np.ravel(np.asarray(thetas, dtype=float))
+    t = np.ravel(as_real_array(thetas, "theta"))
     inside = (t >= 0.0) & (t <= math.pi / 2)
     if not inside.all():
         check_angle(t[inside.argmin()])

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .beamsplitter import check_angle, check_photons
-from .vectors import NORM_TOL, TOL, ProbVector, check_tol, check_work, checked_entries
+from .vectors import (NORM_TOL, TOL, ProbVector, as_real_array, check_tol, check_work,
+                      checked_entries)
 
 #: Most entries, (k+2)^2, a photon-chain witness matrix may have; larger
 #: photon numbers are rejected before the matrix is allocated.
@@ -27,7 +28,7 @@ class DoublyStochasticMatrix:
     __slots__ = ("_entries",)
 
     def __init__(self, entries):
-        arr = np.array(entries, dtype=float)
+        arr = as_real_array(entries, "entries")
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.size == 0:
             raise ValueError("expected a non-empty square matrix")
         checked_entries(arr)
@@ -129,7 +130,7 @@ def birkhoff_decompose(
     doubly stochastic, and the decomposition is refused. A NaN, infinite or
     negative ``tol`` raises ValueError.
     """
-    check_tol(tol)
+    tol = check_tol(tol)
     res = D.entries.copy()
     d = D.d
     max_terms = (d - 1) ** 2 + 1

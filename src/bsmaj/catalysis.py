@@ -20,8 +20,8 @@ from .beamsplitter import angle_squares, check_angle
 from .entropy import renyi_orders
 from .majorization import (MajorizationVerdict, Relation, compare, gap_relation,
                            majorized_by_mask, prefix_gaps)
-from .vectors import (TOL, ProbVector, check_tol, check_work, normalize_rows, tensor,
-                      tensor_rows)
+from .vectors import (TOL, ProbVector, as_real, check_tol, check_work, normalize_rows,
+                      tensor, tensor_rows)
 
 #: Spectral mass of a squeezed vacuum beyond the truncation that
 #: :func:`tmsv_dimension` counts. Only ``catalysis check`` uses it, and prints
@@ -98,7 +98,7 @@ class CatalystSpec:
 def check_squeezing(r: float) -> float:
     """Validate a squeezing parameter: positive, and small enough that
     tanh^2 r stays below 1 (a NaN is refused too)."""
-    r = float(r)
+    r = as_real(r, "squeezing parameter")
     if not r > 0.0:
         raise ValueError(f"squeezing parameter must be positive, got {r!r}")
     if math.tanh(r) ** 2 >= 1.0:
@@ -197,6 +197,7 @@ def check_catalysis(
     underflows to 0, the one-entry catalyst [1]), is materialized and
     compared by prefix sums.
     """
+    tol = check_tol(tol)
     verdict_without = compare(p, q, tol=tol)
     rho = math.tanh(c.r) ** 2 if c.family is CatalystFamily.TMSV else 0.0
     if rho > 0.0:
@@ -351,7 +352,7 @@ def necessary_conditions(p: ProbVector, q: ProbVector, *, tol: float = TOL) -> b
     for a k = 3 pair on a 2-vCPU AMD EPYC host, where stopping at the first
     failing order took about 21 us (and a passing pair about 97 us).
     """
-    check_tol(tol)
+    tol = check_tol(tol)
     s_p = renyi_orders(p.components, ALPHA_GRID)
     s_q = renyi_orders(q.components, ALPHA_GRID)
     return bool(np.all(s_p >= s_q - tol))
@@ -409,17 +410,18 @@ def _search(p, q, family, grid, r_max, tol):
     made per block: its least and greatest gaps give every verdict of the
     block as one array (:func:`~bsmaj.majorization.majorized_by_mask`), and
     a ``CatalystSpec`` is built only for a hit, by the dataclass itself: the
-    grid lies in the family's range, and ``r_max`` is validated once. A
-    squeezed-vacuum search sorts the pair's entries once, for its ``r_max``
-    guard and its blocks.
+    grid lies in the family's range, and ``r_max`` is validated once, by
+    :meth:`CatalystSpec.tmsv` in either family. A squeezed-vacuum search
+    sorts the pair's entries once, for its ``r_max`` guard and its blocks.
     """
     family = CatalystFamily(family)
     if family is CatalystFamily.EXPLICIT:
         raise ValueError("search requires a parametric family")
+    grid, tol = as_real(grid, "grid step"), check_tol(tol)
     if not 0 < grid < math.inf:
         raise ValueError(f"grid step must be positive and finite, got {grid!r}")
-    single = family is CatalystFamily.SINGLE_PHOTON
-    limit = math.pi / 4 if single else CatalystSpec.tmsv(r_max).r
+    r_max, single = CatalystSpec.tmsv(r_max).r, family is CatalystFamily.SINGLE_PHOTON
+    limit = math.pi / 4 if single else r_max
     span = limit + 1e-15
     check_work(span / grid, MAX_CANDIDATES,
                f"grid step {grid!r} would scan about {span / grid:.3g} candidates")

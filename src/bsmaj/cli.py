@@ -41,7 +41,7 @@ from .regions import (
     find_crossovers,
     infinitesimal_verdict,
 )
-from .vectors import TOL, ProbVector, check_work, sort_desc
+from .vectors import TOL, ProbVector, check_tol, check_work, sort_desc
 
 
 #: Most angles an entropy sweep may sample.
@@ -165,20 +165,14 @@ VECTOR = ParsedType("vector", parse_vector_arg, ProbVector)
 CATALYST = ParsedType("catalyst", parse_catalyst_arg, CatalystSpec)
 
 
-def _finite(ctx, param, value):
-    """Reject NaN, which passes every range check, and infinities."""
-    if not math.isfinite(value):
-        raise click.BadParameter(f"{value!r} is not a finite number", ctx, param)
-    return value
-
-
 def _emits(command: str, *, csv: bool = False):
     """Make a body, which takes ``tol`` and its options and returns
     ``(params, results)``, into a command that writes the results.
 
     ``--out csv`` is refused before the body runs unless ``csv`` is set. A
-    ValueError from the body, the library's or its own, raised on malformed
-    or out-of-range parameters, is a usage error (exit 2). CSV holds a 1-D
+    ValueError from ``check_tol`` of ``--tol``, which every body is given, or
+    from the body, raised on malformed or out-of-range parameters, is a
+    usage error (exit 2). CSV holds a 1-D
     array as one column, or a table ``{columns, rows[, crossovers]}`` as
     header, rows and annotations.
     """
@@ -190,7 +184,7 @@ def _emits(command: str, *, csv: bool = False):
             if obj["out"] == "csv" and not csv:
                 raise click.UsageError(f"{command} only supports --out json")
             try:
-                params, results = fn(obj["tol"], **options)
+                params, results = fn(check_tol(obj["tol"]), **options)
             except ValueError as exc:
                 raise click.UsageError(str(exc)) from exc
             if obj["out"] == "csv":
@@ -240,8 +234,7 @@ def _sweep(k: int, orders, steps: int, theta_min: float = 0.0,
 @click.version_option(version=__version__, prog_name="bsmaj")
 @click.option("--out", type=click.Choice(["json", "csv"]), default="json",
               show_default=True, help="Output format.")
-@click.option("--tol", type=click.FloatRange(min=0), default=TOL, show_default=True,
-              callback=_finite,
+@click.option("--tol", type=float, default=TOL, show_default=True,
               help="Comparison tolerance for ordering decisions.")
 @click.option("--seed", type=int, default=0, show_default=True,
               help="Seed for any randomized operation.")
@@ -394,9 +387,9 @@ def catalysis_check_cmd(tol, p, q, catalyst):
 @click.option("--p", type=VECTOR, required=True)
 @click.option("--q", type=VECTOR, required=True)
 @click.option("--family", type=click.Choice(["single-photon", "tmsv"]), required=True)
-@click.option("--grid", type=float, required=True, callback=_finite,
+@click.option("--grid", type=float, required=True,
               help="Parameter grid step.")
-@click.option("--r-max", type=float, default=3.0, show_default=True, callback=_finite,
+@click.option("--r-max", type=float, default=3.0, show_default=True,
               help="Upper end of the squeezing-parameter scan.")
 @click.option("--all", "all_", is_flag=True, help="Report the whole success set.")
 @_emits("catalysis search")

@@ -11,7 +11,7 @@ import sys
 import numpy as np
 
 from .beamsplitter import spectrum_rows
-from .vectors import TOL, ProbVector, check_work
+from .vectors import TOL, ProbVector, as_real, check_work
 
 #: Orders this close to 1 are routed to the Shannon branch; the 1/(1-alpha)
 #: prefactor is numerically unusable nearer than this.
@@ -37,12 +37,12 @@ LN2 = math.log(2.0)
 
 
 def parse_order(text) -> float:
-    """Parse an entropy order: a nonnegative number or the string 'inf'."""
+    """Read an entropy order: a nonnegative number, or its text, 'inf' too."""
     if isinstance(text, str):
         token = text.strip().lower()
         alpha = math.inf if token in ("inf", "infinity", "oo") else float(token)
     else:
-        alpha = float(text)
+        alpha = as_real(text, "entropy order")
     if math.isnan(alpha) or alpha < 0:
         raise ValueError(f"entropy order must be nonnegative, got {text!r}")
     return alpha
@@ -118,8 +118,10 @@ def entropy_curve(k: int, orders, theta_grid, *, bits: bool = False) -> np.ndarr
     ``renyi(spectrum(k, theta), order)``. More than ``MAX_CURVE_VALUES``
     values are refused before any spectrum is computed.
     """
+    if isinstance(orders, (str, bytes)) or not np.iterable(orders):
+        raise ValueError(f"orders must be a sequence of entropy orders, got {orders!r}")
     alphas = [parse_order(a) for a in orders]
-    grid = np.asarray(theta_grid, dtype=float).ravel()
+    grid = np.ravel(theta_grid)  # read, and refused, by spectrum_rows
     values = grid.size * len(alphas)
     check_work(values, MAX_CURVE_VALUES,
                f"{grid.size} angles at {len(alphas)} orders make {values} entropy values")

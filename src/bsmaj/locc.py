@@ -19,7 +19,7 @@ import numpy as np
 
 from .beamsplitter import MAX_PHOTONS, check_photons, spectrum
 from .majorization import Relation, compare
-from .vectors import TOL, ProbVector, check_work
+from .vectors import TOL, ProbVector, check_tol, check_work
 
 
 @dataclass(frozen=True)
@@ -107,6 +107,7 @@ def locc(k: int, theta: float, *,
     (k+1)-photon and one k-photon spectrum. Its input carries k+1 photons,
     so k+1 is held to ``MAX_PHOTONS`` too; ``spectrum`` checks the angle."""
     k = check_photons(k)
+    tol = check_tol(tol)
     check_work(k + 1, MAX_PHOTONS, f"k={k} takes an input of {k + 1} photons")
     source, target = spectrum(k + 1, theta), spectrum(k, theta)
     amps = np.sqrt(source.components)

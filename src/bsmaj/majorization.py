@@ -108,7 +108,7 @@ def compare(p: ProbVector, q: ProbVector, *, tol: float = TOL) -> MajorizationVe
     so ``compare(q, p)`` is always the mirror of ``compare(p, q)``. A NaN,
     infinite or negative ``tol`` raises ValueError.
     """
-    check_tol(tol)
+    tol = check_tol(tol)
     gaps = prefix_gaps(p.components, q.components)
     gaps.flags.writeable = False
     # the entries at argmin and argmax are the extremes, found without the

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beamsplitter import check_photons, spectrum
-from .vectors import TOL, as_integer, check_tol, check_work
+from .beamsplitter import check_angle, check_photons, spectrum
+from .vectors import TOL, as_integer, as_real, check_tol, check_work
 
 QUARTER_PI = math.pi / 4
 
@@ -82,6 +82,7 @@ class RegionPartition:
 
     def region_of(self, theta: float) -> int:
         """1-based region label of an angle in [0, pi/4)."""
+        theta = as_real(theta, "theta")
         if not 0.0 <= theta < QUARTER_PI:
             raise ValueError(f"theta must lie in [0, pi/4), got {theta!r}")
         return bisect_right(self.crossovers, theta) + 1
@@ -317,8 +318,8 @@ def accumulation_derivatives(
     not well defined. A NaN, infinite or negative ``tol`` raises ValueError.
     """
     k = check_photons(k)
-    theta = _check_region_angle(theta)
-    check_tol(tol)
+    theta = check_angle(theta, QUARTER_PI)
+    tol = check_tol(tol)
     if k == 0:
         return AccumulationDerivatives(theta=theta, values=())
     if QUARTER_PI - theta <= tol:
@@ -354,7 +355,7 @@ def region1_closed_form(k: int, j: int, theta: float) -> float:
     j = as_integer(j, "j")
     if not 0 <= j <= k - 1:
         raise ValueError(f"j must lie in [0, {k - 1}], got {j}")
-    theta = _check_region_angle(theta)
+    theta = check_angle(theta, QUARTER_PI)
     return -2.0 * (k - j) * math.tan(theta) * float(spectrum(k, theta).components[k - j])
 
 
@@ -391,13 +392,3 @@ def positivity_bound(k: int, n: int) -> float:
     if not 1 <= n <= k - 1:
         raise ValueError(f"n must lie in [1, {k - 1}], got {n}")
     return math.atan((n / (k - n)) ** (1.0 / (2 * n - 1)))
-
-
-def _check_region_angle(theta: float) -> float:
-    theta = float(theta)
-    if not 0.0 <= theta <= QUARTER_PI:
-        raise ValueError(
-            f"theta must lie in [0, pi/4], got {theta!r}; angles beyond pi/4 "
-            "mirror onto pi/2 - theta with transmittance and reflectance swapped"
-        )
-    return theta

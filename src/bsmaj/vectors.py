@@ -37,19 +37,48 @@ def check_work(count, limit, what: str) -> None:
 
 
 def as_integer(value, name: str) -> int:
-    """``value`` as an int; a float or any other non-integer raises a
+    """``value`` as an int; a bool, a float or any other non-integer raises a
     ValueError that names it ``name``."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def as_real(value, name: str) -> float:
+    """``value`` as a float, NaN and infinities included; a bool, text, a
+    complex number, an array (one element converts on numpy 1), or what
+    ``float()`` refuses or cannot hold raises a ValueError naming ``name``."""
+    if not isinstance(value, (bool, np.bool_, str, bytes, np.complexfloating, np.ndarray)):
+        try:
+            return float(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
+def as_real_array(values, name: str) -> np.ndarray:
+    """``values`` as a new float array; bool, text or complex entries, or any
+    that ``float()`` refuses or cannot hold, raise a ValueError naming ``name``."""
     try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        arr = np.array(values)
+        if arr.dtype.kind in "iufO":
+            return arr.astype(float, copy=False)
+        problem = f"got an array of {arr.dtype}"
+    except (TypeError, ValueError, OverflowError) as exc:
+        problem = exc
+    raise ValueError(f"{name} must hold real numbers, none too large for a float: {problem}")
 
 
-def check_tol(tol) -> None:
-    """Refuse a comparison tolerance that is not finite and nonnegative: a
-    NaN or negative one would decide every comparison the same way."""
+def check_tol(tol) -> float:
+    """``tol`` as a float, refused unless finite and nonnegative: a NaN or
+    negative one would decide every comparison the same way."""
+    tol = as_real(tol, "tolerance")
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"tolerance must be finite and nonnegative, got {tol!r}")
+    return tol
 
 
 #: JSON names of the Python types ``json.loads`` returns, for error messages.
@@ -92,7 +121,7 @@ class ProbVector:
     __slots__ = ("_components",)
 
     def __init__(self, components):
-        arr = np.array(components, dtype=float)
+        arr = as_real_array(components, "components")
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("expected a non-empty 1-D sequence of probabilities")
         total = float(np.add.reduce(checked_entries(arr)))
@@ -128,6 +157,7 @@ class ProbVector:
 
     def allclose(self, other: "ProbVector", tol: float = TOL) -> bool:
         """Componentwise equality within ``tol`` (dimensions must match)."""
+        tol = check_tol(tol)
         if self.dim != other.dim:
             return False
         return bool(np.max(np.abs(self._components - other._components)) <= tol)
@@ -153,10 +183,7 @@ class ProbVector:
         if not set(map(type, data)) <= {int, float}:
             bad = next(x for x in data if type(x) not in (int, float))
             raise ValueError(f"expected a 1-D JSON array of numbers, found {_JSON_KINDS[type(bad)]}")
-        try:
-            return cls(data)
-        except OverflowError as exc:
-            raise ValueError(f"a JSON number is too large for a float: {exc}") from exc
+        return cls(data)
 
 
 @dataclass(frozen=True, eq=False)

@@ -504,7 +504,7 @@ def test_search_builds_hits_without_revalidating(monkeypatch, family, grid):
             return _make(*args, **kwargs)
         monkeypatch.setattr(CatalystSpec, name, counted)
     assert search_catalyst_all(P_072, Q_062, family, grid) == want
-    assert calls == (["tmsv"] if family == "tmsv" else [])  # the r_max guard only
+    assert calls == ["tmsv"]  # the r_max guard only, for both families
 
 
 def _old_grid(grid, limit):

@@ -456,6 +456,10 @@ CONTRACT_CASES = [
     (["entropy-curve", "--k", "1000", "--alphas", "1e308", "--steps", "3",
       "--theta-min", "1e-300"], 0),
     (["infinitesimal", "--k", "3", "--theta", "5e-324"], 0),
+    (["--tol", "nan", "spectrum", "--k", "3", "--theta", "0.3"], 2),
+    (["--tol", "-1", "regions", "--k", "3"], 2),
+    (["catalysis", "search", "--p", "bs:3,0.72", "--q", "bs:3,0.62",
+      "--family", "single-photon", "--grid", "0.1", "--r-max", "-1"], 2),
 ]
 
 #: Files that contract cases name, written into the directory each case runs in.
@@ -503,7 +507,8 @@ SMALL_VALUES = {
     "grid": ["0.1", "0.05", "0.5"],
     "r_max": ["0.5", "1.5", "3"],
 }
-FAR_VALUES = ["100000000", "10000000000", "1e-170", "nan", "inf", "-1"]
+FAR_VALUES = ["100000000", "10000000000", "1e-170", "nan", "inf", "-1",
+              "5e-324", "-0", "1e999", "true", "pi/0"]
 
 
 @st.composite

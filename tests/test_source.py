@@ -183,15 +183,15 @@ def test_cli_commands_write_only_through_emits():
 def test_cli_raises_click_errors_only_where_it_maps_them():
     # A command body or helper raises ValueError, as the library does, and
     # _emits makes it a usage error (exit 2). Click's error types are raised
-    # only by _emits, the _finite callback and ParsedType (whose self.fail is
-    # no raise statement), and once by infinitesimal for its exit 1.
+    # only by _emits and ParsedType (whose self.fail is no raise statement),
+    # and once by infinitesimal for its exit 1.
     tree = ast.parse((SRC / "cli.py").read_text())
     raised = [(getattr(top, "name", None), ast.unparse(getattr(node.exc, "func", node.exc)))
               for top in tree.body for node in ast.walk(top)
               if isinstance(node, ast.Raise) and node.exc is not None
               and ast.unparse(node.exc).startswith("click.")]
     assert [(owner, exc) for owner, exc in raised
-            if owner not in {"_emits", "_finite", "ParsedType"}] == [
+            if owner not in {"_emits", "ParsedType"}] == [
         ("infinitesimal_cmd", "click.ClickException")]
 
 
