@@ -68,15 +68,16 @@ def check_angle(theta, upper: float = math.pi / 2) -> float:
 
 
 def angle_squares(thetas) -> tuple[np.ndarray, np.ndarray]:
-    """cos^2 and sin^2 of every angle of ``thetas``, flattened, after
-    checking the angles as one array against [0, pi/2]: the first angle
-    outside it (a NaN included) raises the ValueError of :func:`check_angle`.
+    """cos^2 and sin^2 of every angle of the float array ``thetas``,
+    flattened, after checking the angles as one array against [0, pi/2]:
+    the first angle outside it (a NaN included) raises the ValueError of
+    :func:`check_angle`.
 
     Each square is ``np.float_power`` to 2.0, which rounds as
     ``math.cos(t) ** 2`` and ``math.sin(t) ** 2`` do, bit for bit, where
     ``np.cos(t) ** 2`` (a multiply) does not always.
     """
-    t = np.ravel(as_real_array(thetas, "theta"))
+    t = np.ravel(thetas)
     inside = (t >= 0.0) & (t <= math.pi / 2)
     if not inside.all():
         check_angle(t[inside.argmin()])
@@ -111,7 +112,7 @@ def spectrum_rows(k: int, thetas):
     :func:`spectrum` takes.
     """
     k = check_photons(k)
-    thetas = np.ravel(thetas)
+    thetas = np.ravel(as_real_array(thetas, "theta"))
     entries = thetas.size * (k + 1)
     check_work(entries, MAX_SWEEP_ENTRIES,
                f"{thetas.size} spectra of k={k} hold {entries} entries")

@@ -11,7 +11,7 @@ import sys
 import numpy as np
 
 from .beamsplitter import spectrum_rows
-from .vectors import TOL, ProbVector, as_real, check_work
+from .vectors import TOL, ProbVector, as_real, as_real_array, check_work
 
 #: Orders this close to 1 are routed to the Shannon branch; the 1/(1-alpha)
 #: prefactor is numerically unusable nearer than this.
@@ -121,7 +121,7 @@ def entropy_curve(k: int, orders, theta_grid, *, bits: bool = False) -> np.ndarr
     if isinstance(orders, (str, bytes)) or not np.iterable(orders):
         raise ValueError(f"orders must be a sequence of entropy orders, got {orders!r}")
     alphas = [parse_order(a) for a in orders]
-    grid = np.ravel(theta_grid)  # read, and refused, by spectrum_rows
+    grid = np.ravel(as_real_array(theta_grid, "theta"))
     values = grid.size * len(alphas)
     check_work(values, MAX_CURVE_VALUES,
                f"{grid.size} angles at {len(alphas)} orders make {values} entropy values")

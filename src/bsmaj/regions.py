@@ -38,13 +38,16 @@ MAX_CROSSING_PAIRS = 2**21
 #: Crossing pairs whose angles one pass of ``_angles`` takes in Python lists.
 CROSSING_BLOCK = 2**16
 
-#: Most crossing pairs the scan memo keeps over all photon numbers: one
-#: scan at MAX_CROSSING_PAIRS (k = 2047, 1047552 pairs, 26 MB in all).
+#: Most crossing pairs plus partition ordering entries the scan memo keeps
+#: over all photon numbers: one scan at MAX_CROSSING_PAIRS (k = 2047,
+#: 1047552 pairs, 26 MB in all), or the scan and partition of any k <= 160.
 SCAN_MEMO_ANGLES = 2**20
 
-#: Scans of ``_crossover_angles`` by photon number, least recently used
-#: first, and the lock that makes each lookup and each insertion one step.
-_scans: OrderedDict[int, tuple[np.ndarray, ...]] = OrderedDict()
+#: Per photon number, least recently used first: the scan of
+#: ``_crossover_angles`` and, once built, the partition of
+#: :func:`find_crossovers` (else None); and the lock that makes each lookup
+#: and each insertion one step.
+_scans: OrderedDict[int, tuple[tuple[np.ndarray, ...], RegionPartition | None]] = OrderedDict()
 _scans_lock = threading.Lock()
 
 
@@ -69,6 +72,9 @@ class RegionPartition:
     is (k, k-1, ..., 0) and every later region swaps the crossing pairs of
     the crossover before it. ``pairs[i]`` lists the component index pairs
     (n, m), n > m, that coincide at ``crossovers[i]``.
+
+    Every field is a tuple and the instance is frozen, so one partition per
+    photon number is shared by all callers of :func:`find_crossovers`.
     """
 
     k: int
@@ -130,6 +136,11 @@ def find_crossovers(k: int) -> RegionPartition:
     it opens a crossover, and any other joins the crossover before it. The
     coinciding pairs are recorded per crossover.
 
+    The partition is kept beside k's scan in the scan memo, so repeated
+    calls return the same frozen object; one whose entry would exceed
+    ``SCAN_MEMO_ANGLES`` (k > 160) is built on every call. Two threads may
+    build one k, and both agree.
+
     Raises ``ValueError`` for a photon number :func:`check_photons` refuses,
     and when the partition could hold more than ``MAX_REGION_ENTRIES``
     ordering entries.
@@ -140,13 +151,25 @@ def find_crossovers(k: int) -> RegionPartition:
     bound = (k + 1) * (k * (k + 1) // 2 + 1)
     check_work(bound, MAX_REGION_ENTRIES,
                f"the regions of k={k} may hold up to {bound} ordering entries")
+    with _scans_lock:
+        if k in _scans:
+            _scans.move_to_end(k)
+            part = _scans[k][1]
+            if part is not None:
+                return part
     crossovers, pairs = _crossings(k)
-    return RegionPartition(
+    part = RegionPartition(
         k=k,
         crossovers=tuple(crossovers),
         orderings=tuple(_orderings(k, pairs)),
         pairs=tuple(pairs),
     )
+    with _scans_lock:
+        if k in _scans:
+            entry = _scans[k][0], part
+            if _size(entry) <= SCAN_MEMO_ANGLES:
+                _keep(k, entry)
+    return part
 
 
 def _crossings(k: int) -> tuple[list[float], list[tuple[tuple[int, int], ...]]]:
@@ -173,23 +196,35 @@ def _crossover_angles(k: int) -> tuple[np.ndarray, ...]:
     pair (n, m) meeting at each of those angles.
 
     The photon number is checked against ``MAX_CROSSING_PAIRS`` on every
-    call; the arrays of :func:`_scan` are then kept, read-only, in a memo
-    that evicts the least recently used photon numbers once it holds more
-    than ``SCAN_MEMO_ANGLES`` pairs.
+    call; the arrays of :func:`_scan` are then kept, read-only, in the memo.
     """
     n_pairs = k * (k + 1) // 2
     check_work(n_pairs, MAX_CROSSING_PAIRS, f"k={k} has {n_pairs} component pairs")
     with _scans_lock:
         if k in _scans:
             _scans.move_to_end(k)
-            return _scans[k]
+            return _scans[k][0]
     scan = _scan(k)  # unlocked: two threads may scan one k, and both agree
     with _scans_lock:
-        _scans[k] = scan
-        held = sum(n.size for _, _, n, _ in _scans.values())
-        while held > SCAN_MEMO_ANGLES:
-            held -= _scans.popitem(last=False)[1][2].size
+        _keep(k, (scan, None))
     return scan
+
+
+def _size(entry: tuple[tuple[np.ndarray, ...], RegionPartition | None]) -> int:
+    """Crossing pairs of a memo entry, plus its partition's ordering entries."""
+    scan, part = entry
+    return scan[2].size + (0 if part is None else part.n_regions * (part.k + 1))
+
+
+def _keep(k: int, entry: tuple[tuple[np.ndarray, ...], RegionPartition | None]) -> None:
+    """Store ``entry`` as the most recently used of the memo, then evict the
+    least recently used photon numbers, this one last, until the memo holds
+    at most ``SCAN_MEMO_ANGLES``. The caller holds ``_scans_lock``."""
+    _scans[k] = entry
+    _scans.move_to_end(k)
+    held = sum(map(_size, _scans.values()))
+    while held > SCAN_MEMO_ANGLES:
+        held -= _size(_scans.popitem(last=False)[1])
 
 
 def _scan(k: int) -> tuple[np.ndarray, ...]:

@@ -61,15 +61,35 @@ def as_real(value, name: str) -> float:
 
 def as_real_array(values, name: str) -> np.ndarray:
     """``values`` as a new float array; bool, text or complex entries, or any
-    that ``float()`` refuses or cannot hold, raise a ValueError naming ``name``."""
+    that ``float()`` refuses or cannot hold, raise a ValueError naming ``name``.
+
+    An ndarray is judged by its dtype. Any other input is also refused when
+    a bool sits anywhere in it, which numpy would read as 1.0 or 0.0 beside
+    numbers."""
     try:
         arr = np.array(values)
-        if arr.dtype.kind in "iufO":
+        if arr.dtype.kind not in "iufO":
+            problem = f"got an array of {arr.dtype}"
+        elif not isinstance(values, np.ndarray) and _holds_bool(values):
+            problem = "got a boolean entry"
+        else:
             return arr.astype(float, copy=False)
-        problem = f"got an array of {arr.dtype}"
     except (TypeError, ValueError, OverflowError) as exc:
         problem = exc
     raise ValueError(f"{name} must hold real numbers, none too large for a float: {problem}")
+
+
+#: Entry types that need no look inside.
+_PLAIN = frozenset({float, int, np.float64})
+
+
+def _holds_bool(values) -> bool:
+    """Whether ``values`` is, or nests in lists and tuples, a bool, an
+    ``np.bool_`` or a boolean array."""
+    if isinstance(values, (list, tuple)):
+        return not _PLAIN.issuperset(map(type, values)) and any(map(_holds_bool, values))
+    return isinstance(values, (bool, np.bool_)) or (
+        isinstance(values, np.ndarray) and values.dtype.kind == "b")
 
 
 def check_tol(tol) -> float:

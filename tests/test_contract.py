@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from bsmaj.beamsplitter import spectrum_rows
 from bsmaj import (
     CatalystSpec,
     DoublyStochasticMatrix,
@@ -75,6 +76,18 @@ REFUSALS = [
     ("single-photon search r_max=nan",
      lambda: search_catalyst_all(P, Q, "single-photon", 0.1, r_max=math.nan),
      "squeezing parameter"),
+    # numpy reads a bool beside numbers as 1.0 or 0.0
+    ("ProbVector([True, 0.0])", lambda: ProbVector([True, 0.0]), "components"),
+    ("ProbVector((0.0, np.bool_(True)))",
+     lambda: ProbVector((0.0, np.bool_(True))), "components"),
+    ("ProbVector([0, 10**400, False])", lambda: ProbVector([0, 10**400, False]), "components"),
+    ("DoublyStochasticMatrix([[True, 0.0], [0.0, 1.0]])",
+     lambda: DoublyStochasticMatrix([[True, 0.0], [0.0, 1.0]]), "entries"),
+    ("DoublyStochasticMatrix([bool array, [0.0, 1.0]])",
+     lambda: DoublyStochasticMatrix([np.array([True, False]), [0.0, 1.0]]), "entries"),
+    ("spectrum_rows(1, [True, 0.3])", lambda: list(spectrum_rows(1, [True, 0.3])), "theta"),
+    ("entropy_curve(3, [1], (0.3, False))",
+     lambda: entropy_curve(3, [1], (0.3, False)), "theta"),
 ]
 
 
@@ -83,6 +96,14 @@ REFUSALS = [
 def test_a_refused_number_raises_a_value_error_that_names_it(call, name):
     with pytest.raises(ValueError, match=rf"^{re.escape(name)}\b"):
         call()
+
+
+def test_an_ndarray_is_judged_by_its_dtype_alone():
+    # An object array holds its entries as given; only a boolean dtype is
+    # refused, as for any array.
+    assert ProbVector(np.array([True, 0.0], dtype=object)).components.tolist() == [1.0, 0.0]
+    with pytest.raises(ValueError, match="^components must hold real numbers"):
+        ProbVector(np.array([True, False]))
 
 
 #: Where one drawn value goes: every numeric argument of the exported

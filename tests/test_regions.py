@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import math
@@ -678,14 +679,18 @@ def test_memo_hit_derivatives_copy_no_angles(scans):
 @pytest.mark.parametrize("k", [*range(1, 61), 326, 341])
 def test_memo_hit_partitions_equal_fresh_scans(scans, k):
     # The scan a verdict leaves in the memo gives the same partition as a
-    # scan made afresh after the memo is cleared.
+    # scan made afresh after the memo is cleared, and so does the partition
+    # the memo then keeps, for every k small enough to keep it.
     infinitesimal_verdict(k, 0.3)
+    built = find_crossovers(k)
     hit = find_crossovers(k)
+    assert (hit is built) == (k <= 160)
     regions._scans.clear()
     fresh = find_crossovers(k)
-    assert hit.crossovers == fresh.crossovers
-    assert hit.pairs == fresh.pairs
-    assert hit.orderings == fresh.orderings
+    for part in (built, hit):
+        assert part.crossovers == fresh.crossovers
+        assert part.pairs == fresh.pairs
+        assert part.orderings == fresh.orderings
     assert scans == [k, k]
 
 
@@ -712,6 +717,12 @@ def test_memo_hit_verdicts_equal_fresh_scans(scans, k, steps):
     assert scans == [k] * (len(thetas) + 1)
 
 
+def memo_held(memo):
+    """Crossing pairs plus partition ordering entries the memo holds."""
+    return sum(n.size + (0 if part is None else sum(map(len, part.orderings)))
+               for (_, _, n, _), part in memo.values())
+
+
 def test_memo_keeps_its_angle_budget_and_evicts_least_recent_first(monkeypatch, scans):
     # k = 9, 10, 11 and 12 have 20, 25, 30 and 36 crossing pairs.
     sizes = {k: regions._scan(k)[2].size for k in (9, 10, 11, 12)}
@@ -723,16 +734,23 @@ def test_memo_keeps_its_angle_budget_and_evicts_least_recent_first(monkeypatch, 
                     (10, [11, 12, 10]), (9, [12, 10, 9]), (11, [10, 9, 11]), (60, [])):
         regions._crossover_angles(k)
         assert list(memo) == held, k
-        assert sum(n.size for _, _, n, _ in memo.values()) <= budget
+        assert memo_held(memo) <= budget
     assert scans[4:] == [10, 11, 12, 9, 11, 60]
 
 
 def test_memo_stays_consistent_across_threads(monkeypatch, scans):
-    # Eight threads share a memo that holds fewer than two of their scans,
-    # with the interpreter switching threads as often as it can.
+    # Eight threads share a memo that holds any one of their partitions with
+    # its scan, but not the two largest, with the interpreter switching
+    # threads as often as it can. Every scan and partition a thread gets
+    # equals one built afresh.
     ks = range(9, 15)
     want = {k: [a.tobytes() for a in regions._scan(k)] for k in ks}
-    monkeypatch.setattr(regions, "SCAN_MEMO_ANGLES", 64)
+    fresh = {}
+    for k in ks:
+        regions._scans.clear()
+        fresh[k] = find_crossovers(k)
+    regions._scans.clear()
+    monkeypatch.setattr(regions, "SCAN_MEMO_ANGLES", 800)
     errors = []
 
     def work(shift):
@@ -740,6 +758,7 @@ def test_memo_stays_consistent_across_threads(monkeypatch, scans):
             for i in range(1000):
                 k = ks[(i + shift) % len(ks)]
                 assert [a.tobytes() for a in regions._crossover_angles(k)] == want[k]
+                assert find_crossovers(k) == fresh[k]
         except Exception as exc:  # reported by the main thread
             errors.append(exc)
 
@@ -755,7 +774,98 @@ def test_memo_stays_consistent_across_threads(monkeypatch, scans):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
-    assert sum(n.size for _, _, n, _ in regions._scans.values()) <= 64
+    assert memo_held(regions._scans) <= 800
+    assert any(part is not None for _, part in regions._scans.values())
+
+
+def test_find_crossovers_returns_the_kept_partition(scans):
+    part = find_crossovers(20)
+    assert find_crossovers(20) is part
+    assert regions._scans[20][1] is part
+    assert scans == [20]
+
+
+def test_a_partition_hit_allocates_under_1kb(scans):
+    find_crossovers(99)
+    tracemalloc.start()
+    try:
+        find_crossovers(99)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024
+
+
+def test_partition_hits_set_off_no_collection(scans):
+    # Building k = 99 allocates 2,451 orderings; a hit allocates none.
+    find_crossovers(99)
+    gc.collect()
+    starts = []
+
+    def count(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.callbacks.append(count)
+    try:
+        for _ in range(100):
+            find_crossovers(99)
+    finally:
+        gc.callbacks.remove(count)
+    assert starts == []
+
+
+def test_memo_keeps_its_budget_with_partitions_counted(monkeypatch, scans):
+    # Scan plus partition: k = 9, 10 and 11 hold 230, 311 and 402 entries.
+    sizes = {k: regions._scan(k)[2].size + find_crossovers(k).n_regions * (k + 1)
+             for k in (9, 10, 11)}
+    regions._scans.clear()
+    scans.clear()
+    assert sizes == {9: 230, 10: 311, 11: 402}
+    budget = sizes[10] + sizes[11] + 20
+    monkeypatch.setattr(regions, "SCAN_MEMO_ANGLES", budget)
+    memo = regions._scans
+    for call, k, held in ((find_crossovers, 10, [10]), (find_crossovers, 11, [10, 11]),
+                          (regions._crossover_angles, 9, [10, 11, 9]),
+                          (find_crossovers, 9, [11, 9]), (find_crossovers, 11, [9, 11]),
+                          (regions._crossover_angles, 10, [9, 11, 10])):
+        call(k)
+        assert list(memo) == held, k
+        assert memo_held(memo) <= budget
+    assert [memo[k][1] is not None for k in held] == [True, True, False]
+    assert scans == [10, 11, 9, 10]
+
+
+def test_a_partition_above_the_budget_is_returned_not_kept(monkeypatch, scans):
+    pairs = regions._scan(12)[2].size
+    fresh = find_crossovers(12)
+    regions._scans.clear()
+    monkeypatch.setattr(regions, "SCAN_MEMO_ANGLES", pairs + sum(map(len, fresh.orderings)) - 1)
+    part = find_crossovers(12)
+    assert part == fresh
+    assert list(regions._scans) == [12] and regions._scans[12][1] is None
+    again = find_crossovers(12)
+    assert again == fresh and again is not part
+
+
+def test_partitions_above_k_160_are_not_kept(scans):
+    # 160 is the largest k whose scan and partition fit SCAN_MEMO_ANGLES.
+    for k, kept in ((160, True), (161, False)):
+        part = find_crossovers(k)
+        assert (find_crossovers(k) is part) == kept
+        assert (regions._scans[k][1] is part) == kept
+    assert memo_held(regions._scans) <= regions.SCAN_MEMO_ANGLES
+
+
+def test_evicting_a_scan_drops_its_partition(monkeypatch, scans):
+    monkeypatch.setattr(regions, "SCAN_MEMO_ANGLES", 340)
+    part = find_crossovers(10)  # 311 entries with its scan
+    assert regions._scans[10][1] is part
+    regions._crossover_angles(12)  # 36 more: k = 10 goes, scan and partition
+    assert list(regions._scans) == [12]
+    again = find_crossovers(10)
+    assert again == part and again is not part
+    assert scans == [10, 12, 10]
 
 
 def test_memoized_arrays_are_read_only(scans):
