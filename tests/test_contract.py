@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from bsmaj.beamsplitter import spectrum_rows
 from bsmaj import (
     CatalystSpec,
     DoublyStochasticMatrix,
@@ -39,6 +38,7 @@ from bsmaj import (
     tmsv_dimension,
     verify_nielsen,
 )
+from bsmaj.beamsplitter import spectrum_rows
 
 P = spectrum(3, 0.72)
 Q = spectrum(3, 0.62)
@@ -80,7 +80,6 @@ REFUSALS = [
     ("ProbVector([True, 0.0])", lambda: ProbVector([True, 0.0]), "components"),
     ("ProbVector((0.0, np.bool_(True)))",
      lambda: ProbVector((0.0, np.bool_(True))), "components"),
-    ("ProbVector([0, 10**400, False])", lambda: ProbVector([0, 10**400, False]), "components"),
     ("DoublyStochasticMatrix([[True, 0.0], [0.0, 1.0]])",
      lambda: DoublyStochasticMatrix([[True, 0.0], [0.0, 1.0]]), "entries"),
     ("DoublyStochasticMatrix([bool array, [0.0, 1.0]])",
