@@ -87,13 +87,13 @@ def _fmt(x: float) -> str:
 
 def _round12(obj):
     """``obj`` with every float at 12 significant digits, and every array
-    and tuple as a list."""
+    and tuple as a list; an integer array's list holds no float to round."""
     if isinstance(obj, float):
         return float(_fmt(obj))
     if isinstance(obj, (int, str, bool)) or obj is None:
         return obj
     if isinstance(obj, np.ndarray):
-        return _round12(obj.tolist())
+        return obj.tolist() if obj.dtype.kind in "iu" else _round12(obj.tolist())
     if isinstance(obj, dict):
         return {k: _round12(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

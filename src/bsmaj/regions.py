@@ -59,7 +59,7 @@ class AmbiguousOrderingError(ValueError):
     """
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RegionPartition:
     """Crossover angles partitioning [0, pi/4) into fixed-ordering regions.
 
@@ -73,13 +73,15 @@ class RegionPartition:
     the crossover before it. ``pairs[i]`` lists the component index pairs
     (n, m), n > m, that coincide at ``crossovers[i]``.
 
-    Every field is a tuple and the instance is frozen, so one partition per
-    photon number is shared by all callers of :func:`find_crossovers`.
+    ``orderings`` is one read-only int16 table of shape (n_regions, k+1),
+    2 bytes per entry; the other fields are tuples. The instance is frozen
+    and compares by identity, so one partition per photon number is shared
+    by all callers of :func:`find_crossovers`.
     """
 
     k: int
     crossovers: tuple[float, ...]
-    orderings: tuple[tuple[int, ...], ...]
+    orderings: np.ndarray
     pairs: tuple[tuple[tuple[int, int], ...], ...]
 
     @property
@@ -161,7 +163,7 @@ def find_crossovers(k: int) -> RegionPartition:
     part = RegionPartition(
         k=k,
         crossovers=tuple(crossovers),
-        orderings=tuple(_orderings(k, pairs)),
+        orderings=_orderings(k, pairs),
         pairs=tuple(pairs),
     )
     with _scans_lock:
@@ -290,8 +292,9 @@ def _angles(binom: list[int], n: np.ndarray, m: np.ndarray) -> np.ndarray:
     return theta
 
 
-def _orderings(k: int, pairs: list[tuple[tuple[int, int], ...]]) -> list[tuple[int, ...]]:
-    """Sorting permutation of the spectrum in every region, from the crossings.
+def _orderings(k: int, pairs: list[tuple[tuple[int, int], ...]]) -> np.ndarray:
+    """Sorting permutation of the spectrum in every region, from the crossings:
+    a read-only int16 table, one row per region.
 
     For n > m, P_n / P_m = C(k,n) / C(k,m) * cot(theta)^(2(n-m)) falls
     strictly from infinity at theta = 0, so region 1 sorts as (k, ..., 0)
@@ -299,18 +302,23 @@ def _orderings(k: int, pairs: list[tuple[tuple[int, int], ...]]) -> list[tuple[i
     that meet at a crossover are adjacent just before it, so every later
     region is the previous one with each pair of its crossover swapped, in
     the order ``_crossings`` lists them. No spectrum is built: the orderings
-    hold where float components underflow to zero and would tie.
+    hold where float components underflow to zero and would tie. The swaps
+    are replayed in a copy of region 1's row, which is copied into the
+    table after each crossover; ``MAX_REGION_ENTRIES`` keeps k <= 341, so
+    int16 holds every entry.
     """
-    order = list(range(k, -1, -1))
-    where = order[:]  # where[n] = k - n is the position of component n
-    out = [tuple(order)]
-    for group in pairs:
-        for n, m in group:
-            i, j = where[n], where[m]
-            order[i], order[j] = m, n
-            where[n], where[m] = j, i
-        out.append(tuple(order))
-    return out
+    table = np.empty((len(pairs) + 1, k + 1), np.int16)
+    table[0] = np.arange(k, -1, -1)
+    where = list(range(k, -1, -1))  # where[n] = k - n is the position of component n
+    with memoryview(table.reshape(-1)) as rows, memoryview(table[0].copy()) as order:
+        for r, group in enumerate(pairs, 1):
+            for n, m in group:
+                i, j = where[n], where[m]
+                order[i], order[j] = m, n
+                where[n], where[m] = j, i
+            rows[r * (k + 1):(r + 1) * (k + 1)] = order
+    table.flags.writeable = False
+    return table
 
 
 def component_derivatives(k: int, theta: float) -> np.ndarray:
