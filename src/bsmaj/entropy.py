@@ -83,38 +83,28 @@ def renyi_orders(x: np.ndarray, alphas) -> np.ndarray:
             out[..., j] = -(x * logs).sum(axis=-1)
         else:
             power.append(j)
-    # log-sum-exp keeps large orders from underflowing the power sum. Every
-    # power order is positive, so alpha log 0 = -inf, and the largest term
-    # of a row is alpha times its largest log, rounding being monotone.
-    np.copyto(logs, -np.inf, where=~pos)
-    top = logs.max(axis=-1, keepdims=True)[..., None, :]
+    # log-sum-exp keeps large orders from underflowing the power sum
     step = max(1, ORDER_ENTRIES // x.size)
     for start in range(0, len(power), step):
         cols = power[start:start + step]
-        a = np.array([alphas[j] for j in cols])[:, None]
-        out[..., cols] = _logsumexp(a * logs[..., None, :], a * top) / (1.0 - a[:, 0])
+        a = np.array([alphas[j] for j in cols])
+        terms = np.where(pos[..., None, :], a[:, None] * logs[..., None, :], -np.inf)
+        out[..., cols] = _logsumexp(terms) / (1.0 - a)
     return out
 
 
-def _logsumexp(a: np.ndarray, a_max: np.ndarray | None = None) -> np.ndarray:
+def _logsumexp(a: np.ndarray) -> np.ndarray:
     """log(sum(exp(a))) over the last axis; every row holds a finite entry.
-    ``a_max`` is the maximum of every row, the last axis kept, when the
-    caller has it.
 
     The maximal terms are split out of the shifted sum and restored through
     log1p, which is more accurate than the plain max shift when the rest of
     the sum is small; the operation order is scipy.special.logsumexp's, so
-    results agree with it bit for bit. A shifted term below -745.2 has an
-    exp of exactly 0, which is left uncomputed, since exp takes up to 100
-    times as long there.
+    results agree with it bit for bit.
     """
-    if a_max is None:
-        a_max = a.max(axis=-1, keepdims=True)
+    a_max = a.max(axis=-1, keepdims=True)
     is_max = a == a_max
     m = is_max.sum(axis=-1)
-    shifted = a - a_max
-    live = ~is_max & (shifted >= -745.2)
-    s = np.exp(shifted, out=np.zeros_like(shifted), where=live).sum(axis=-1) / m
+    s = np.exp(np.where(is_max, -np.inf, a - a_max)).sum(axis=-1) / m
     return np.log1p(s) + np.log(m) + a_max[..., 0]
 
 

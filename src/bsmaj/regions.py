@@ -318,7 +318,7 @@ def _orderings(k: int, pairs: list[tuple[tuple[int, int], ...]]) -> np.ndarray:
                 where[n], where[m] = j, i
             rows[r * (k + 1):(r + 1) * (k + 1)] = order
     table.flags.writeable = False
-    return table
+    return table.view()  # a view of a read-only base cannot be made writeable
 
 
 def component_derivatives(k: int, theta: float) -> np.ndarray:

@@ -197,8 +197,7 @@ def _logsumexp_inputs():
     plus ties at the maximum and single-element input."""
     rng = np.random.default_rng(5)
     cases = [np.array([0.0]), np.array([-3.25]), np.array([-1.0, -1.0, -2.0]),
-             np.full(7, 3.0 * math.log(1 / 7)), np.array([-700.0, -0.5, -0.5]),
-             np.array([0.0, -744.0, -745.1, -745.19, -745.21, -746.0, -1e300])]
+             np.full(7, 3.0 * math.log(1 / 7)), np.array([-700.0, -0.5, -0.5])]
     for k, theta in ((3, 0.62), (20, 0.3), (60, QUARTER_PI), (1000, 0.2)):
         pos = spectrum(k, theta).components
         pos = pos[pos > 0]

@@ -148,6 +148,8 @@ def test_orderings_are_a_read_only_int16_table(k):
     assert table.flags.c_contiguous and not table.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         table[0, 0] = table[0, 0]
+    with pytest.raises(ValueError):
+        table.flags.writeable = True  # the memo's partition is shared
     assert (np.sort(table, axis=1) == np.arange(k + 1)).all()  # every row a permutation
 
 
