@@ -10,6 +10,7 @@ output.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 
@@ -174,7 +175,8 @@ def _emits(command: str, *, csv: bool = False):
     from the body, raised on malformed or out-of-range parameters, is a
     usage error (exit 2). CSV holds a 1-D
     array as one column, or a table ``{columns, rows[, crossovers]}`` as
-    header, rows and annotations.
+    header, rows and annotations. The text is written in batches of pieces
+    as it is made, never joined whole.
     """
 
     def decorate(fn):
@@ -188,26 +190,32 @@ def _emits(command: str, *, csv: bool = False):
             except ValueError as exc:
                 raise click.UsageError(str(exc)) from exc
             if obj["out"] == "csv":
-                click.echo(_csv_text(results))
+                pieces = _csv_lines(results)
             else:
                 envelope = {"command": command, "params": {**obj, **params},
                             "results": results, "tool_version": __version__}
-                click.echo(json.dumps(_round12(envelope), indent=2))
+                pieces = itertools.chain(
+                    json.JSONEncoder(indent=2).iterencode(_round12(envelope)), ["\n"])
+            while text := "".join(itertools.islice(pieces, 4096)):
+                click.echo(text, nl=False)
 
         return run
 
     return decorate
 
 
-def _csv_text(results) -> str:
+def _csv_lines(results):
+    """The CSV text of ``results``: a 1-D array as one piece, a table as
+    one piece per line."""
     if not isinstance(results, dict):
-        return "\n".join(map(_fmt, results.tolist()))
-    lines = [",".join(results["columns"])]
-    lines.extend(",".join(map(_fmt, row)) for row in results["rows"].tolist())
+        yield "\n".join(map(_fmt, results.tolist())) + "\n"
+        return
+    yield ",".join(results["columns"]) + "\n"
+    for row in results["rows"]:
+        yield ",".join(map(_fmt, row.tolist())) + "\n"
     if "crossovers" in results:
-        lines.append("# region-boundaries")
-        lines.extend(f"# crossover,{_fmt(c)}" for c in results["crossovers"])
-    return "\n".join(lines)
+        yield "# region-boundaries\n"
+        yield from (f"# crossover,{_fmt(c)}\n" for c in results["crossovers"])
 
 
 def _sweep(k: int, orders, steps: int, theta_min: float = 0.0,

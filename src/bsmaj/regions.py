@@ -38,17 +38,17 @@ MAX_CROSSING_PAIRS = 2**21
 #: Crossing pairs whose angles one pass of ``_angles`` takes in Python lists.
 CROSSING_BLOCK = 2**16
 
-#: Most crossing pairs plus partition ordering entries the scan memo keeps
-#: over all photon numbers: one scan at MAX_CROSSING_PAIRS (k = 2047,
-#: 1047552 pairs, 26 MB in all), or the scan and partition of any k <= 160.
+#: Most crossing pairs plus partition ordering entries the memo keeps over
+#: all photon numbers: one scan at MAX_CROSSING_PAIRS (k = 2047, 1047552
+#: pairs, 26 MB in all), or the partition of any k <= 160.
 SCAN_MEMO_ANGLES = 2**20
 
-#: Per photon number, least recently used first: the scan of
-#: ``_crossover_angles`` and, once built, the partition of
-#: :func:`find_crossovers` (else None); and the lock that makes each lookup
-#: and each insertion one step.
-_scans: OrderedDict[int, tuple[tuple[np.ndarray, ...], RegionPartition | None]] = OrderedDict()
-_scans_lock = threading.Lock()
+#: Least recently used first, each value with the entries it charges against
+#: ``SCAN_MEMO_ANGLES``: the scan of ``_crossover_angles`` under k, and the
+#: partition of :func:`find_crossovers` under -k; and the lock that makes
+#: each recall and each keep one step.
+_memo: OrderedDict[int, tuple[object, int]] = OrderedDict()
+_memo_lock = threading.Lock()
 
 
 class AmbiguousOrderingError(ValueError):
@@ -138,10 +138,10 @@ def find_crossovers(k: int) -> RegionPartition:
     it opens a crossover, and any other joins the crossover before it. The
     coinciding pairs are recorded per crossover.
 
-    The partition is kept beside k's scan in the scan memo, so repeated
-    calls return the same frozen object; one whose entry would exceed
-    ``SCAN_MEMO_ANGLES`` (k > 160) is built on every call. Two threads may
-    build one k, and both agree.
+    The partition is kept in the memo apart from k's scan, so repeated
+    calls return the same frozen object; one with more ordering entries
+    than ``SCAN_MEMO_ANGLES`` (k > 160) is built on every call. Two threads
+    may build one k, and both agree.
 
     Raises ``ValueError`` for a photon number :func:`check_photons` refuses,
     and when the partition could hold more than ``MAX_REGION_ENTRIES``
@@ -153,24 +153,12 @@ def find_crossovers(k: int) -> RegionPartition:
     bound = (k + 1) * (k * (k + 1) // 2 + 1)
     check_work(bound, MAX_REGION_ENTRIES,
                f"the regions of k={k} may hold up to {bound} ordering entries")
-    with _scans_lock:
-        if k in _scans:
-            _scans.move_to_end(k)
-            part = _scans[k][1]
-            if part is not None:
-                return part
-    crossovers, pairs = _crossings(k)
-    part = RegionPartition(
-        k=k,
-        crossovers=tuple(crossovers),
-        orderings=_orderings(k, pairs),
-        pairs=tuple(pairs),
-    )
-    with _scans_lock:
-        if k in _scans:
-            entry = _scans[k][0], part
-            if _size(entry) <= SCAN_MEMO_ANGLES:
-                _keep(k, entry)
+    part = _recall(-k)
+    if part is None:
+        crossovers, pairs = _crossings(k)
+        part = RegionPartition(k=k, crossovers=tuple(crossovers),
+                               orderings=_orderings(k, pairs), pairs=tuple(pairs))
+        _keep(-k, part, part.orderings.size)
     return part
 
 
@@ -182,14 +170,9 @@ def _crossings(k: int) -> tuple[list[float], list[tuple[tuple[int, int], ...]]]:
     which its scan sorted them.
     """
     crossovers, first, n, m = _crossover_angles(k)
-    pairs = zip(n.tolist(), m.tolist())
-    if first.all():
-        groups = list(zip(pairs))
-    else:
-        pairs = list(pairs)
-        cuts = [*np.flatnonzero(first).tolist(), len(pairs)]
-        groups = [tuple(pairs[a:b]) for a, b in zip(cuts, cuts[1:])]
-    return crossovers.tolist(), groups
+    pairs = list(zip(n.tolist(), m.tolist()))
+    cuts = [*np.flatnonzero(first).tolist(), len(pairs)]
+    return crossovers.tolist(), [tuple(pairs[a:b]) for a, b in zip(cuts, cuts[1:])]
 
 
 def _crossover_angles(k: int) -> tuple[np.ndarray, ...]:
@@ -202,31 +185,34 @@ def _crossover_angles(k: int) -> tuple[np.ndarray, ...]:
     """
     n_pairs = k * (k + 1) // 2
     check_work(n_pairs, MAX_CROSSING_PAIRS, f"k={k} has {n_pairs} component pairs")
-    with _scans_lock:
-        if k in _scans:
-            _scans.move_to_end(k)
-            return _scans[k][0]
-    scan = _scan(k)  # unlocked: two threads may scan one k, and both agree
-    with _scans_lock:
-        _keep(k, (scan, None))
+    scan = _recall(k)
+    if scan is None:
+        scan = _scan(k)  # unlocked: two threads may scan one k, and both agree
+        _keep(k, scan, scan[2].size)
     return scan
 
 
-def _size(entry: tuple[tuple[np.ndarray, ...], RegionPartition | None]) -> int:
-    """Crossing pairs of a memo entry, plus its partition's ordering entries."""
-    scan, part = entry
-    return scan[2].size + (0 if part is None else part.n_regions * (part.k + 1))
+def _recall(key: int):
+    """The memo's value under ``key``, now its most recently used, or None."""
+    with _memo_lock:
+        if key in _memo:
+            _memo.move_to_end(key)
+            return _memo[key][0]
+    return None
 
 
-def _keep(k: int, entry: tuple[tuple[np.ndarray, ...], RegionPartition | None]) -> None:
-    """Store ``entry`` as the most recently used of the memo, then evict the
-    least recently used photon numbers, this one last, until the memo holds
-    at most ``SCAN_MEMO_ANGLES``. The caller holds ``_scans_lock``."""
-    _scans[k] = entry
-    _scans.move_to_end(k)
-    held = sum(map(_size, _scans.values()))
-    while held > SCAN_MEMO_ANGLES:
-        held -= _size(_scans.popitem(last=False)[1])
+def _keep(key: int, value, entries: int) -> None:
+    """Store ``value``, which charges ``entries`` against ``SCAN_MEMO_ANGLES``,
+    as the memo's most recently used entry, unless it alone would exceed the
+    budget; then evict the least recently used entries until the memo fits."""
+    if entries > SCAN_MEMO_ANGLES:
+        return
+    with _memo_lock:
+        _memo[key] = value, entries
+        _memo.move_to_end(key)
+        held = sum(n for _, n in _memo.values())
+        while held > SCAN_MEMO_ANGLES:
+            held -= _memo.popitem(last=False)[1][1]
 
 
 def _scan(k: int) -> tuple[np.ndarray, ...]:

@@ -1,3 +1,4 @@
+import inspect
 import io
 import json
 import math
@@ -22,7 +23,7 @@ from bsmaj import (
     compare,
     spectrum,
 )
-from bsmaj import cli, locc
+from bsmaj import __version__, cli, locc
 from bsmaj.cli import main, parse_angle, parse_catalyst_arg, parse_vector_arg
 
 from conftest import CLI_BATTERY
@@ -226,6 +227,41 @@ def test_figure_data_csv_annotations(cli_runner):
     assert lines[0] == "theta,S_1,S_10,S_inf"
     assert lines[4] == "# region-boundaries"
     assert len([ln for ln in lines if ln.startswith("# crossover")]) == 2
+
+
+def joined_csv(results) -> str:
+    """The CSV of ``results`` as one text joined by newlines, the way
+    ``_emits`` wrote it before it streamed its output."""
+    if not isinstance(results, dict):
+        return "\n".join(map(cli._fmt, results.tolist())) + "\n"
+    lines = [",".join(results["columns"])]
+    lines.extend(",".join(map(cli._fmt, row)) for row in results["rows"].tolist())
+    if "crossovers" in results:
+        lines.append("# region-boundaries")
+        lines.extend(f"# crossover,{cli._fmt(c)}" for c in results["crossovers"])
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("args,pieces,lines", [
+    (["spectrum", "--k", "40", "--theta", "0.3"], 1, 41),  # a 1-D array
+    (["figure-data", "--figure", "fig5", "--steps", "7"], 1, 11),  # a table with crossovers
+    # far more JSON pieces and CSV lines than one batch of a few thousand
+    (["entropy-curve", "--k", "2", "--steps", "20000"], 10**5, 20001),
+], ids=["array", "crossovers", "batches"])
+def test_streamed_output_equals_the_joined_text(cli_runner, args, pieces, lines):
+    # _emits writes its pieces in batches; a batch that dropped or repeated
+    # a piece would change the text.
+    command = main.commands[args[0]]
+    options = command.make_context(args[0], args[1:]).params
+    params, results = inspect.unwrap(command.callback)(cli.TOL, **options)
+    envelope = cli._round12({"command": args[0],
+                             "params": {"out": "json", "tol": cli.TOL, "seed": 0, **params},
+                             "results": results, "tool_version": __version__})
+    assert len(list(json.JSONEncoder(indent=2).iterencode(envelope))) >= pieces
+    assert invoke(cli_runner, args).output == json.dumps(envelope, indent=2) + "\n"
+    csv = invoke(cli_runner, ["--out", "csv", *args]).output
+    assert csv == joined_csv(results)
+    assert csv.count("\n") == lines
 
 
 def test_figure_data_two_steps_endpoints_only(cli_runner):

@@ -687,14 +687,14 @@ def test_verdict_scans_crossovers_once(monkeypatch):
 
 @pytest.fixture
 def scans(monkeypatch):
-    """An empty scan memo for one test, and the photon numbers scanned."""
+    """An empty memo for one test, and the photon numbers scanned."""
     calls, scan = [], regions._scan
 
     def counted(k):
         calls.append(k)
         return scan(k)
 
-    monkeypatch.setattr(regions, "_scans", OrderedDict())
+    monkeypatch.setattr(regions, "_memo", OrderedDict())
     monkeypatch.setattr(regions, "_scan", counted)
     return calls
 
@@ -737,7 +737,7 @@ def test_memo_hit_partitions_equal_fresh_scans(scans, k):
     built = find_crossovers(k)
     hit = find_crossovers(k)
     assert (hit is built) == (k <= 160)
-    regions._scans.clear()
+    regions._memo.clear()
     fresh = find_crossovers(k)
     for part in (built, hit):
         assert fields(part) == fields(fresh)
@@ -756,9 +756,9 @@ def test_memo_hit_verdicts_equal_fresh_scans(scans, k, steps):
     hit_arrays = [a.tobytes() for a in regions._crossover_angles(k)]
     fresh = []
     for theta in thetas:
-        regions._scans.clear()
+        regions._memo.clear()
         fresh.append(infinitesimal_verdict(k, theta))
-    regions._scans.clear()
+    regions._memo.clear()
     assert [a.tobytes() for a in regions._crossover_angles(k)] == hit_arrays
     assert hits == fresh
     assert {v.status for v in hits} >= {InfinitesimalStatus.BOUNDARY, InfinitesimalStatus.HOLDS}
@@ -768,9 +768,15 @@ def test_memo_hit_verdicts_equal_fresh_scans(scans, k, steps):
 
 
 def memo_held(memo):
-    """Crossing pairs plus partition ordering entries the memo holds."""
-    return sum(n.size + (0 if part is None else part.orderings.size)
-               for (_, _, n, _), part in memo.values())
+    """Crossing pairs plus partition ordering entries the memo holds: each
+    scan under its k and each partition under -k, with the count it is
+    charged checked against its value."""
+    for key, (value, entries) in memo.items():
+        if key > 0:
+            assert len(value) == 4 and entries == value[2].size, key
+        else:
+            assert value.k == -key and entries == value.orderings.size, key
+    return sum(entries for _, entries in memo.values())
 
 
 def test_memo_keeps_its_angle_budget_and_evicts_least_recent_first(monkeypatch, scans):
@@ -779,9 +785,12 @@ def test_memo_keeps_its_angle_budget_and_evicts_least_recent_first(monkeypatch, 
     assert sizes == {9: 20, 10: 25, 11: 30, 12: 36}
     budget = sizes[10] + sizes[11] + sizes[12]
     monkeypatch.setattr(regions, "SCAN_MEMO_ANGLES", budget)
-    memo = regions._scans
+    memo = regions._memo
+    # k = 60's scan alone exceeds the budget: it is not kept, and evicts
+    # nothing.
     for k, held in ((10, [10]), (11, [10, 11]), (12, [10, 11, 12]),
-                    (10, [11, 12, 10]), (9, [12, 10, 9]), (11, [10, 9, 11]), (60, [])):
+                    (10, [11, 12, 10]), (9, [12, 10, 9]), (11, [10, 9, 11]),
+                    (60, [10, 9, 11]), (9, [10, 11, 9])):
         regions._crossover_angles(k)
         assert list(memo) == held, k
         assert memo_held(memo) <= budget
@@ -789,17 +798,17 @@ def test_memo_keeps_its_angle_budget_and_evicts_least_recent_first(monkeypatch, 
 
 
 def test_memo_stays_consistent_across_threads(monkeypatch, scans):
-    # Eight threads share a memo that holds any one of their partitions with
-    # its scan, but not the two largest, with the interpreter switching
-    # threads as often as it can. Every scan and partition a thread gets
-    # equals one built afresh.
+    # Eight threads share a memo of 800 entries, which holds any one of
+    # their partitions (k = 14's has 750 ordering entries) but not two of
+    # the largest, with the interpreter switching threads as often as it
+    # can. Every scan and partition a thread gets equals one built afresh.
     ks = range(9, 15)
     want = {k: [a.tobytes() for a in regions._scan(k)] for k in ks}
     fresh = {}
     for k in ks:
-        regions._scans.clear()
+        regions._memo.clear()
         fresh[k] = find_crossovers(k)
-    regions._scans.clear()
+    regions._memo.clear()
     monkeypatch.setattr(regions, "SCAN_MEMO_ANGLES", 800)
     errors = []
 
@@ -824,14 +833,17 @@ def test_memo_stays_consistent_across_threads(monkeypatch, scans):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
-    assert memo_held(regions._scans) <= 800
-    assert any(part is not None for _, part in regions._scans.values())
+    assert memo_held(regions._memo) <= 800
+    assert any(key < 0 for key in regions._memo)
 
 
 def test_find_crossovers_returns_the_kept_partition(scans):
+    # k's scan and its partition are two entries, the partition under -k.
     part = find_crossovers(20)
     assert find_crossovers(20) is part
-    assert regions._scans[20][1] is part
+    assert list(regions._memo) == [20, -20]
+    assert regions._memo[-20] == (part, part.orderings.size)
+    assert regions._memo[20][0] is regions._crossover_angles(20)
     assert scans == [20]
 
 
@@ -877,56 +889,67 @@ def test_partition_hits_set_off_no_collection(scans):
 
 
 def test_memo_keeps_its_budget_with_partitions_counted(monkeypatch, scans):
-    # Scan plus partition: k = 9, 10 and 11 hold 230, 311 and 402 entries.
-    sizes = {k: regions._scan(k)[2].size + find_crossovers(k).n_regions * (k + 1)
+    # Scan, partition: k = 9, 10 and 11 hold 20 and 210, 25 and 286, and
+    # 30 and 372 entries.
+    sizes = {k: (regions._scan(k)[2].size, find_crossovers(k).orderings.size)
              for k in (9, 10, 11)}
-    regions._scans.clear()
+    regions._memo.clear()
     scans.clear()
-    assert sizes == {9: 230, 10: 311, 11: 402}
-    budget = sizes[10] + sizes[11] + 20
+    assert sizes == {9: (20, 210), 10: (25, 286), 11: (30, 372)}
+    budget = 733
     monkeypatch.setattr(regions, "SCAN_MEMO_ANGLES", budget)
-    memo = regions._scans
-    for call, k, held in ((find_crossovers, 10, [10]), (find_crossovers, 11, [10, 11]),
-                          (regions._crossover_angles, 9, [10, 11, 9]),
-                          (find_crossovers, 9, [11, 9]), (find_crossovers, 11, [9, 11]),
-                          (regions._crossover_angles, 10, [9, 11, 10])):
+    memo = regions._memo
+    # A partition hit marks only the partition used, so k = 11's scan goes
+    # first when k = 10's partition needs room, and its partition stays.
+    for call, k, held in ((find_crossovers, 10, [10, -10]),
+                          (find_crossovers, 11, [10, -10, 11, -11]),
+                          (regions._crossover_angles, 9, [10, -10, 11, -11, 9]),
+                          (find_crossovers, 9, [11, -11, 9, -9]),
+                          (find_crossovers, 11, [11, 9, -9, -11]),
+                          (regions._crossover_angles, 10, [11, 9, -9, -11, 10]),
+                          (find_crossovers, 10, [-11, 10, -10])):
         call(k)
         assert list(memo) == held, k
         assert memo_held(memo) <= budget
-    assert [memo[k][1] is not None for k in held] == [True, True, False]
     assert scans == [10, 11, 9, 10]
 
 
 def test_a_partition_above_the_budget_is_returned_not_kept(monkeypatch, scans):
-    pairs = regions._scan(12)[2].size
     fresh = find_crossovers(12)
-    regions._scans.clear()
-    monkeypatch.setattr(regions, "SCAN_MEMO_ANGLES", pairs + fresh.orderings.size - 1)
+    regions._memo.clear()
+    monkeypatch.setattr(regions, "SCAN_MEMO_ANGLES", fresh.orderings.size - 1)
     part = find_crossovers(12)
     assert fields(part) == fields(fresh)
-    assert list(regions._scans) == [12] and regions._scans[12][1] is None
+    assert list(regions._memo) == [12]
     again = find_crossovers(12)
     assert fields(again) == fields(fresh) and again is not part
+    # At exactly its size the partition is kept, and its scan makes room.
+    monkeypatch.setattr(regions, "SCAN_MEMO_ANGLES", fresh.orderings.size)
+    kept = find_crossovers(12)
+    assert list(regions._memo) == [-12] and find_crossovers(12) is kept
+    assert scans == [12, 12]
 
 
 def test_partitions_above_k_160_are_not_kept(scans):
-    # 160 is the largest k whose scan and partition fit SCAN_MEMO_ANGLES.
-    for k, kept in ((160, True), (161, False)):
+    # 160 is the largest k whose partition fits SCAN_MEMO_ANGLES; the scans
+    # of both are kept beside it.
+    for k, kept, entries in ((160, True, 1_030_561), (161, False, 1_049_922)):
         part = find_crossovers(k)
+        assert part.orderings.size == entries
         assert (find_crossovers(k) is part) == kept
-        assert (regions._scans[k][1] is part) == kept
-    assert memo_held(regions._scans) <= regions.SCAN_MEMO_ANGLES
+        assert (-k in regions._memo) == kept
+    assert list(regions._memo) == [160, -160, 161]
+    assert memo_held(regions._memo) <= regions.SCAN_MEMO_ANGLES
 
 
-def test_evicting_a_scan_drops_its_partition(monkeypatch, scans):
+def test_evicting_a_scan_leaves_its_partition_kept(monkeypatch, scans):
     monkeypatch.setattr(regions, "SCAN_MEMO_ANGLES", 340)
-    part = find_crossovers(10)  # 311 entries with its scan
-    assert regions._scans[10][1] is part
-    regions._crossover_angles(12)  # 36 more: k = 10 goes, scan and partition
-    assert list(regions._scans) == [12]
-    again = find_crossovers(10)
-    assert fields(again) == fields(part) and again is not part
-    assert scans == [10, 12, 10]
+    part = find_crossovers(10)  # 25 crossing pairs and 286 ordering entries
+    assert list(regions._memo) == [10, -10]
+    regions._crossover_angles(12)  # 36 more: k = 10's scan goes, alone
+    assert list(regions._memo) == [-10, 12]
+    assert find_crossovers(10) is part
+    assert scans == [10, 12]
 
 
 def test_memoized_arrays_are_read_only(scans):
